@@ -6,7 +6,8 @@ parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success, 2 parse errors (bad flags, malformed graph6 or grid
-syntax), 3 domain errors (infeasible parameters, violated preconditions).
+syntax), 3 domain errors (infeasible parameters, violated preconditions) and
+eigensolver non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
 reports never drift across runs.
 """
@@ -48,7 +49,7 @@ from .harness import (
     reports_to_csv,
     sweep_inequalities,
 )
-from .spectral import alpha_index
+from .spectral import ConvergenceError, alpha_index
 
 
 class CliParseError(ValueError):
@@ -84,10 +85,11 @@ def parse_alpha_grid(spec: str) -> list[str]:
         while cur <= stop:
             out.append(str(cur.normalize()))
             cur += step
-        if not out:
-            raise CliParseError(f"grid {spec!r} is empty")
-        return out
-    return [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]
+    else:
+        out = [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]
+    if not out:
+        raise CliParseError(f"grid {spec!r} is empty")
+    return out
 
 
 def parse_n_values(args) -> list[int]:
@@ -216,18 +218,12 @@ def _cmd_check(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
+    weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
     for n in orders:
-        for alpha_str in alphas:
-            rep = check_theorem(
-                cls,
-                n,
-                float(Decimal(alpha_str)),
-                cap=args.cap,
-                workers=workers,
-                source=source_lines,
-            )
-            reports.append(rep)
-            if out_dir:
+        found = check_theorem(cls, n, weights, cap=args.cap, workers=workers, source=source_lines)
+        reports.extend(found)
+        if out_dir:
+            for alpha_str, rep in zip(alphas, found):
                 name = f"report_{_claim_tag(cls)}_n{n}_a{alpha_str}.json"
                 (out_dir / name).write_text(rep.to_json(), encoding="ascii")
     csv_text = reports_to_csv(reports)
@@ -402,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliParseError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

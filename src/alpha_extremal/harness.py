@@ -1,9 +1,10 @@
 """Exhaustive small-order verification of the extremal claims.
 
-extremal_search finds the true maximum alpha index over a forbidden class at
-a given order by enumerating every graph, filtering class membership, and
-eigensolving the members; check_theorem compares that maximum against the
-predicted closed form and extremal construction and issues a verdict.
+extremal_search runs one census per (class, order): it decides membership
+once per enumerated graph and solves each member at every weight of the
+grid; several workers split that one census into enumeration shards.
+check_theorem compares each weight's maximum against the predicted closed
+form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
 module over parameter grids and reports violations with witnesses.
 
@@ -123,67 +124,55 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _search_shard(args) -> tuple[float, list[tuple[float, str]], int]:
-    n, alpha, cls, shard, nshards, cap = args
-    from .enumeration import enumerate_graphs_sharded
+def _census_shard(args) -> list[tuple[Graph, tuple[float, ...]]]:
+    """Every class member of one enumeration shard, or of the whole source
+    stream, paired with its alpha index at each weight."""
+    n, alphas, cls, cap, shard, nshards, source = args
+    from .enumeration import enumerate_graphs, enumerate_graphs_sharded
 
-    best = float("-inf")
-    keep: list[tuple[float, str]] = []
-    scanned = 0
-    for g in enumerate_graphs_sharded(n, shard, nshards, cap=cap):
-        scanned += 1
-        if not class_member(g, cls):
-            continue
-        value = alpha_index(g, alpha).alpha_index
-        if value > best:
-            best = value
-            keep = [(v, s) for v, s in keep if v >= best - TIE_TOL]
-        if value >= best - TIE_TOL:
-            keep.append((value, canonical_graph6(g)))
-    return best, keep, scanned
+    if source is not None:
+        graphs = enumerate_graphs(n, source=source)
+    else:
+        graphs = enumerate_graphs_sharded(n, shard, nshards, cap=cap)
+    return [
+        (g, tuple(alpha_index(g, a).alpha_index for a in alphas))
+        for g in graphs
+        if class_member(g, cls)
+    ]
 
 
 def extremal_search(
     n: int,
-    alpha: float,
+    alphas: Iterable[float],
     cls: ForbiddenClass,
     *,
     cap: int | None = None,
     workers: int = 1,
     source: Iterable[str] | None = None,
-) -> tuple[float, list[str]]:
-    """Maximum alpha index over all order-n members of the class, with every
-    maximizer (within the tie tolerance) as a sorted canonical graph6 list.
+) -> list[tuple[float, list[str]]]:
+    """Maximum alpha index over all order-n members of the class at each
+    weight, with every maximizer (within the tie tolerance) as a sorted
+    canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Deterministic: the result is independent of the worker count.
+    Membership is decided once per graph and each member is solved at every
+    weight. Deterministic: the result is independent of the worker count.
     """
-    a = require_open_weight(alpha)
-    if source is not None:
-        from .enumeration import enumerate_graphs
-
-        best = float("-inf")
-        keep: list[tuple[float, str]] = []
-        for g in enumerate_graphs(n, source=source):
-            if not class_member(g, cls):
-                continue
-            value = alpha_index(g, a).alpha_index
-            if value > best:
-                best = value
-                keep = [(v, s) for v, s in keep if v >= best - TIE_TOL]
-            if value >= best - TIE_TOL:
-                keep.append((value, canonical_graph6(g)))
-        shards = [(best, keep, 0)]
-    elif workers <= 1:
-        shards = [_search_shard((n, a, cls, 0, 1, cap))]
+    weights = tuple(require_open_weight(a) for a in alphas)
+    if source is not None or workers <= 1:
+        shards = [_census_shard((n, weights, cls, cap, 0, 1, source))]
     else:
-        jobs = [(n, a, cls, s, workers, cap) for s in range(workers)]
+        jobs = [(n, weights, cls, cap, s, workers, None) for s in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            shards = pool.map(_search_shard, jobs)
-    best = max(b for b, _, _ in shards)
-    if best == float("-inf"):
+            shards = pool.map(_census_shard, jobs)
+    members = [member for shard in shards for member in shard]
+    if not members:
         raise ValueError(f"class {class_label(cls)} has no members at order {n}")
-    witnesses = sorted({s for _, keep, _ in shards for v, s in keep if v >= best - TIE_TOL})
-    return best, witnesses
+    results = []
+    for j in range(len(weights)):
+        best = max(values[j] for _, values in members)
+        ties = {canonical_graph6(g) for g, values in members if values[j] >= best - TIE_TOL}
+        results.append((best, sorted(ties)))
+    return results
 
 
 # -- claim checking ------------------------------------------------------
@@ -315,20 +304,23 @@ def classify_verdict(exhaustive_max: float, predicted: float, threshold_satisfie
 def check_theorem(
     cls: ForbiddenClass,
     n: int,
-    alpha: float,
+    alphas: Iterable[float],
     *,
     cap: int | None = None,
     workers: int = 1,
     source: Iterable[str] | None = None,
-) -> VerificationReport:
-    """Exhaustively test one extremal claim at one (order, weight) point.
+) -> list[VerificationReport]:
+    """Exhaustively test one extremal claim at one order over a weight grid;
+    one report per weight, in the given order.
 
-    The predicted construction is independently validated for class
-    membership; a failure there would falsify the construction side of the
-    claim and raises instead of reporting.
+    Every predicted value is computed before the census, so an infeasible
+    weight fails before any search. The predicted construction is
+    independently validated for class membership; a failure there would
+    falsify the construction side of the claim and raises instead of
+    reporting.
     """
-    a = require_open_weight(alpha)
-    value = predicted_value(cls, n, a)
+    weights = [require_open_weight(a) for a in alphas]
+    values = [predicted_value(cls, n, a) for a in weights]
     spec = predicted_witness_spec(cls, n)
     witness_g6 = None
     if spec is not None:
@@ -338,21 +330,23 @@ def check_theorem(
                 f"predicted witness {spec} is not {class_label(cls)}: construction claim falsified"
             )
         witness_g6 = canonical_graph6(witness_graph)
-    best, witnesses = extremal_search(n, a, cls, cap=cap, workers=workers, source=source)
-    satisfied = claim_threshold_satisfied(cls, n, a)
-    verdict = classify_verdict(best, value, satisfied)
-    return VerificationReport(
-        class_label=class_label(cls),
-        n=n,
-        alpha=a,
-        exhaustive_max=best,
-        witnesses=tuple(witnesses),
-        predicted_value=value,
-        predicted_witness=witness_g6,
-        verdict=verdict,
-        threshold_satisfied=satisfied,
-        notes=_claim_notes(cls, a),
-    )
+    found = extremal_search(n, weights, cls, cap=cap, workers=workers, source=source)
+    reports = []
+    for a, value, (best, witnesses) in zip(weights, values, found):
+        satisfied = claim_threshold_satisfied(cls, n, a)
+        reports.append(VerificationReport(
+            class_label=class_label(cls),
+            n=n,
+            alpha=a,
+            exhaustive_max=best,
+            witnesses=tuple(witnesses),
+            predicted_value=value,
+            predicted_witness=witness_g6,
+            verdict=classify_verdict(best, value, satisfied),
+            threshold_satisfied=satisfied,
+            notes=_claim_notes(cls, a),
+        ))
+    return reports
 
 
 # -- inequality sweeps ---------------------------------------------------

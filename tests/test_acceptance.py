@@ -154,7 +154,7 @@ def test_criterion_5_exhaustive_star_maximum():
     for n in range(4, 9):
         star = canonical_graph6(Graph.star(n - 1))
         for a in (0.25, 0.5, 0.75):
-            best, witnesses = extremal_search(n, a, CliqueMinorFree(3))
+            best, witnesses = extremal_search(n, [a], CliqueMinorFree(3))[0]
             root = complete_split_quadratic(n, 2, a).largest_root
             assert witnesses == [star], (n, a, witnesses)
             assert abs(best - root) <= 1e-9, (n, a, best, root)

@@ -31,6 +31,8 @@ class TestAlphaGridParsing:
             parse_alpha_grid("0.1:0.9:-0.1")
         with pytest.raises(CliParseError):
             parse_alpha_grid("a,b")
+        with pytest.raises(CliParseError, match="empty"):
+            parse_alpha_grid(" , ")
 
 
 class TestAlphaIndexCommand:
@@ -68,6 +70,19 @@ class TestAlphaIndexCommand:
         )
         assert code == 3
         assert "p*t" in err
+
+    def test_non_convergence_is_domain_error(self, capsys, monkeypatch):
+        import functools
+
+        from alpha_extremal import spectral
+
+        one_sweep = functools.partial(spectral.jacobi_eigensystem, max_sweeps=1)
+        monkeypatch.setattr(spectral, "jacobi_eigensystem", one_sweep)
+        code, _, err = run(
+            capsys, "alpha-index", "--family", "split", "--n", "6", "--m", "2", "--alpha", "0.5"
+        )
+        assert code == 3
+        assert err.startswith("error:") and "did not converge" in err
 
     def test_missing_family_param(self, capsys):
         code, _, err = run(capsys, "alpha-index", "--family", "split", "--alpha", "0.5")
@@ -161,12 +176,46 @@ class TestCheckCommand:
     def test_stream_source(self, capsys, tmp_path):
         stream = tmp_path / "g5.g6"
         run(capsys, "enumerate", "--n", "5", "--out", str(stream))
-        code, out, _ = run(
-            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha", "0.5",
-            "--graph6-stream", str(stream), "--workers", "1",
-        )
+        argv = ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha-grid", "0.25,0.5",
+                "--workers", "1", "--out")
+        code, out, _ = run(capsys, *argv, str(tmp_path / "stream"), "--graph6-stream", str(stream))
         assert code == 0
         assert "verdict=MATCH" in out
+        assert run(capsys, *argv, str(tmp_path / "generated"))[0] == 0
+        streamed = {p.name: p.read_bytes() for p in (tmp_path / "stream").iterdir()}
+        generated = {p.name: p.read_bytes() for p in (tmp_path / "generated").iterdir()}
+        assert len(streamed) == 3  # two grid points + summary.csv
+        assert streamed == generated
+
+    def test_membership_once_per_class_and_order(self, capsys, monkeypatch):
+        from alpha_extremal import harness
+
+        calls = []
+        original = harness.class_member
+
+        def counted(g, cls):
+            calls.append(g)
+            return original(g, cls)
+
+        monkeypatch.setattr(harness, "class_member", counted)
+        code, _, _ = run(
+            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",
+            "--alpha-grid", "0.25,0.5,0.75", "--workers", "1",
+        )
+        assert code == 0
+        assert len(calls) == 156 + 1  # every order-6 graph once, plus the predicted witness
+
+    def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
+        # The T2 quadratic needs n >= 10 at weight 0.25, so the grid fails
+        # before the census and before the feasible 0.5 point is written.
+        out_dir = tmp_path / "reports"
+        code, _, err = run(
+            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n", "7",
+            "--alpha-grid", "0.5,0.25", "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 3
+        assert "n >=" in err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestSweepCommand:

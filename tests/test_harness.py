@@ -70,12 +70,12 @@ class TestClassBasics:
 
 class TestExtremalSearch:
     def test_star_wins_among_forests(self):
-        best, witnesses = extremal_search(5, 0.5, CliqueMinorFree(3))
+        best, witnesses = extremal_search(5, [0.5], CliqueMinorFree(3))[0]
         assert best == pytest.approx(complete_split_quadratic(5, 2, 0.5).largest_root, abs=1e-9)
         assert witnesses == [canonical_graph6(Graph.star(4))]
 
     def test_tie_reporting_matching_free_order_4(self):
-        best, witnesses = extremal_search(4, 0.5, StarForestFree(StarForestSpec((1, 1))))
+        best, witnesses = extremal_search(4, [0.5], StarForestFree(StarForestSpec((1, 1))))[0]
         assert best == pytest.approx(2.0, abs=1e-9)
         expected = {
             canonical_graph6(Graph.star(3)),
@@ -85,7 +85,7 @@ class TestExtremalSearch:
         assert witnesses == sorted(witnesses)
 
     def test_single_vertex(self):
-        best, witnesses = extremal_search(1, 0.5, CliqueMinorFree(3))
+        best, witnesses = extremal_search(1, [0.5], CliqueMinorFree(3))[0]
         assert best == 0.0
         assert witnesses == [canonical_graph6(Graph.empty(1))]
 
@@ -93,30 +93,30 @@ class TestExtremalSearch:
         for cls in (CliqueMinorFree(3), StarForestFree(StarForestSpec((1, 1)))):
             prev = -1.0
             for n in range(1, 7):
-                best, _ = extremal_search(n, 0.4, cls)
+                best, _ = extremal_search(n, [0.4], cls)[0]
                 assert best >= prev - 1e-12
                 prev = best
 
     def test_worker_counts_agree(self):
-        serial = extremal_search(6, 0.5, CliqueMinorFree(3), workers=1)
-        parallel = extremal_search(6, 0.5, CliqueMinorFree(3), workers=2)
+        serial = extremal_search(6, [0.5], CliqueMinorFree(3), workers=1)
+        parallel = extremal_search(6, [0.5], CliqueMinorFree(3), workers=2)
         assert serial == parallel
 
     def test_repeat_runs_identical(self):
-        a = extremal_search(6, 0.3, BicliqueMinorFree(2, 2))
-        b = extremal_search(6, 0.3, BicliqueMinorFree(2, 2))
+        a = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))
+        b = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))
         assert a == b
 
     def test_graph6_stream_source(self, graphs_by_order):
         from alpha_extremal.graph6 import encode_graph6
 
         lines = [encode_graph6(g) for g in graphs_by_order[5]]
-        from_stream = extremal_search(5, 0.5, CliqueMinorFree(3), source=lines)
-        assert from_stream == extremal_search(5, 0.5, CliqueMinorFree(3))
+        from_stream = extremal_search(5, [0.5], CliqueMinorFree(3), source=lines)
+        assert from_stream == extremal_search(5, [0.5], CliqueMinorFree(3))
 
     def test_weight_must_be_open(self):
         with pytest.raises(ValueError):
-            extremal_search(4, 0.0, CliqueMinorFree(3))
+            extremal_search(4, [0.0], CliqueMinorFree(3))
 
 
 class TestVerdicts:
@@ -131,32 +131,32 @@ class TestVerdicts:
 
 class TestCheckTheorem:
     def test_t1_small_order_matches(self):
-        rep = check_theorem(CliqueMinorFree(3), 7, 0.5)
+        rep = check_theorem(CliqueMinorFree(3), 7, [0.5])[0]
         assert rep.verdict == "MATCH"
         assert rep.witnesses == (canonical_graph6(Graph.star(6)),)
         assert rep.predicted_witness == rep.witnesses[0]
         assert not rep.threshold_satisfied
 
     def test_t2_exact_at_seven(self):
-        rep = check_theorem(BicliqueMinorFree(2, 3), 7, 0.5)
+        rep = check_theorem(BicliqueMinorFree(2, 3), 7, [0.5])[0]
         assert rep.verdict == "MATCH"
         assert rep.exhaustive_max == pytest.approx(4.0, abs=1e-9)
         assert rep.predicted_witness in rep.witnesses
 
     def test_t2_indivisible_equality_order(self):
         # n - s + 1 = 7 is not divisible by t = 3: no witness construction.
-        rep = check_theorem(BicliqueMinorFree(2, 3), 8, 0.5)
+        rep = check_theorem(BicliqueMinorFree(2, 3), 8, [0.5])[0]
         assert rep.predicted_witness is None
         assert rep.verdict == "SMALL_N_CAVEAT"
         assert rep.exhaustive_max < rep.predicted_value
 
     def test_t2_below_order_minimum_refuses(self):
         with pytest.raises(ValueError, match="n >="):
-            check_theorem(BicliqueMinorFree(2, 4), 7, 0.5)
+            check_theorem(BicliqueMinorFree(2, 4), 7, [0.5])
 
     def test_t3_odd_matching_part(self):
         spec = StarForestSpec((2, 2))
-        rep = check_theorem(StarForestFree(spec), 8, 0.5)
+        rep = check_theorem(StarForestFree(spec), 8, [0.5])[0]
         # The bound root is unattainable at odd matching part, but the
         # extremal graph is still the predicted matching construction.
         assert rep.verdict == "SMALL_N_CAVEAT"
@@ -169,11 +169,11 @@ class TestCheckTheorem:
 
     def test_t3_notes_carry_both_thresholds(self):
         spec = StarForestSpec((2, 2))
-        rep = check_theorem(StarForestFree(spec), 6, 0.5)
+        rep = check_theorem(StarForestFree(spec), 6, [0.5])[0]
         assert "640" in rep.notes and "320" in rep.notes
 
     def test_report_json_schema(self):
-        rep = check_theorem(CliqueMinorFree(3), 5, 0.25)
+        rep = check_theorem(CliqueMinorFree(3), 5, [0.25])[0]
         data = json.loads(rep.to_json())
         jsonschema.validate(data, REPORT_SCHEMA)
 
@@ -184,7 +184,7 @@ class TestCheckTheorem:
         assert value == pytest.approx(complete_split_quadratic(7, 2, 0.5).largest_root, abs=1e-12)
 
     def test_csv_round_trips_floats(self):
-        rep = check_theorem(CliqueMinorFree(3), 6, 0.5)
+        rep = check_theorem(CliqueMinorFree(3), 6, [0.5])[0]
         text = reports_to_csv([rep])
         header, row = text.splitlines()
         idx = header.split(",").index("exhaustive_max")
