@@ -5,9 +5,10 @@ Subcommands: alpha-index (spectral computation for one graph), enumerate
 parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
-Exit codes: 0 success, 2 parse errors (bad flags, malformed graph6 or grid
-syntax), 3 domain errors (infeasible parameters, violated preconditions) and
-eigensolver non-convergence.
+Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
+errors (bad flags, malformed graph6 or grid syntax, an unreadable
+--graph6-stream file), 3 domain errors (infeasible parameters, violated
+preconditions) and eigensolver non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
 reports never drift across runs.
 """
@@ -208,10 +209,15 @@ def _cmd_check(args) -> int:
     cls = _claim_from_args(args)
     orders = parse_n_values(args)
     alphas = parse_alphas(args)
+    if args.workers < 0:
+        raise CliParseError(f"--workers must be >= 0, got {args.workers}")
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     source_lines = None
     if args.graph6_stream:
-        source_lines = Path(args.graph6_stream).read_text(encoding="ascii").splitlines()
+        try:
+            source_lines = Path(args.graph6_stream).read_text(encoding="ascii").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliParseError(f"cannot read --graph6-stream: {exc}") from exc
         if len(orders) > 1:
             raise CliParseError("--graph6-stream supports a single --n")
     out_dir = Path(args.out) if args.out else None
@@ -394,7 +400,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): send the unflushed rest to
+        # /dev/null so the interpreter's exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CliParseError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

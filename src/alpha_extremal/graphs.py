@@ -306,18 +306,13 @@ def regular_circulant(n: int, degree: int) -> Graph:
     return g
 
 
-def construct(spec: ConstructionSpec) -> Graph:
-    """Build the graph named by a construction spec.
-
-    Raises FeasibilityError naming the violated invariant when the parameters
-    are infeasible.
-    """
+def require_feasible(spec: ConstructionSpec) -> None:
+    """Raise FeasibilityError naming the violated invariant when no graph
+    has the spec's parameters; the one feasibility check of every family."""
     if isinstance(spec, CompleteSplit):
         if not 0 <= spec.m <= spec.n:
             raise FeasibilityError(f"CompleteSplit needs 0 <= m <= n, got m={spec.m}, n={spec.n}")
-        return join(Graph.complete(spec.m), Graph.empty(spec.n - spec.m))
-
-    if isinstance(spec, CliqueJoinCliques):
+    elif isinstance(spec, CliqueJoinCliques):
         if spec.s < 1 or spec.t < 1 or spec.p < 1:
             raise FeasibilityError("CliqueJoinCliques needs s >= 1, t >= 1, p >= 1")
         if spec.n - spec.s + 1 != spec.p * spec.t:
@@ -325,36 +320,43 @@ def construct(spec: ConstructionSpec) -> Graph:
                 f"CliqueJoinCliques needs n-s+1 = p*t exactly, got "
                 f"{spec.n}-{spec.s}+1 = {spec.n - spec.s + 1} != {spec.p}*{spec.t}"
             )
-        return join(Graph.complete(spec.s - 1), union_of_copies(spec.p, Graph.complete(spec.t)))
-
-    if isinstance(spec, CliqueJoinMatching):
+    elif isinstance(spec, (CliqueJoinMatching, CliqueJoinRegular)):
         m = spec.n - spec.k + 1
         if spec.k < 1 or m < 0:
             raise FeasibilityError(
-                f"CliqueJoinMatching needs k >= 1 and n >= k-1, got n={spec.n}, k={spec.k}"
+                f"{type(spec).__name__} needs k >= 1 and n >= k-1, got n={spec.n}, k={spec.k}"
             )
+        if isinstance(spec, CliqueJoinRegular):
+            r = spec.d - 1
+            if not 0 <= r < max(m, 1):
+                raise FeasibilityError(
+                    f"CliqueJoinRegular needs 0 <= d-1 < n-k+1, got d-1={r}, n-k+1={m}"
+                )
+            if (r * m) % 2 != 0:
+                raise FeasibilityError(
+                    f"parity violation: (d-1)(n-k+1) = {r}*{m} must be even"
+                )
+    else:
+        raise TypeError(f"unknown construction spec: {spec!r}")
+
+
+def construct(spec: ConstructionSpec) -> Graph:
+    """Build the graph named by a construction spec.
+
+    Raises FeasibilityError naming the violated invariant when the parameters
+    are infeasible.
+    """
+    require_feasible(spec)
+    if isinstance(spec, CompleteSplit):
+        return join(Graph.complete(spec.m), Graph.empty(spec.n - spec.m))
+    if isinstance(spec, CliqueJoinCliques):
+        return join(Graph.complete(spec.s - 1), union_of_copies(spec.p, Graph.complete(spec.t)))
+    m = spec.n - spec.k + 1
+    if isinstance(spec, CliqueJoinMatching):
         p, q = divmod(m, 2)
         part = disjoint_union(union_of_copies(p, Graph.complete(2)), Graph.empty(q))
         return join(Graph.complete(spec.k - 1), part)
-
-    if isinstance(spec, CliqueJoinRegular):
-        m = spec.n - spec.k + 1
-        r = spec.d - 1
-        if spec.k < 1 or m < 0:
-            raise FeasibilityError(
-                f"CliqueJoinRegular needs k >= 1 and n >= k-1, got n={spec.n}, k={spec.k}"
-            )
-        if not 0 <= r < max(m, 1):
-            raise FeasibilityError(
-                f"CliqueJoinRegular needs 0 <= d-1 < n-k+1, got d-1={r}, n-k+1={m}"
-            )
-        if (r * m) % 2 != 0:
-            raise FeasibilityError(
-                f"parity violation: (d-1)(n-k+1) = {r}*{m} must be even"
-            )
-        return join(Graph.complete(spec.k - 1), regular_circulant(m, r))
-
-    raise TypeError(f"unknown construction spec: {spec!r}")
+    return join(Graph.complete(spec.k - 1), regular_circulant(m, spec.d - 1))
 
 
 def quotient_classes(spec: ConstructionSpec) -> tuple[int, list[tuple[int, int]]]:
@@ -365,6 +367,7 @@ def quotient_classes(spec: ConstructionSpec) -> tuple[int, list[tuple[int, int]]
     vertex is adjacent to everything; distinct non-clique classes are mutually
     non-adjacent and internally regular, so the partition is equitable.
     """
+    require_feasible(spec)
     if isinstance(spec, CompleteSplit):
         clique, parts = spec.m, [(spec.n - spec.m, 0)]
     elif isinstance(spec, CliqueJoinCliques):
@@ -372,9 +375,6 @@ def quotient_classes(spec: ConstructionSpec) -> tuple[int, list[tuple[int, int]]
     elif isinstance(spec, CliqueJoinMatching):
         p, q = divmod(spec.n - spec.k + 1, 2)
         clique, parts = spec.k - 1, [(2 * p, 1), (q, 0)]
-    elif isinstance(spec, CliqueJoinRegular):
-        clique, parts = spec.k - 1, [(spec.n - spec.k + 1, spec.d - 1)]
     else:
-        raise TypeError(f"unknown construction spec: {spec!r}")
-    construct(spec)  # surface feasibility errors uniformly
+        clique, parts = spec.k - 1, [(spec.n - spec.k + 1, spec.d - 1)]
     return clique, [(size, reg) for size, reg in parts if size > 0]

@@ -6,7 +6,10 @@ grid; several workers split that one census into enumeration shards.
 check_theorem compares each weight's maximum against the predicted closed
 form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
-module over parameter grids and reports violations with witnesses.
+module over fixed grids: one generator per check family yields rows
+(check, params, lhs, relation, rhs, witness graph or None), or SKIP for an
+infeasible point, and one evaluator checks each row at SWEEP_TOL, tightened
+by ``corrupt`` (a self-test: a large enough value fails every check).
 
 Claims are addressed by the identifiers T1 (clique-minor-free hosts,
 complete split construction), T2 (biclique-minor-free hosts, clique joined
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass, field
@@ -50,10 +54,12 @@ from .graphs import (
     CliqueJoinRegular,
     CompleteSplit,
     ConstructionSpec,
+    FeasibilityError,
     Graph,
     construct,
     join,
     regular_circulant,
+    require_feasible,
 )
 from .minors import BicliqueMinor, CliqueMinor, is_minor_free
 from .spectral import alpha_index, quotient_alpha_index, require_open_weight
@@ -238,26 +244,22 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 
 def predicted_witness_spec(cls: ForbiddenClass, n: int) -> ConstructionSpec | None:
-    """The construction claimed extremal, when one is feasible at this order."""
+    """The construction claimed extremal, when it is feasible at this order."""
     if isinstance(cls, CliqueMinorFree):
-        if n < cls.r - 2:
-            return None
-        return CompleteSplit(n, cls.r - 2)
-    if isinstance(cls, BicliqueMinorFree):
-        p, rem = divmod(n - cls.s + 1, cls.t)
-        if rem != 0 or p < 1:
-            return None
-        return CliqueJoinCliques(n, cls.s, cls.t, p)
-    spec = cls.spec
-    d = spec.min_degree
-    if d == 1:
-        return CompleteSplit(n, spec.k - 1) if n >= spec.k - 1 else None
-    if d == 2:
-        return CliqueJoinMatching(n, spec.k) if n >= spec.k - 1 else None
-    m = n - spec.k + 1
-    if 0 <= d - 1 < m and ((d - 1) * m) % 2 == 0:
-        return CliqueJoinRegular(n, spec.k, d)
-    return None
+        spec = CompleteSplit(n, cls.r - 2)
+    elif isinstance(cls, BicliqueMinorFree):
+        spec = CliqueJoinCliques(n, cls.s, cls.t, (n - cls.s + 1) // cls.t)
+    elif cls.spec.min_degree == 1:
+        spec = CompleteSplit(n, cls.spec.k - 1)
+    elif cls.spec.min_degree == 2:
+        spec = CliqueJoinMatching(n, cls.spec.k)
+    else:
+        spec = CliqueJoinRegular(n, cls.spec.k, cls.spec.min_degree)
+    try:
+        require_feasible(spec)
+    except FeasibilityError:
+        return None
+    return spec
 
 
 def predicted_value(cls: ForbiddenClass, n: int, alpha: float) -> float:
@@ -396,168 +398,151 @@ def _random_capped_graph(m: int, max_degree: int, rng: np.random.Generator) -> G
     return Graph.from_edges(m, edges)
 
 
-def sweep_inequalities(
-    *,
-    alphas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    split_orders: tuple[int, ...] = (6, 12, 30, 60),
-    join_cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3)),
-    join_orders: tuple[int, ...] = (14, 21),
-    join_alphas: tuple[float, ...] = (0.3, 0.5, 0.7),
-    edge_bound_specs: tuple[StarForestSpec, ...] = (
-        StarForestSpec((2, 1)),
-        StarForestSpec((2, 2)),
-    ),
-    edge_bound_max_order: int = 7,
-    star_minor_points: tuple[tuple[int, int], ...] = ((6, 3), (7, 4)),
-    q_points: tuple[tuple[int, int, int], ...] = ((10, 2, 2), (10, 2, 3), (25, 3, 3), (60, 3, 4)),
-    samples: int = 3,
-    seed: int = 0,
-    corrupt: float = 0.0,
-    cap: int | None = None,
-) -> SweepReport:
-    """Evaluate every closed-form inequality over parameter grids.
+SWEEP_TOL = 1e-9
+SWEEP_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+SPLIT_KS = range(2, 7)
+SPLIT_ORDERS = (6, 12, 30, 60)
+JOIN_CASES = ((2, 2), (2, 3), (3, 3))  # (k, d)
+JOIN_ORDERS = (14, 21)
+JOIN_ALPHAS = (0.3, 0.5, 0.7)
+EDGE_BOUND_SPECS = (StarForestSpec((2, 1)), StarForestSpec((2, 2)))
+EDGE_BOUND_MAX_ORDER = 7
+STAR_MINOR_POINTS = ((6, 3), (7, 4))  # (h, t)
+Q_POINTS = ((10, 2, 2), (10, 2, 3), (25, 3, 3), (60, 3, 4))  # (n, s, t)
+SKIP = None  # an infeasible grid point, counted and not checked
 
-    ``corrupt`` tightens each inequality by that amount (a harness
-    self-test: a positive value must produce violations); infeasible grid
-    points are skipped and counted.
-    """
-    from .enumeration import enumerate_graphs
 
-    report = SweepReport()
-
-    def fail(check: str, params: dict, detail: str) -> None:
-        report.violations.append(SweepViolation(check, params, detail))
-
-    # Complete-split lower bounds vs the quadratic root, and the root vs the
-    # equitable quotient of the construction itself.
-    for k in range(2, 7):
-        for n in split_orders:
-            if n < k:
-                report.skipped += 1
-                continue
-            for a in alphas:
+def _split_rows():
+    """Complete-split lower bounds vs the quadratic root, and the root vs the
+    equitable quotient of the construction itself."""
+    for k in SPLIT_KS:
+        for n in SPLIT_ORDERS:
+            for a in SWEEP_ALPHAS:
+                params = {"n": n, "k": k, "alpha": a}
                 root = complete_split_quadratic(n, k, a).largest_root
                 low1, low2 = complete_split_lower_bounds(n, k, a)
-                report.checked += 1
-                if low1 + corrupt > root + 1e-9:
-                    fail("split_lower_bound_1", {"n": n, "k": k, "alpha": a},
-                         f"bound {low1 + corrupt} > root {root}")
-                if low2 is not None:
-                    report.checked += 1
-                    if low2 + corrupt > root + 1e-9:
-                        fail("split_lower_bound_2", {"n": n, "k": k, "alpha": a},
-                             f"bound {low2 + corrupt} > root {root}")
+                yield "split_lower_bound_1", params, low1, "<=", root, None
+                if low2 is None:
+                    yield SKIP
                 else:
-                    report.skipped += 1
-                report.checked += 1
+                    yield "split_lower_bound_2", params, low2, "<=", root, None
                 quotient = quotient_alpha_index(CompleteSplit(n, k - 1), a)
-                if abs(root - quotient) > 1e-9:
-                    fail("split_root_vs_quotient", {"n": n, "k": k, "alpha": a},
-                         f"root {root} != quotient {quotient}")
+                yield "split_root_vs_quotient", params, root, "==", quotient, None
 
-    # Sign of the gap between the two lower bounds.
-    for k in range(2, 7):
+
+def _gap_rows():
+    """Sign of the gap between the two lower bounds: zero at the crossover
+    weight, nonnegative below it, nonpositive above it."""
+    for k in SPLIT_KS:
         crossover = lower_bound_crossover(k)
-        for a in alphas:
-            gap = lower_bound_gap(k, a) + corrupt
-            report.checked += 1
+        for a in SWEEP_ALPHAS:
+            params = {"k": k, "alpha": a}
+            gap = lower_bound_gap(k, a)
             if abs(a - crossover) < 1e-12:
-                if abs(gap) > 1e-9:
-                    fail("lower_bound_gap_sign", {"k": k, "alpha": a},
-                         f"gap {gap} nonzero at the crossover weight")
+                yield "lower_bound_gap_sign", params, gap, "==", 0.0, None
             elif a < crossover:
-                if gap < -1e-12:
-                    fail("lower_bound_gap_sign", {"k": k, "alpha": a},
-                         f"gap {gap} negative below the crossover weight")
-            elif gap > 1e-12:
-                fail("lower_bound_gap_sign", {"k": k, "alpha": a},
-                     f"gap {gap} positive above the crossover weight")
+                yield "lower_bound_gap_sign", params, 0.0, "<=", gap, None
+            else:
+                yield "lower_bound_gap_sign", params, gap, "<=", 0.0, None
 
-    # Clique-join upper bound and its equality condition.
-    for k, d in join_cases:
-        for n in join_orders:
+
+def _join_rows(samples: int, seed: int):
+    """Clique-join upper bound on the regular part and on seeded random
+    degree-capped parts; equality exactly when the part is regular."""
+    for k, d in JOIN_CASES:
+        for n in JOIN_ORDERS:
             m = n - k + 1
-            for a in join_alphas:
+            for a in JOIN_ALPHAS:
                 try:
                     root = clique_join_quadratic(n, k, d, a).largest_root
                 except ValueError:
-                    report.skipped += 1
+                    yield SKIP
                     continue
-                clique = Graph.complete(k - 1)
-                hosts: list[Graph] = []
-                if ((d - 1) * m) % 2 == 0 and 0 <= d - 1 < m:
-                    hosts.append(regular_circulant(m, d - 1))
+                try:
+                    hosts = [regular_circulant(m, d - 1)]
+                except FeasibilityError:
+                    hosts = []
                 rng = np.random.default_rng([seed, k, d, n, int(a * 1000)])
                 hosts.extend(_random_capped_graph(m, d - 1, rng) for _ in range(samples))
+                params = {"n": n, "k": k, "d": d, "alpha": a}
                 for h in hosts:
-                    g = join(clique, h)
+                    g = join(Graph.complete(k - 1), h)
                     rho = alpha_index(g, a).alpha_index
-                    report.checked += 1
-                    if rho > root + 1e-9 - corrupt:
-                        fail("clique_join_upper", {"n": n, "k": k, "d": d, "alpha": a},
-                             f"alpha index {rho} exceeds root {root - corrupt}"
-                             f" (witness {canonical_graph6(g)})")
-                    report.checked += 1
+                    yield "clique_join_upper", params, rho, "<=", root, g
                     if h.is_regular(d - 1):
-                        if abs(rho - root) > 1e-9 - corrupt:
-                            fail("clique_join_equality", {"n": n, "k": k, "d": d, "alpha": a},
-                                 f"regular part but alpha index {rho} != root {root}"
-                                 f" (witness {canonical_graph6(g)})")
-                    elif rho > root - 1e-9:
-                        fail("clique_join_strictness", {"n": n, "k": k, "d": d, "alpha": a},
-                             f"irregular part but alpha index {rho} reaches root {root}"
-                             f" (witness {canonical_graph6(g)})")
+                        yield "clique_join_equality", params, rho, "==", root, g
+                    else:
+                        yield "clique_join_strictness", params, rho, "<", root, g
 
-    # Star-forest edge ceiling, exhaustively at small order.
-    for spec in edge_bound_specs:
-        low = spec.degree_sum + spec.k
-        for n in range(low, edge_bound_max_order + 1):
-            bound = star_forest_edge_bound(spec, n) - corrupt
-            for g in enumerate_graphs(n, cap=cap):
-                if not is_star_forest_free(g, spec):
-                    continue
-                report.checked += 1
-                if g.edge_count() > bound:
-                    fail("star_forest_edge_bound", {"spec": spec.label(), "n": n},
-                         f"{g.edge_count()} edges > bound {bound}"
-                         f" (witness {canonical_graph6(g)})")
 
-    # Star-minor edge ceiling for connected hosts, exhaustively.
-    for h_order, t in star_minor_points:
-        bound = star_minor_edge_bound(h_order, t) - corrupt
-        for g in enumerate_graphs(h_order, cap=cap):
-            if not g.is_connected():
-                continue
-            if not is_minor_free(g, BicliqueMinor(1, t)):
-                continue
-            report.checked += 1
-            if g.edge_count() > bound:
-                fail("star_minor_edge_bound", {"h": h_order, "t": t},
-                     f"{g.edge_count()} edges > bound {bound}"
-                     f" (witness {canonical_graph6(g)})")
+def _edge_rows():
+    """Star-forest edge ceiling, and the star-minor edge ceiling for
+    connected hosts, over every graph of each small order."""
+    from .enumeration import enumerate_graphs
 
-    # Signless Laplacian closed forms vs twice the quadratic root at 1/2.
-    for n, s, t in q_points:
+    for spec in EDGE_BOUND_SPECS:
+        for n in range(spec.degree_sum + spec.k, EDGE_BOUND_MAX_ORDER + 1):
+            bound = star_forest_edge_bound(spec, n)
+            params = {"spec": spec.label(), "n": n}
+            for g in enumerate_graphs(n):
+                if is_star_forest_free(g, spec):
+                    yield "star_forest_edge_bound", params, g.edge_count(), "<=", bound, g
+    for h, t in STAR_MINOR_POINTS:
+        bound = star_minor_edge_bound(h, t)
+        params = {"h": h, "t": t}
+        for g in enumerate_graphs(h):
+            if g.is_connected() and is_minor_free(g, BicliqueMinor(1, t)):
+                yield "star_minor_edge_bound", params, g.edge_count(), "<=", bound, g
+
+
+def _q_rows():
+    """Signless Laplacian closed forms vs twice the quadratic root at 1/2."""
+    for n, s, t in Q_POINTS:
         try:
-            closed = biclique_q_bound(n, s, t) + corrupt
-            root = clique_join_quadratic(n, s, t, 0.5).largest_root
+            closed = biclique_q_bound(n, s, t)
+            twice = 2 * clique_join_quadratic(n, s, t, 0.5).largest_root
         except ValueError:
-            report.skipped += 1
+            yield SKIP
         else:
-            report.checked += 1
-            if abs(closed - 2 * root) > 1e-9:
-                fail("biclique_q_consistency", {"n": n, "s": s, "t": t},
-                     f"closed form {closed} != twice root {2 * root}")
-        spec = StarForestSpec((t,) * s) if s >= 2 else None
-        if spec is not None:
-            try:
-                closed = star_forest_q_bound(n, spec) + corrupt
-                root = clique_join_quadratic(n, spec.k, spec.min_degree, 0.5).largest_root
-            except ValueError:
-                report.skipped += 1
-            else:
-                report.checked += 1
-                if abs(closed - 2 * root) > 1e-9:
-                    fail("star_forest_q_consistency", {"n": n, "spec": spec.label()},
-                         f"closed form {closed} != twice root {2 * root}")
+            yield "biclique_q_consistency", {"n": n, "s": s, "t": t}, closed, "==", twice, None
+        spec = StarForestSpec((t,) * s)
+        try:
+            closed = star_forest_q_bound(n, spec)
+            twice = 2 * clique_join_quadratic(n, spec.k, spec.min_degree, 0.5).largest_root
+        except ValueError:
+            yield SKIP
+        else:
+            yield ("star_forest_q_consistency", {"n": n, "spec": spec.label()},
+                   closed, "==", twice, None)
+
+
+def sweep_inequalities(*, samples: int = 3, seed: int = 0, corrupt: float = 0.0) -> SweepReport:
+    """Evaluate every closed-form inequality over the fixed module grids.
+
+    Each row ``(check, params, lhs, relation, rhs, witness)`` holds when
+    ``lhs <= rhs + SWEEP_TOL``, ``lhs < rhs - SWEEP_TOL`` or
+    ``|lhs - rhs| <= SWEEP_TOL``. ``corrupt`` tightens every check by that
+    amount (a harness self-test: ``corrupt=3`` fails all 11 check names).
+    ``samples`` random hosts per clique-join point are drawn from ``seed``.
+    Infeasible grid points are skipped and counted.
+    """
+    report = SweepReport()
+    rows = itertools.chain(
+        _split_rows(), _gap_rows(), _join_rows(samples, seed), _edge_rows(), _q_rows()
+    )
+    for row in rows:
+        if row is SKIP:
+            report.skipped += 1
+            continue
+        report.checked += 1
+        check, params, lhs, relation, rhs, witness = row
+        excess = abs(lhs - rhs) if relation == "==" else lhs - rhs
+        holds = excess + corrupt < -SWEEP_TOL if relation == "<" else excess + corrupt <= SWEEP_TOL
+        if not holds:
+            detail = f"{lhs} {relation} {rhs} fails at tolerance {SWEEP_TOL}"
+            if corrupt:
+                detail += f" tightened by {corrupt}"
+            if witness is not None:
+                detail += f" (witness {canonical_graph6(witness)})"
+            report.violations.append(SweepViolation(check, params, detail))
     return report

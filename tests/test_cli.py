@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import alpha_extremal
 from alpha_extremal.cli import main, parse_alpha_grid
 from alpha_extremal.graph6 import decode_graph6
 
@@ -115,6 +120,23 @@ class TestEnumerateCommand:
         assert code == 0
         assert len(target.read_text().splitlines()) == 34
 
+    def test_closed_pipe_ends_quietly(self):
+        # `alpha-extremal enumerate --n 8 | head -1`: the reader leaves after one line.
+        src = Path(alpha_extremal.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "alpha_extremal.cli", "enumerate", "--n", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert decode_graph6(first.decode().strip()).n == 8
+        assert "Traceback" not in err and "Error" not in err
+
 
 class TestCheckCommand:
     def test_text_run(self, capsys):
@@ -168,6 +190,24 @@ class TestCheckCommand:
             capsys, "check", "--theorem", "T1", "--r", "2", "--n", "5", "--alpha", "0.5"
         )
         assert code == 3
+
+    def test_missing_stream_file_is_parse_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha", "0.5",
+            "--workers", "1", "--graph6-stream", str(tmp_path / "absent.g6"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read --graph6-stream")
+
+    def test_negative_workers_is_parse_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha", "0.5",
+            "--workers", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err
 
     def test_missing_claim_params(self, capsys):
         code, _, err = run(capsys, "check", "--theorem", "T2", "--n", "6", "--alpha", "0.5")

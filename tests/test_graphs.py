@@ -147,14 +147,27 @@ class TestConstructions:
         assert g.is_connected() and g.is_regular(3)
 
     def test_infeasible_specs_name_the_violation(self):
-        with pytest.raises(FeasibilityError, match="p\\*t"):
-            construct(CliqueJoinCliques(10, 2, 3, 2))
-        with pytest.raises(FeasibilityError, match="parity"):
-            construct(CliqueJoinRegular(8, 2, 2))  # 1-regular part on 7 vertices
-        with pytest.raises(FeasibilityError, match="d-1"):
-            construct(CliqueJoinRegular(5, 3, 5))
-        with pytest.raises(FeasibilityError):
-            construct(CompleteSplit(4, 5))
+        for build in (construct, quotient_classes):
+            with pytest.raises(FeasibilityError, match="p\\*t"):
+                build(CliqueJoinCliques(10, 2, 3, 2))
+            with pytest.raises(FeasibilityError, match="parity"):
+                build(CliqueJoinRegular(8, 2, 2))  # 1-regular part on 7 vertices
+            with pytest.raises(FeasibilityError, match="d-1"):
+                build(CliqueJoinRegular(5, 3, 5))
+            with pytest.raises(FeasibilityError):
+                build(CompleteSplit(4, 5))
+
+    def test_quotient_does_not_build_the_graph(self, monkeypatch):
+        from alpha_extremal import graphs
+        from alpha_extremal.bounds import complete_split_quadratic
+        from alpha_extremal.spectral import quotient_alpha_index
+
+        def refuse(spec):
+            raise AssertionError(f"construct({spec}) called")
+
+        monkeypatch.setattr(graphs, "construct", refuse)
+        value = quotient_alpha_index(CompleteSplit(9, 3), 0.5)
+        assert value == pytest.approx(complete_split_quadratic(9, 4, 0.5).largest_root, abs=1e-10)
 
     def test_quotient_classes_structure(self):
         clique, parts = quotient_classes(CliqueJoinMatching(10, 2))

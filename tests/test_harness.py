@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -194,44 +195,22 @@ class TestCheckTheorem:
 
 
 class TestSweep:
-    def test_clean_sweep_small_grid(self):
-        report = sweep_inequalities(
-            alphas=(0.25, 0.5, 0.75),
-            split_orders=(8, 20),
-            join_orders=(14,),
-            join_alphas=(0.5,),
-            edge_bound_max_order=6,
-            star_minor_points=((6, 3),),
-            samples=2,
-        )
+    def test_clean_sweep(self):
+        report = sweep_inequalities()
+        assert (report.checked, report.skipped) == (857, 66)
         assert report.ok
-        assert report.checked > 100
         assert "0 violations" in report.summary()
 
-    def test_single_point_both_bounds_below_quotient(self):
-        report = sweep_inequalities(
-            alphas=(0.5,),
-            split_orders=(30,),
-            join_orders=(),
-            edge_bound_specs=(),
-            star_minor_points=(),
-            q_points=(),
-        )
-        assert report.ok
-
     def test_corrupted_sweep_detects_violations(self):
-        report = sweep_inequalities(
-            alphas=(0.5, 0.9),
-            split_orders=(12,),
-            join_orders=(14,),
-            join_alphas=(0.5,),
-            edge_bound_max_order=6,
-            star_minor_points=((6, 3),),
-            samples=2,
-            corrupt=0.1,
-        )
-        assert not report.ok
-        checks = {v.check for v in report.violations}
-        assert "split_lower_bound_1" in checks
-        assert "clique_join_equality" in checks
-        assert any("witness" in v.detail for v in report.violations)
+        report = sweep_inequalities(corrupt=3.0)
+        assert {v.check for v in report.violations} == {
+            "split_lower_bound_1", "split_lower_bound_2", "split_root_vs_quotient",
+            "lower_bound_gap_sign", "clique_join_upper", "clique_join_equality",
+            "clique_join_strictness", "star_forest_edge_bound", "star_minor_edge_bound",
+            "biclique_q_consistency", "star_forest_q_consistency",
+        }
+        graph_rows = [v for v in report.violations
+                      if v.check.startswith("clique_join_") or v.check.endswith("_edge_bound")]
+        assert graph_rows
+        for v in graph_rows:
+            assert re.search(r" \(witness [^ ]+\)$", v.detail), str(v)
