@@ -8,99 +8,11 @@ certificates, and an exhaustive small-order harness that tests the extremal
 claims against brute force.
 """
 
-from .bounds import (
-    QuadraticBound,
-    StarForestSpec,
-    biclique_q_bound,
-    clique_join_order_minimum,
-    clique_join_quadratic,
-    complete_split_lower_bounds,
-    complete_split_quadratic,
-    lower_bound_crossover,
-    lower_bound_gap,
-    second_lower_bound_threshold,
-    star_forest_edge_bound,
-    star_forest_order_threshold,
-    star_forest_order_threshold_connected,
-    star_forest_q_bound,
-    star_minor_edge_bound,
-)
-from .canon import automorphism_generators, canonical_form, canonical_perm, vertex_orbits
-from .enumeration import (
-    EnumerationCapError,
-    enumerate_graphs,
-    enumerate_graphs_sharded,
-    enumeration_cap,
-)
-from .graph6 import (
-    Graph6Error,
-    decode_graph6,
-    encode_graph6,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    iter_graph6_lines,
-    read_graph6_file,
-)
-from .graphs import (
-    CliqueJoinCliques,
-    CliqueJoinMatching,
-    CliqueJoinRegular,
-    CompleteSplit,
-    ConstructionSpec,
-    FeasibilityError,
-    Graph,
-    circulant,
-    construct,
-    disjoint_union,
-    join,
-    quotient_classes,
-    regular_circulant,
-    union_of_copies,
-)
-from .harness import (
-    BicliqueMinorFree,
-    CliqueMinorFree,
-    ForbiddenClass,
-    StarForestFree,
-    SweepReport,
-    SweepViolation,
-    VerificationReport,
-    canonical_graph6,
-    check_theorem,
-    claim_id,
-    class_label,
-    class_member,
-    classify_verdict,
-    extremal_search,
-    reports_to_csv,
-    sweep_inequalities,
-)
-from .minors import (
-    BicliqueMinor,
-    CliqueMinor,
-    GraphMinor,
-    MinorEmbedding,
-    MinorPattern,
-    MinorSearchCapError,
-    has_minor,
-    is_minor_free,
-    pattern_graph,
-    verify_minor_embedding,
-)
-from .spectral import (
-    SpectralResult,
-    alpha_index,
-    alpha_matrix,
-    jacobi_eigensystem,
-    quotient_alpha_index,
-    quotient_matrix,
-    rayleigh_quotient,
-)
-from .star_forests import (
-    StarForestEmbedding,
-    contains_star_forest,
-    is_star_forest_free,
-    verify_star_forest_embedding,
-)
+from .bounds import StarForestSpec
+from .graph6 import decode_graph6, encode_graph6
+from .graphs import Graph
+from .minors import BicliqueMinor, CliqueMinor, is_minor_free
+from .spectral import alpha_index
+from .star_forests import is_star_forest_free
 
 __version__ = "0.1.0"

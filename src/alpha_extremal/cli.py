@@ -6,9 +6,10 @@ parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
-errors (bad flags, malformed graph6 or grid syntax, an unreadable
---graph6-stream file), 3 domain errors (infeasible parameters, violated
-preconditions) and eigensolver non-convergence.
+errors (bad flags, malformed graph6 or grid syntax, a range grid of more
+than MAX_GRID_POINTS weights), 3 domain errors (infeasible parameters, an
+order above the enumeration cap, violated preconditions) and eigensolver
+non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
 reports never drift across runs.
 """
@@ -31,7 +32,7 @@ from .bounds import (
     lower_bound_gap,
     star_forest_q_bound,
 )
-from .enumeration import enumerate_graphs
+from .enumeration import check_order, enumerate_graphs
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import (
     CliqueJoinCliques,
@@ -53,6 +54,9 @@ from .harness import (
 from .spectral import ConvergenceError, alpha_index
 
 
+MAX_GRID_POINTS = 10_000
+
+
 class CliParseError(ValueError):
     """Malformed command-line value (exit code 2)."""
 
@@ -69,7 +73,8 @@ def parse_alpha_grid(spec: str) -> list[str]:
     """Weight grid: comma list ("0.25,0.5") or start:stop:step ("0.1:0.9:0.2").
 
     Values are kept as the decimal strings the user wrote (grid stepping is
-    exact decimal arithmetic), so reports echo them without float drift.
+    exact decimal arithmetic), so reports echo them without float drift. A
+    range is counted before it is built and refused above MAX_GRID_POINTS.
     """
     if ":" in spec:
         parts = spec.split(":")
@@ -79,11 +84,19 @@ def parse_alpha_grid(spec: str) -> list[str]:
             start, stop, step = (Decimal(p) for p in parts)
         except InvalidOperation as exc:
             raise CliParseError(f"bad decimal in grid {spec!r}") from exc
+        if not all(d.is_finite() for d in (start, stop, step)):
+            raise CliParseError(f"grid {spec!r} is not finite")
         if step <= 0:
             raise CliParseError("grid step must be positive")
+        try:
+            count = int((stop - start) // step) + 1 if stop >= start else 0
+        except InvalidOperation:
+            count = MAX_GRID_POINTS + 1
+        if count > MAX_GRID_POINTS:
+            raise CliParseError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
         out = []
         cur = start
-        while cur <= stop:
+        for _ in range(count):
             out.append(str(cur.normalize()))
             cur += step
     else:
@@ -194,7 +207,7 @@ def _cmd_alpha_index(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lines = (encode_graph6(g) for g in enumerate_graphs(args.n, cap=args.cap))
+    lines = (encode_graph6(g) for g in enumerate_graphs(args.n))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for line in lines:
@@ -211,22 +224,16 @@ def _cmd_check(args) -> int:
     alphas = parse_alphas(args)
     if args.workers < 0:
         raise CliParseError(f"--workers must be >= 0, got {args.workers}")
+    for n in orders:
+        check_order(n)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
-    source_lines = None
-    if args.graph6_stream:
-        try:
-            source_lines = Path(args.graph6_stream).read_text(encoding="ascii").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliParseError(f"cannot read --graph6-stream: {exc}") from exc
-        if len(orders) > 1:
-            raise CliParseError("--graph6-stream supports a single --n")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
     for n in orders:
-        found = check_theorem(cls, n, weights, cap=args.cap, workers=workers, source=source_lines)
+        found = check_theorem(cls, n, weights, workers=workers)
         reports.extend(found)
         if out_dir:
             for alpha_str, rep in zip(alphas, found):
@@ -352,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="isomorph-free graph6 stream of all order-n graphs")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -367,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--alpha-grid", dest="alpha_grid")
     p.add_argument("--workers", type=int, default=0, help="0 = machine parallelism")
-    p.add_argument("--cap", type=int, help="enumeration order cap override")
-    p.add_argument("--graph6-stream", dest="graph6_stream", help="external graph6 file as enumeration source")
     p.add_argument("--out", help="directory for per-point JSON reports and summary.csv")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_check)

@@ -16,28 +16,17 @@ than min_degree(parent) + 1 can never be accepted and are not generated.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .canon import canonical_labeling_masks, orbits_from_generators
-from .graph6 import decode_graph6
 from .graphs import Graph
 
-DEFAULT_CAP = 10
-CAP_ENV_VAR = "ALPHA_EXTREMAL_CAP"
+ENUMERATION_CAP = 10
 
 
 class EnumerationCapError(ValueError):
     """Requested order exceeds the enumeration cap."""
-
-
-def enumeration_cap(override: int | None = None) -> int:
-    """Effective cap: explicit override, else ALPHA_EXTREMAL_CAP, else 10."""
-    if override is not None:
-        return override
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
 
 
 def _degrees(adj: tuple[int, ...]) -> list[int]:
@@ -135,55 +124,26 @@ def _descend(adj: tuple[int, ...], m: int, target: int) -> Iterator[Graph]:
         yield from _descend(child, m + 1, target)
 
 
-def _check_order(n: int, cap: int | None) -> None:
+def check_order(n: int) -> None:
+    """Refuse an order below 1 or above the enumeration cap."""
     if n < 1:
         raise ValueError("enumeration needs order >= 1")
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise EnumerationCapError(f"order {n} exceeds the enumeration cap {limit}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
-def enumerate_graphs(
-    n: int,
-    *,
-    cap: int | None = None,
-    source: Iterable[str] | None = None,
-) -> Iterator[Graph]:
-    """One representative per isomorphism class of order-n graphs.
+def enumerate_graphs(n: int, *, shard: int = 0, nshards: int = 1) -> Iterator[Graph]:
+    """One representative per isomorphism class of order-n graphs, or shard
+    ``shard`` of ``nshards`` of that stream.
 
-    With ``source``, decodes an externally supplied graph6 stream instead of
-    generating (each line must have order n); the cap does not apply then.
-    """
-    if source is not None:
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            g = decode_graph6(line)
-            if g.n != n:
-                raise ValueError(f"graph6 stream has order {g.n}, expected {n}")
-            yield g
-        return
-    _check_order(n, cap)
-    yield from _descend((0,), 1, n)
-
-
-def enumerate_graphs_sharded(
-    n: int, shard: int, nshards: int, *, cap: int | None = None
-) -> Iterator[Graph]:
-    """Shard ``shard`` of ``nshards`` of the enumeration stream.
-
-    Shards partition the augmentation tree below a fixed prefix order, so
-    the union over all shards equals enumerate_graphs(n) exactly.
+    Shards deal out the augmentation tree's nodes at order min(n, 6) round
+    robin, so the union over all shards is the whole census and shard 0 of 1
+    is the whole census in order.
     """
     if not 0 <= shard < nshards:
         raise ValueError(f"shard {shard} not in range(0, {nshards})")
-    _check_order(n, cap)
-    if n == 1:
-        if shard == 0:
-            yield Graph.empty(1)
-        return
-    prefix = min(6, n - 1)
+    check_order(n)
+    prefix = min(6, n)
     for idx, root in enumerate(_descend((0,), 1, prefix)):
         if idx % nshards == shard:
             yield from _descend(root.adj, prefix, n)

@@ -91,11 +91,6 @@ def iter_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
             yield decode_graph6(line)
 
 
-def read_graph6_file(path) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        yield from iter_graph6_lines(fh)
-
-
 def graph_to_json_dict(g: Graph) -> dict:
     """Adjacency-list export: {"n": int, "edges": [[u, v], ...]} with u < v sorted."""
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}

@@ -32,6 +32,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from . import enumeration
 from .bounds import (
     StarForestSpec,
     biclique_q_bound,
@@ -117,9 +118,9 @@ def claim_id(cls: ForbiddenClass) -> str:
 
 def class_member(g: Graph, cls: ForbiddenClass) -> bool:
     if isinstance(cls, CliqueMinorFree):
-        return is_minor_free(g, CliqueMinor(cls.r), host_cap=max(12, g.n))
+        return is_minor_free(g, CliqueMinor(cls.r))
     if isinstance(cls, BicliqueMinorFree):
-        return is_minor_free(g, BicliqueMinor(cls.s, cls.t), host_cap=max(12, g.n))
+        return is_minor_free(g, BicliqueMinor(cls.s, cls.t))
     return is_star_forest_free(g, cls.spec)
 
 
@@ -131,18 +132,12 @@ def canonical_graph6(g: Graph) -> str:
 
 
 def _census_shard(args) -> list[tuple[Graph, tuple[float, ...]]]:
-    """Every class member of one enumeration shard, or of the whole source
-    stream, paired with its alpha index at each weight."""
-    n, alphas, cls, cap, shard, nshards, source = args
-    from .enumeration import enumerate_graphs, enumerate_graphs_sharded
-
-    if source is not None:
-        graphs = enumerate_graphs(n, source=source)
-    else:
-        graphs = enumerate_graphs_sharded(n, shard, nshards, cap=cap)
+    """Every class member of one enumeration shard, paired with its alpha
+    index at each weight."""
+    n, alphas, cls, shard, nshards = args
     return [
         (g, tuple(alpha_index(g, a).alpha_index for a in alphas))
-        for g in graphs
+        for g in enumeration.enumerate_graphs(n, shard=shard, nshards=nshards)
         if class_member(g, cls)
     ]
 
@@ -152,9 +147,7 @@ def extremal_search(
     alphas: Iterable[float],
     cls: ForbiddenClass,
     *,
-    cap: int | None = None,
     workers: int = 1,
-    source: Iterable[str] | None = None,
 ) -> list[tuple[float, list[str]]]:
     """Maximum alpha index over all order-n members of the class at each
     weight, with every maximizer (within the tie tolerance) as a sorted
@@ -164,10 +157,10 @@ def extremal_search(
     weight. Deterministic: the result is independent of the worker count.
     """
     weights = tuple(require_open_weight(a) for a in alphas)
-    if source is not None or workers <= 1:
-        shards = [_census_shard((n, weights, cls, cap, 0, 1, source))]
+    if workers <= 1:
+        shards = [_census_shard((n, weights, cls, 0, 1))]
     else:
-        jobs = [(n, weights, cls, cap, s, workers, None) for s in range(workers)]
+        jobs = [(n, weights, cls, s, workers) for s in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             shards = pool.map(_census_shard, jobs)
     members = [member for shard in shards for member in shard]
@@ -308,19 +301,19 @@ def check_theorem(
     n: int,
     alphas: Iterable[float],
     *,
-    cap: int | None = None,
     workers: int = 1,
-    source: Iterable[str] | None = None,
 ) -> list[VerificationReport]:
     """Exhaustively test one extremal claim at one order over a weight grid;
     one report per weight, in the given order.
 
-    Every predicted value is computed before the census, so an infeasible
-    weight fails before any search. The predicted construction is
+    An order above the enumeration cap is refused before any work, and every
+    predicted value is computed before the census, so an infeasible weight
+    fails before any search. The predicted construction is
     independently validated for class membership; a failure there would
     falsify the construction side of the claim and raises instead of
     reporting.
     """
+    enumeration.check_order(n)
     weights = [require_open_weight(a) for a in alphas]
     values = [predicted_value(cls, n, a) for a in weights]
     spec = predicted_witness_spec(cls, n)
@@ -332,7 +325,7 @@ def check_theorem(
                 f"predicted witness {spec} is not {class_label(cls)}: construction claim falsified"
             )
         witness_g6 = canonical_graph6(witness_graph)
-    found = extremal_search(n, weights, cls, cap=cap, workers=workers, source=source)
+    found = extremal_search(n, weights, cls, workers=workers)
     reports = []
     for a, value, (best, witnesses) in zip(weights, values, found):
         satisfied = claim_threshold_satisfied(cls, n, a)
@@ -478,19 +471,17 @@ def _join_rows(samples: int, seed: int):
 def _edge_rows():
     """Star-forest edge ceiling, and the star-minor edge ceiling for
     connected hosts, over every graph of each small order."""
-    from .enumeration import enumerate_graphs
-
     for spec in EDGE_BOUND_SPECS:
         for n in range(spec.degree_sum + spec.k, EDGE_BOUND_MAX_ORDER + 1):
             bound = star_forest_edge_bound(spec, n)
             params = {"spec": spec.label(), "n": n}
-            for g in enumerate_graphs(n):
+            for g in enumeration.enumerate_graphs(n):
                 if is_star_forest_free(g, spec):
                     yield "star_forest_edge_bound", params, g.edge_count(), "<=", bound, g
     for h, t in STAR_MINOR_POINTS:
         bound = star_minor_edge_bound(h, t)
         params = {"h": h, "t": t}
-        for g in enumerate_graphs(h):
+        for g in enumeration.enumerate_graphs(h):
             if g.is_connected() and is_minor_free(g, BicliqueMinor(1, t)):
                 yield "star_minor_edge_bound", params, g.edge_count(), "<=", bound, g
 

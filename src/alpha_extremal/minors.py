@@ -11,7 +11,7 @@ pending cross-adjacency feasibility. Interchangeable pattern vertices
 symmetry-broken by forcing (size, min vertex) to increase.
 
 Absence answers are exhaustive, which is exponential in the worst case, so
-hosts above a configurable cap (default 12) are refused. Certificates are
+hosts above order HOST_CAP = 12 are refused. Certificates are
 re-validated before being returned.
 """
 
@@ -22,7 +22,7 @@ from typing import Union
 
 from .graphs import Graph, iter_bits
 
-DEFAULT_HOST_CAP = 12
+HOST_CAP = 12
 
 
 class MinorSearchCapError(ValueError):
@@ -168,9 +168,7 @@ def _cycle_certificate(g: Graph) -> MinorEmbedding:
     return MinorEmbedding(((first,), (second,), tuple(sorted(rest))))
 
 
-def has_minor(
-    g: Graph, p: MinorPattern, *, host_cap: int | None = None
-) -> MinorEmbedding | None:
+def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
     """Branch-set certificate when the pattern is a minor of g, else None.
 
     Fast paths (acyclicity for triangle patterns, size comparisons) answer
@@ -198,10 +196,9 @@ def has_minor(
     else:
         if pat.edge_count() > g.edge_count():
             return None
-        cap = DEFAULT_HOST_CAP if host_cap is None else host_cap
-        if g.n > cap:
+        if g.n > HOST_CAP:
             raise MinorSearchCapError(
-                f"host order {g.n} exceeds the branch-set search cap {cap}"
+                f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}"
             )
         emb = _branch_set_search(g, pat, _tie_groups(p))
         searched = True
@@ -211,8 +208,8 @@ def has_minor(
     return emb
 
 
-def is_minor_free(g: Graph, p: MinorPattern, *, host_cap: int | None = None) -> bool:
-    return has_minor(g, p, host_cap=host_cap) is None
+def is_minor_free(g: Graph, p: MinorPattern) -> bool:
+    return has_minor(g, p) is None
 
 
 def _branch_set_search(

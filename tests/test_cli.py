@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import alpha_extremal
-from alpha_extremal.cli import main, parse_alpha_grid
+from alpha_extremal.cli import CliParseError, main, parse_alpha_grid
 from alpha_extremal.graph6 import decode_graph6
 
 
@@ -28,8 +28,6 @@ class TestAlphaGridParsing:
         assert parse_alpha_grid("0.25, 0.5,0.75") == ["0.25", "0.5", "0.75"]
 
     def test_bad_grid(self):
-        from alpha_extremal.cli import CliParseError
-
         with pytest.raises(CliParseError):
             parse_alpha_grid("0.1:0.9")
         with pytest.raises(CliParseError):
@@ -38,6 +36,23 @@ class TestAlphaGridParsing:
             parse_alpha_grid("a,b")
         with pytest.raises(CliParseError, match="empty"):
             parse_alpha_grid(" , ")
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("0.1:inf:0.1")
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("nan:1:0.1")
+
+    def test_range_grid_is_counted_before_it_is_built(self, capsys):
+        # 8e8 points: building the list first would take minutes and gigabytes.
+        with pytest.raises(CliParseError, match="10000"):
+            parse_alpha_grid("0.1:0.9:1e-9")
+        assert len(parse_alpha_grid("0:0.9999:0.0001")) == 10000
+        code, out, err = run(
+            capsys, "bounds", "--table", "join", "--n", "10", "--k", "2", "--d", "3",
+            "--alpha-grid", "0.1:0.9:1e-9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "more than 10000 points" in err
 
 
 class TestAlphaIndexCommand:
@@ -191,15 +206,6 @@ class TestCheckCommand:
         )
         assert code == 3
 
-    def test_missing_stream_file_is_parse_error(self, capsys, tmp_path):
-        code, out, err = run(
-            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha", "0.5",
-            "--workers", "1", "--graph6-stream", str(tmp_path / "absent.g6"),
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: cannot read --graph6-stream")
-
     def test_negative_workers_is_parse_error(self, capsys):
         code, out, err = run(
             capsys, "check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha", "0.5",
@@ -213,19 +219,23 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--theorem", "T2", "--n", "6", "--alpha", "0.5")
         assert code == 2
 
-    def test_stream_source(self, capsys, tmp_path):
-        stream = tmp_path / "g5.g6"
-        run(capsys, "enumerate", "--n", "5", "--out", str(stream))
-        argv = ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--alpha-grid", "0.25,0.5",
-                "--workers", "1", "--out")
-        code, out, _ = run(capsys, *argv, str(tmp_path / "stream"), "--graph6-stream", str(stream))
-        assert code == 0
-        assert "verdict=MATCH" in out
-        assert run(capsys, *argv, str(tmp_path / "generated"))[0] == 0
-        streamed = {p.name: p.read_bytes() for p in (tmp_path / "stream").iterdir()}
-        generated = {p.name: p.read_bytes() for p in (tmp_path / "generated").iterdir()}
-        assert len(streamed) == 3  # two grid points + summary.csv
-        assert streamed == generated
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_order_above_cap_refused_before_any_work(self, capsys, monkeypatch, tmp_path, workers):
+        from alpha_extremal import harness
+
+        def never(g, cls):
+            raise AssertionError("class_member called for an order above the cap")
+
+        monkeypatch.setattr(harness, "class_member", never)
+        out_dir = tmp_path / "reports"
+        code, out, err = run(
+            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n", "16",
+            "--alpha", "0.5", "--workers", workers, "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_membership_once_per_class_and_order(self, capsys, monkeypatch):
         from alpha_extremal import harness

@@ -3,12 +3,7 @@ import itertools
 import pytest
 
 from alpha_extremal.canon import canonical_form
-from alpha_extremal.enumeration import (
-    EnumerationCapError,
-    enumerate_graphs,
-    enumerate_graphs_sharded,
-    enumeration_cap,
-)
+from alpha_extremal.enumeration import EnumerationCapError, enumerate_graphs
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph
 from conftest import GRAPH_CENSUS
@@ -53,18 +48,6 @@ class TestCapAndErrors:
         with pytest.raises(EnumerationCapError, match="10"):
             next(enumerate_graphs(11))
 
-    def test_cap_override_param(self):
-        with pytest.raises(EnumerationCapError, match="4"):
-            next(enumerate_graphs(5, cap=4))
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("ALPHA_EXTREMAL_CAP", "3")
-        assert enumeration_cap() == 3
-        with pytest.raises(EnumerationCapError, match="3"):
-            next(enumerate_graphs(4))
-        monkeypatch.delenv("ALPHA_EXTREMAL_CAP")
-        assert enumeration_cap() == 10
-
     def test_order_below_one(self):
         with pytest.raises(ValueError):
             next(enumerate_graphs(0))
@@ -77,33 +60,21 @@ class TestSharding:
         merged = []
         for shard in range(nshards):
             merged.extend(
-                encode_graph6(g) for g in enumerate_graphs_sharded(7, shard, nshards)
+                encode_graph6(g) for g in enumerate_graphs(7, shard=shard, nshards=nshards)
             )
         assert sorted(merged) == sorted(full)
         assert len(merged) == len(set(merged))
 
     def test_single_shard_is_identity(self, graphs_by_order):
-        full = [encode_graph6(g) for g in graphs_by_order[5]]
-        assert [encode_graph6(g) for g in enumerate_graphs_sharded(5, 0, 1)] == full
+        for n in (5, 7):  # below and above the prefix order 6
+            full = [encode_graph6(g) for g in graphs_by_order[n]]
+            assert [encode_graph6(g) for g in enumerate_graphs(n, shard=0, nshards=1)] == full
 
     def test_order_one(self):
-        assert [g.n for g in enumerate_graphs_sharded(1, 0, 2)] == [1]
-        assert list(enumerate_graphs_sharded(1, 1, 2)) == []
+        assert [g.n for g in enumerate_graphs(1, shard=0, nshards=2)] == [1]
+        assert list(enumerate_graphs(1, shard=1, nshards=2)) == []
 
     def test_bad_shard_index(self):
         with pytest.raises(ValueError):
-            list(enumerate_graphs_sharded(4, 2, 2))
+            list(enumerate_graphs(4, shard=2, nshards=2))
 
-
-class TestExternalSource:
-    def test_stream_source_round_trip(self, graphs_by_order):
-        lines = [encode_graph6(g) for g in graphs_by_order[5]]
-        back = list(enumerate_graphs(5, source=lines))
-        assert back == graphs_by_order[5]
-
-    def test_stream_order_mismatch(self):
-        with pytest.raises(ValueError, match="order"):
-            list(enumerate_graphs(5, source=["Bw"]))
-
-    def test_stream_skips_blank_lines(self):
-        assert len(list(enumerate_graphs(3, source=["B?", "", "Bw", " "]))) == 2

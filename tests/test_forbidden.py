@@ -103,8 +103,6 @@ class TestMinorBasics:
     def test_host_cap_refusal(self):
         with pytest.raises(MinorSearchCapError, match="12"):
             has_minor(Graph.path(13), CliqueMinor(4))
-        # Explicit cap raise allows the search.
-        assert is_minor_free(Graph.path(13), CliqueMinor(4), host_cap=13)
 
     def test_fast_path_ignores_cap(self):
         assert has_minor(Graph.cycle(20), CliqueMinor(3)) is not None

@@ -108,13 +108,6 @@ class TestExtremalSearch:
         b = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))
         assert a == b
 
-    def test_graph6_stream_source(self, graphs_by_order):
-        from alpha_extremal.graph6 import encode_graph6
-
-        lines = [encode_graph6(g) for g in graphs_by_order[5]]
-        from_stream = extremal_search(5, [0.5], CliqueMinorFree(3), source=lines)
-        assert from_stream == extremal_search(5, [0.5], CliqueMinorFree(3))
-
     def test_weight_must_be_open(self):
         with pytest.raises(ValueError):
             extremal_search(4, [0.0], CliqueMinorFree(3))
@@ -154,6 +147,19 @@ class TestCheckTheorem:
     def test_t2_below_order_minimum_refuses(self):
         with pytest.raises(ValueError, match="n >="):
             check_theorem(BicliqueMinorFree(2, 4), 7, [0.5])
+
+    def test_order_above_cap_refused_before_the_witness(self, monkeypatch):
+        from alpha_extremal import harness
+        from alpha_extremal.enumeration import EnumerationCapError
+
+        def never(g, cls):
+            raise AssertionError("class_member called for an order above the cap")
+
+        monkeypatch.setattr(harness, "class_member", never)
+        with pytest.raises(EnumerationCapError, match="cap 10"):
+            check_theorem(CliqueMinorFree(5), 14, [0.5])
+        with pytest.raises(EnumerationCapError, match="cap 10"):
+            extremal_search(11, [0.5], CliqueMinorFree(3), workers=2)
 
     def test_t3_odd_matching_part(self):
         spec = StarForestSpec((2, 2))
