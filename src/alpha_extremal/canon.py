@@ -157,10 +157,6 @@ def canonical_form(g: Graph) -> Graph:
     return g.relabel(canonical_perm(g))
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    return canonical_labeling_masks(g.n, g.adj)[1]
-
-
 def orbits_from_generators(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     """Vertex orbit labels under the generated group; each label is the orbit minimum."""
     parent = list(range(n))
@@ -180,7 +176,3 @@ def orbits_from_generators(n: int, gens: list[tuple[int, ...]]) -> list[int]:
                 else:
                     parent[a] = b
     return [find(v) for v in range(n)]
-
-
-def vertex_orbits(g: Graph) -> list[int]:
-    return orbits_from_generators(g.n, automorphism_generators(g))

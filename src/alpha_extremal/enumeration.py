@@ -1,28 +1,38 @@
-"""Isomorph-free exhaustive generation of small graphs.
+"""Isomorph-free exhaustive generation of small graphs, optionally pruned to
+a hereditary class.
 
-Orderly generation by canonical augmentation: a graph of order n+1 is built
-from a graph of order n by attaching one new vertex to a chosen neighbor
-set. The canonical parent of any graph is the graph left after deleting its
-canonical deletion vertex (the automorphism-orbit representative among the
-vertices minimizing (degree, sorted neighbor degrees)); an augmentation is
-accepted only when the new vertex sits in that orbit, and neighbor sets are
-tried once per Aut(parent) orbit. Together this emits exactly one
-representative per isomorphism class, deterministically, with no global
-dedup table.
+Orderly generation by canonical augmentation (McKay 1998, *Isomorph-free
+exhaustive generation*): a graph of order n+1 is built from a graph of
+order n by attaching one new vertex to a chosen neighbor set. The canonical
+parent of any graph is the graph left after deleting its canonical deletion
+vertex (the automorphism-orbit representative among the vertices minimizing
+(degree, sorted neighbor degrees)); an augmentation is accepted only when
+the new vertex sits in that orbit, and neighbor sets are tried once per
+Aut(parent) orbit. Together this emits exactly one representative per
+isomorphism class, deterministically, with no global dedup table.
 
 Since the deletion vertex always has minimum degree, neighbor sets larger
 than min_degree(parent) + 1 can never be accepted and are not generated.
+
+Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
+So for a predicate ``keep`` that is closed under vertex deletion (every
+induced subgraph of a kept graph is kept, as for any minor-closed or
+subgraph-closed class), a rejected node's subtree holds no kept graph, and
+the walk tests each accepted child and descends only into kept ones. It
+emits the kept graphs in exactly the order the full walk would. A ``keep``
+that is not closed under vertex deletion (connectedness, say) loses members.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .canon import canonical_labeling_masks, orbits_from_generators
 from .graphs import Graph
 
 ENUMERATION_CAP = 10
+PREFIX_ORDER = 6  # shards deal out the tree's nodes at order min(n, PREFIX_ORDER)
 
 
 class EnumerationCapError(ValueError):
@@ -115,13 +125,19 @@ def _children(m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]) -> Iter
                 yield child
 
 
-def _descend(adj: tuple[int, ...], m: int, target: int) -> Iterator[Graph]:
-    if m == target:
-        yield Graph(m, adj)
+def _descend(g: Graph, target: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
+    if g.n == target:
+        yield g
         return
-    gens = canonical_labeling_masks(m, adj)[1] if m > 1 else []
-    for child in _children(m, adj, gens):
-        yield from _descend(child, m + 1, target)
+    gens = canonical_labeling_masks(g.n, g.adj)[1] if g.n > 1 else []
+    for adj in _children(g.n, g.adj, gens):
+        child = Graph(g.n + 1, adj)
+        if keep(child):
+            yield from _descend(child, target, keep)
+
+
+def _keep_all(g: Graph) -> bool:
+    return True
 
 
 def check_order(n: int) -> None:
@@ -132,18 +148,27 @@ def check_order(n: int) -> None:
         raise EnumerationCapError(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
-def enumerate_graphs(n: int, *, shard: int = 0, nshards: int = 1) -> Iterator[Graph]:
-    """One representative per isomorphism class of order-n graphs, or shard
-    ``shard`` of ``nshards`` of that stream.
+def enumerate_graphs(
+    n: int, *, shard: int = 0, nshards: int = 1, keep: Callable[[Graph], bool] = _keep_all
+) -> Iterator[Graph]:
+    """One representative per isomorphism class of the order-n graphs that
+    ``keep`` accepts, or shard ``shard`` of ``nshards`` of that stream.
 
-    Shards deal out the augmentation tree's nodes at order min(n, 6) round
-    robin, so the union over all shards is the whole census and shard 0 of 1
-    is the whole census in order.
+    ``keep`` must be closed under vertex deletion: it is tested on every
+    node of the augmentation tree, and a rejected node's subtree is never
+    generated, so a kept graph below a rejected ancestor would be lost. The
+    default keeps every graph.
+
+    Shards deal out the pruned tree's nodes at order min(n, PREFIX_ORDER)
+    round robin, so the union over all shards is the whole census and shard
+    0 of 1 is the whole census in order.
     """
     if not 0 <= shard < nshards:
         raise ValueError(f"shard {shard} not in range(0, {nshards})")
     check_order(n)
-    prefix = min(6, n)
-    for idx, root in enumerate(_descend((0,), 1, prefix)):
+    root = Graph(1, (0,))
+    if not keep(root):
+        return
+    for idx, node in enumerate(_descend(root, min(PREFIX_ORDER, n), keep)):
         if idx % nshards == shard:
-            yield from _descend(root.adj, prefix, n)
+            yield from _descend(node, n, keep)

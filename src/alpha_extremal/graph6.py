@@ -1,4 +1,4 @@
-"""graph6 text codec and adjacency-list JSON export.
+"""graph6 text codec.
 
 Standard single-byte-header graph6 only (orders 0..62): header byte 63+n,
 then the upper-triangle bits in column order (0,1),(0,2),(1,2),(0,3),...
@@ -6,8 +6,6 @@ packed big-endian six per byte, each 6-bit group offset by 63.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator
 
 from .graphs import Graph
 
@@ -81,20 +79,3 @@ def decode_graph6(text: str | bytes) -> Graph:
                 adj[v] |= 1 << u
             pos -= 1
     return Graph(n, tuple(adj))
-
-
-def iter_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode a graph6 stream, one graph per non-empty line."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield decode_graph6(line)
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    """Adjacency-list export: {"n": int, "edges": [[u, v], ...]} with u < v sorted."""
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def graph_from_json_dict(data: dict) -> Graph:
-    return Graph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])

@@ -1,8 +1,9 @@
 """Exhaustive small-order verification of the extremal claims.
 
-extremal_search runs one census per (class, order): it decides membership
-once per enumerated graph and solves each member at every weight of the
-grid; several workers split that one census into enumeration shards.
+extremal_search runs one census per (class, order): the enumeration walk
+extends only class members, testing each child once, and each member is
+solved at every weight of the grid; several workers split that one census
+into enumeration shards.
 check_theorem compares each weight's maximum against the predicted closed
 form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
@@ -124,6 +125,12 @@ def class_member(g: Graph, cls: ForbiddenClass) -> bool:
     return is_star_forest_free(g, cls.spec)
 
 
+def _member_of(cls: ForbiddenClass):
+    """``class_member`` as an enumeration ``keep``; every class here is closed
+    under vertex deletion. The name is looked up at call time."""
+    return lambda g: class_member(g, cls)
+
+
 def canonical_graph6(g: Graph) -> str:
     return encode_graph6(canonical_form(g))
 
@@ -135,11 +142,8 @@ def _census_shard(args) -> list[tuple[Graph, tuple[float, ...]]]:
     """Every class member of one enumeration shard, paired with its alpha
     index at each weight."""
     n, alphas, cls, shard, nshards = args
-    return [
-        (g, tuple(alpha_index(g, a).alpha_index for a in alphas))
-        for g in enumeration.enumerate_graphs(n, shard=shard, nshards=nshards)
-        if class_member(g, cls)
-    ]
+    members = enumeration.enumerate_graphs(n, shard=shard, nshards=nshards, keep=_member_of(cls))
+    return [(g, tuple(alpha_index(g, a).alpha_index for a in alphas)) for g in members]
 
 
 def extremal_search(
@@ -153,10 +157,16 @@ def extremal_search(
     weight, with every maximizer (within the tie tolerance) as a sorted
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Membership is decided once per graph and each member is solved at every
-    weight. Deterministic: the result is independent of the worker count.
+    Membership is decided once per tested graph and each member is solved at
+    every weight. At most one process per member prefix node is started.
+    Deterministic: the result is independent of the worker count.
     """
+    enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
+    if workers > 1:  # no more processes than prefix nodes to deal out
+        prefix = min(n, enumeration.PREFIX_ORDER)
+        workers = sum(1 for _ in itertools.islice(
+            enumeration.enumerate_graphs(prefix, keep=_member_of(cls)), workers))
     if workers <= 1:
         shards = [_census_shard((n, weights, cls, 0, 1))]
     else:
@@ -470,19 +480,22 @@ def _join_rows(samples: int, seed: int):
 
 def _edge_rows():
     """Star-forest edge ceiling, and the star-minor edge ceiling for
-    connected hosts, over every graph of each small order."""
+    connected hosts, over every free graph of each small order."""
     for spec in EDGE_BOUND_SPECS:
         for n in range(spec.degree_sum + spec.k, EDGE_BOUND_MAX_ORDER + 1):
             bound = star_forest_edge_bound(spec, n)
             params = {"spec": spec.label(), "n": n}
-            for g in enumeration.enumerate_graphs(n):
-                if is_star_forest_free(g, spec):
-                    yield "star_forest_edge_bound", params, g.edge_count(), "<=", bound, g
+            free = enumeration.enumerate_graphs(n, keep=lambda g: is_star_forest_free(g, spec))
+            for g in free:
+                yield "star_forest_edge_bound", params, g.edge_count(), "<=", bound, g
     for h, t in STAR_MINOR_POINTS:
         bound = star_minor_edge_bound(h, t)
         params = {"h": h, "t": t}
-        for g in enumeration.enumerate_graphs(h):
-            if g.is_connected() and is_minor_free(g, BicliqueMinor(1, t)):
+        # Connectedness is not closed under vertex deletion, so it filters
+        # the walk's output instead of pruning the walk.
+        free = enumeration.enumerate_graphs(h, keep=lambda g: is_minor_free(g, BicliqueMinor(1, t)))
+        for g in free:
+            if g.is_connected():
                 yield "star_minor_edge_bound", params, g.edge_count(), "<=", bound, g
 
 

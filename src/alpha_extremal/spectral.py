@@ -161,25 +161,6 @@ def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)
 
 
-def rayleigh_quotient(g: Graph, alpha: float, x) -> float:
-    """Edgewise Rayleigh quotient of a*D + (1-a)*A at the vector x.
-
-    Sum over edges uv of a*x_u^2 + 2(1-a)*x_u*x_v + a*x_v^2, normalized by
-    the squared norm. Never exceeds the alpha index.
-    """
-    a = require_weight(alpha)
-    vec = [float(t) for t in x]
-    if len(vec) != g.n:
-        raise ValueError(f"vector length {len(vec)} != order {g.n}")
-    norm2 = sum(t * t for t in vec)
-    if norm2 == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    total = 0.0
-    for u, v in g.edges():
-        total += a * (vec[u] * vec[u] + vec[v] * vec[v]) + 2.0 * (1.0 - a) * vec[u] * vec[v]
-    return total / norm2
-
-
 def quotient_matrix(spec: ConstructionSpec, alpha: float) -> np.ndarray:
     """Equitable-quotient matrix of a join construction.
 

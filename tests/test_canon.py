@@ -7,15 +7,17 @@ import itertools
 
 import numpy as np
 
-from alpha_extremal.canon import (
-    automorphism_generators,
-    canonical_form,
-    canonical_labeling_masks,
-    orbits_from_generators,
-    vertex_orbits,
-)
+from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbits_from_generators
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph
+
+
+def automorphism_generators(g):
+    return canonical_labeling_masks(g.n, g.adj)[1]
+
+
+def vertex_orbits(g):
+    return orbits_from_generators(g.n, automorphism_generators(g))
 
 
 def brute_force_automorphisms(g):

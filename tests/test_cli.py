@@ -248,12 +248,18 @@ class TestCheckCommand:
             return original(g, cls)
 
         monkeypatch.setattr(harness, "class_member", counted)
-        code, _, _ = run(
-            capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",
-            "--alpha-grid", "0.25,0.5,0.75", "--workers", "1",
-        )
-        assert code == 0
-        assert len(calls) == 156 + 1  # every order-6 graph once, plus the predicted witness
+        counts = []
+        for grid in ("0.25,0.5,0.75", "0.5"):
+            calls.clear()
+            code, _, _ = run(
+                capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",
+                "--alpha-grid", grid, "--workers", "1",
+            )
+            assert code == 0
+            counts.append(len(calls))
+        # 46 nodes of the forest-pruned tree (every child of a forest of order
+        # <= 5, and the root) plus the predicted witness, whatever the grid.
+        assert counts == [46 + 1, 46 + 1]
 
     def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
         # The T2 quadratic needs n >= 10 at weight 0.25, so the grid fails

@@ -2,11 +2,28 @@ import itertools
 
 import pytest
 
+from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.canon import canonical_form
 from alpha_extremal.enumeration import EnumerationCapError, enumerate_graphs
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph
+from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
+from alpha_extremal.star_forests import is_star_forest_free
 from conftest import GRAPH_CENSUS
+
+# Predicates closed under vertex deletion, as the census and the sweep use them.
+# A single star cannot be a StarForestSpec (it needs two stars), so S3 is
+# covered by S3+S1 and by the sweep's K_{1,3}-minor predicate.
+HEREDITARY = {
+    "K3-minor-free": lambda g: is_minor_free(g, CliqueMinor(3)),
+    "K4-minor-free": lambda g: is_minor_free(g, CliqueMinor(4)),
+    "K5-minor-free": lambda g: is_minor_free(g, CliqueMinor(5)),
+    "K23-minor-free": lambda g: is_minor_free(g, BicliqueMinor(2, 3)),
+    "K13-minor-free": lambda g: is_minor_free(g, BicliqueMinor(1, 3)),
+    "S1+S1-free": lambda g: is_star_forest_free(g, StarForestSpec((1, 1))),
+    "S2+S2-free": lambda g: is_star_forest_free(g, StarForestSpec((2, 2))),
+    "S3+S1-free": lambda g: is_star_forest_free(g, StarForestSpec((3, 1))),
+}
 
 
 def brute_force_classes(n):
@@ -78,3 +95,29 @@ class TestSharding:
         with pytest.raises(ValueError):
             list(enumerate_graphs(4, shard=2, nshards=2))
 
+
+class TestPrunedWalk:
+    """The pruned walk emits exactly the filtered full walk, in the same order."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("name", sorted(HEREDITARY))
+    def test_equals_filtered_census(self, name, n, graphs_by_order):
+        keep = HEREDITARY[name]
+        want = [encode_graph6(g) for g in graphs_by_order[n] if keep(g)]
+        assert [encode_graph6(g) for g in enumerate_graphs(n, keep=keep)] == want
+
+    @pytest.mark.parametrize("name", sorted(HEREDITARY))
+    def test_shard_union_equals_single_shard(self, name):
+        keep = HEREDITARY[name]
+        whole = [encode_graph6(g) for g in enumerate_graphs(7, keep=keep)]
+        for nshards in (2, 3, 5):
+            merged = [
+                encode_graph6(g)
+                for shard in range(nshards)
+                for g in enumerate_graphs(7, shard=shard, nshards=nshards, keep=keep)
+            ]
+            assert sorted(merged) == sorted(whole)
+
+    def test_rejected_root_yields_nothing(self):
+        assert list(enumerate_graphs(1, keep=lambda g: False)) == []
+        assert list(enumerate_graphs(4, keep=lambda g: False)) == []

