@@ -1,9 +1,10 @@
 """Exhaustive small-order verification of the extremal claims.
 
 extremal_search runs one census per (class, order): the enumeration walk
-extends only class members, testing each child once, and each member is
-solved at every weight of the grid; several workers split that one census
-into enumeration shards.
+extends only class members, testing each child once, and at each weight of
+the grid the members are solved in decreasing order of a Collatz-Wielandt
+upper bound until no remaining bound can reach the maximum; several workers
+split that one census into enumeration shards.
 check_theorem compares each weight's maximum against the predicted closed
 form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
@@ -27,6 +28,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -64,7 +66,12 @@ from .graphs import (
     require_feasible,
 )
 from .minors import BicliqueMinor, CliqueMinor, is_minor_free
-from .spectral import alpha_index, quotient_alpha_index, require_open_weight
+from .spectral import (
+    alpha_index,
+    collatz_wielandt_bound,
+    quotient_alpha_index,
+    require_open_weight,
+)
 from .star_forests import is_star_forest_free
 
 TIE_TOL = 1e-9
@@ -138,12 +145,33 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _census_shard(args) -> list[tuple[Graph, tuple[float, ...]]]:
-    """Every class member of one enumeration shard, paired with its alpha
-    index at each weight."""
+def _census_shard(args) -> list[list[tuple[Graph, float]]]:
+    """One list per weight of (member, alpha index) pairs for the class
+    members of one enumeration shard that can reach the shard's maximum.
+
+    Members are solved in decreasing collatz_wielandt_bound order, ties by
+    enumeration index, and the solves stop at the first bound below the
+    shard's best minus 2*TIE_TOL. A skipped member's index is at most its
+    bound, so it falls short of the global maximum minus TIE_TOL by more
+    than the float error of the bound and of the solve: it is neither a
+    maximizer nor a tie.
+    """
     n, alphas, cls, shard, nshards = args
-    members = enumeration.enumerate_graphs(n, shard=shard, nshards=nshards, keep=_member_of(cls))
-    return [(g, tuple(alpha_index(g, a).alpha_index for a in alphas)) for g in members]
+    members = list(enumeration.enumerate_graphs(n, shard=shard, nshards=nshards,
+                                                keep=_member_of(cls)))
+    solved = []
+    for a in alphas:
+        bounds = [collatz_wielandt_bound(g, a) for g in members]
+        pairs = []
+        best = -math.inf
+        for i in sorted(range(len(members)), key=lambda i: (-bounds[i], i)):
+            if bounds[i] < best - 2 * TIE_TOL:
+                break
+            value = alpha_index(members[i], a).alpha_index
+            best = max(best, value)
+            pairs.append((members[i], value))
+        solved.append(pairs)
+    return solved
 
 
 def extremal_search(
@@ -157,8 +185,9 @@ def extremal_search(
     weight, with every maximizer (within the tie tolerance) as a sorted
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Membership is decided once per tested graph and each member is solved at
-    every weight. At most one process per member prefix node is started.
+    Membership is decided once per tested graph; at each weight, only the
+    members whose Collatz-Wielandt bound can reach their shard's maximum
+    are solved. At most one process per member prefix node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
@@ -173,13 +202,13 @@ def extremal_search(
         jobs = [(n, weights, cls, s, workers) for s in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             shards = pool.map(_census_shard, jobs)
-    members = [member for shard in shards for member in shard]
-    if not members:
-        raise ValueError(f"class {class_label(cls)} has no members at order {n}")
     results = []
     for j in range(len(weights)):
-        best = max(values[j] for _, values in members)
-        ties = {canonical_graph6(g) for g, values in members if values[j] >= best - TIE_TOL}
+        solved = [pair for shard in shards for pair in shard[j]]
+        if not solved:
+            raise ValueError(f"class {class_label(cls)} has no members at order {n}")
+        best = max(value for _, value in solved)
+        ties = {canonical_graph6(g) for g, value in solved if value >= best - TIE_TOL}
         results.append((best, sorted(ties)))
     return results
 

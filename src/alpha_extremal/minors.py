@@ -1,22 +1,34 @@
-"""Minor containment by exhaustive branch-set search.
+"""Minor containment: exact deciders for two patterns, branch-set search for the rest.
 
 A pattern H is a minor of a host G when G holds disjoint connected branch
 sets, one per pattern vertex, with a host edge between every pair of sets
-whose pattern vertices are adjacent. The search assigns branch sets one
-pattern vertex at a time; candidate sets are enumerated as connected subsets
-of the unused vertices (each exactly once, by the fixed-minimum extension
-scheme) and pruned by remaining-vertex counts, aggregate-degree needs, and
-pending cross-adjacency feasibility. Interchangeable pattern vertices
-(clique vertices, the two sides of a complete bipartite pattern) are
-symmetry-broken by forcing (size, min vertex) to increase.
+whose pattern vertices are adjacent.
 
-Absence answers are exhaustive, which is exponential in the worst case, so
-hosts above order HOST_CAP = 12 are refused. Certificates are
+has_minor dispatches on the pattern. Triangle and smaller clique patterns
+have direct certificates at any order. K4 and K_{2,3} absence is decided
+exactly in linear time: K4-minor-free graphs are the series-parallel ones,
+which a degree <= 2 reduction empties (Duffin 1965), and K_{2,3}-minor-free
+graphs are those whose every block is outerplanar or K4 (Ellingham,
+Marshall, Ozeki and Tsuchiya 2016), with outerplanarity tested by Mitchell's
+1979 degree-2 reduction. A present K4 or K_{2,3} minor, and every other
+pattern, goes to the branch-set search, so every positive answer carries a
+certificate.
+
+The search assigns branch sets one pattern vertex at a time; candidate sets
+are enumerated as connected subsets of the unused vertices (each exactly
+once, by the fixed-minimum extension scheme) and pruned by remaining-vertex
+counts, aggregate-degree needs, and pending cross-adjacency feasibility.
+Interchangeable pattern vertices (clique vertices, the two sides of a
+complete bipartite pattern) are symmetry-broken by forcing (size, min
+vertex) to increase. Its absence answers are exhaustive, which is
+exponential in the worst case, so hosts above order HOST_CAP = 12 are
+refused for every pattern without a direct certificate. Certificates are
 re-validated before being returned.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -168,12 +180,124 @@ def _cycle_certificate(g: Graph) -> MinorEmbedding:
     return MinorEmbedding(((first,), (second,), tuple(sorted(rest))))
 
 
+def _series_parallel(g: Graph) -> bool:
+    """K4-minor-freeness (Duffin 1965): delete vertices of degree <= 1 and
+    suppress degree-2 vertices, joining their two neighbours (a parallel
+    edge merges into the existing one); K4-minor-free exactly when this
+    empties the graph."""
+    adj = list(g.adj)
+    alive = (1 << g.n) - 1
+    stack = list(range(g.n))
+    while stack:
+        v = stack.pop()
+        nbrs = adj[v]
+        if not alive >> v & 1 or nbrs.bit_count() > 2:
+            continue
+        alive ^= 1 << v
+        ends = list(iter_bits(nbrs))
+        for u in ends:
+            adj[u] ^= 1 << v
+        if len(ends) == 2:
+            u, w = ends
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        stack.extend(ends)
+    return not alive
+
+
+def _blocks(g: Graph) -> list[int]:
+    """Vertex masks of the blocks with at least two vertices (Hopcroft-Tarjan)."""
+    disc = [0] * g.n  # DFS discovery number, from 1; 0 marks unvisited
+    low = [0] * g.n
+    counter = itertools.count(1)
+    stack: list[int] = []
+    blocks: list[int] = []
+
+    def visit(v: int) -> None:
+        disc[v] = low[v] = next(counter)
+        stack.append(v)
+        for w in iter_bits(g.adj[v]):
+            if disc[w]:
+                low[v] = min(low[v], disc[w])
+                continue
+            visit(w)
+            low[v] = min(low[v], low[w])
+            if low[w] >= disc[v]:  # v cuts off w's subtree: pop one block
+                block = 1 << v
+                while not block >> w & 1:
+                    block |= 1 << stack.pop()
+                blocks.append(block)
+
+    for v in range(g.n):
+        if not disc[v]:
+            visit(v)
+            stack.pop()
+    return blocks
+
+
+def _outerplanar_block(g: Graph, block: int) -> bool:
+    """Outerplanarity of a 2-connected induced subgraph (Mitchell 1979).
+
+    A degree-2 vertex v with neighbours u, w lies on the outer cycle between
+    u and w; removing it (adding uw if absent) leaves a 2-connected graph
+    that is outerplanar with uw on its outer cycle exactly when the larger
+    graph is outerplanar. An edge that must be outer is marked, and reducing
+    onto an already marked edge puts it on the outer cycle twice, which only
+    a triangle allows.
+    """
+    adj = [row & block for row in g.adj]
+    alive = block
+    marked: set[tuple[int, int]] = set()
+    stack = [v for v in iter_bits(block) if adj[v].bit_count() == 2]
+    while alive.bit_count() > 3:
+        # 2-connectivity survives each step, so no degree drops below 2.
+        while stack and not alive >> stack[-1] & 1:
+            stack.pop()
+        if not stack:
+            return False
+        v = stack.pop()
+        u, w = iter_bits(adj[v])
+        alive ^= 1 << v
+        adj[u] ^= 1 << v
+        adj[w] ^= 1 << v
+        if adj[u] >> w & 1:
+            if (u, w) in marked:
+                return False
+        else:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        marked.add((u, w))
+        stack.extend(x for x in (u, w) if adj[x].bit_count() == 2)
+    return True
+
+
+def _k23_minor_free(g: Graph) -> bool:
+    """K_{2,3}-minor-freeness: every block is outerplanar or K4 (Ellingham,
+    Marshall, Ozeki and Tsuchiya 2016)."""
+    for block in _blocks(g):
+        if block.bit_count() == 4 and all((g.adj[v] | 1 << v) & block == block for v in iter_bits(block)):
+            continue
+        if not _outerplanar_block(g, block):
+            return False
+    return True
+
+
+# Patterns whose absence is decided exactly without search.
+_ABSENCE_DECIDERS = {
+    CliqueMinor(4): _series_parallel,
+    BicliqueMinor(2, 3): _k23_minor_free,
+}
+
+
 def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
     """Branch-set certificate when the pattern is a minor of g, else None.
 
-    Fast paths (acyclicity for triangle patterns, size comparisons) answer
-    without search at any order; the exhaustive search refuses hosts larger
-    than the cap.
+    Clique patterns of order <= 3 have direct certificates at any order, and
+    a pattern with more vertices or edges than g is absent at any order.
+    Otherwise hosts above the cap are refused. K4 and K_{2,3} absence is
+    decided exactly by the series-parallel and block-outerplanarity tests,
+    which return None at once; a present minor, and every other pattern,
+    goes to the branch-set search for its certificate.
     """
     pat = pattern_graph(p)
     m = pat.n
@@ -200,8 +324,13 @@ def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
             raise MinorSearchCapError(
                 f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}"
             )
+        decide = _ABSENCE_DECIDERS.get(p)
+        if decide is not None and decide(g):
+            return None
         emb = _branch_set_search(g, pat, _tie_groups(p))
         searched = True
+        if emb is None and decide is not None:
+            raise RuntimeError(f"{p} decider and branch-set search disagree on {g}")
     if emb is not None and not verify_minor_embedding(g, p, emb):
         origin = "search" if searched else "fast path"
         raise RuntimeError(f"minor {origin} produced an invalid certificate: {emb}")

@@ -261,6 +261,32 @@ class TestCheckCommand:
         # <= 5, and the root) plus the predicted witness, whatever the grid.
         assert counts == [46 + 1, 46 + 1]
 
+    def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
+        from alpha_extremal import harness
+
+        calls = []
+        original = harness.alpha_index
+
+        def counted(g, a):
+            calls.append(g)
+            return original(g, a)
+
+        monkeypatch.setattr(harness, "alpha_index", counted)
+        outputs = []
+        for workers in ("1", "2"):
+            calls.clear()
+            out_dir = tmp_path / f"w{workers}"
+            code, out, _ = run(
+                capsys, "check", "--theorem", "T1", "--r", "4", "--n", "8",
+                "--alpha-grid", "0.25,0.75", "--workers", workers, "--out", str(out_dir),
+            )
+            assert code == 0
+            outputs.append((out, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+            if workers == "1":
+                # 1,715 members at two weights; solving them all takes 3,430.
+                assert len(calls) == 165
+        assert outputs[0] == outputs[1]
+
     def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
         # The T2 quadratic needs n >= 10 at weight 0.25, so the grid fails
         # before the census and before the feasible 0.5 point is written.

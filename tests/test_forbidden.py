@@ -2,6 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from alpha_extremal import minors
 from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.graphs import (
     CliqueJoinCliques,
@@ -139,6 +140,63 @@ class TestMinorInvariance:
         data = emb.to_json_dict()
         assert set(data) == {"branch_sets"}
         assert len(data["branch_sets"]) == 3
+
+
+DECIDED = (CliqueMinor(4), BicliqueMinor(2, 3))
+
+
+def branch_set_free(g, pattern):
+    """The exhaustive search alone: the oracle for the exact deciders."""
+    return minors._branch_set_search(g, pattern_graph(pattern), minors._tie_groups(pattern)) is None
+
+
+class TestExactDeciders:
+    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    def test_agree_with_branch_set_search(self, graphs_by_order, pattern):
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                assert is_minor_free(g, pattern) == branch_set_free(g, pattern), g
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    def test_agree_on_order_eight(self, graphs_order_8, pattern):
+        for g in graphs_order_8:
+            assert is_minor_free(g, pattern) == branch_set_free(g, pattern), g
+
+    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    def test_present_minor_keeps_its_certificate(self, graphs_by_order, pattern):
+        present = 0
+        for g in graphs_by_order[7]:
+            emb = has_minor(g, pattern)
+            if emb is not None:
+                present += 1
+                assert verify_minor_embedding(g, pattern, emb)
+        assert present == 1044 - {CliqueMinor(4): 360, BicliqueMinor(2, 3): 302}[pattern]
+
+    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    def test_absence_needs_no_search(self, monkeypatch, pattern):
+        def never(*args):
+            raise AssertionError("branch-set search run for a minor-free host")
+
+        monkeypatch.setattr(minors, "_branch_set_search", never)
+        hosts = {
+            CliqueMinor(4): [construct(CompleteSplit(12, 2)), Graph.cycle(12), Graph.star(11)],
+            BicliqueMinor(2, 3): [construct(CliqueJoinCliques(10, 2, 3, 3)), Graph.cycle(12),
+                                  union_of_copies(3, Graph.complete(4))],
+        }[pattern]
+        for g in hosts:
+            assert is_minor_free(g, pattern)
+
+    def test_k4_blocks_are_k23_minor_free(self):
+        # Two K4 blocks sharing a cut vertex have no K_{2,3} minor; an ear
+        # between two vertices of one K4 block makes one.
+        two_blocks = Graph.from_edges(7, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                                      + [(u, v) for u in range(3, 7) for v in range(u + 1, 7)])
+        assert is_minor_free(two_blocks, BicliqueMinor(2, 3))
+        assert not is_minor_free(two_blocks, CliqueMinor(4))
+        eared = Graph.from_edges(5, list(Graph.complete(4).edges()) + [(0, 4), (1, 4)])
+        emb = has_minor(eared, BicliqueMinor(2, 3))
+        assert emb is not None and verify_minor_embedding(eared, BicliqueMinor(2, 3), emb)
 
 
 class TestStarForests:

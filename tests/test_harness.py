@@ -7,6 +7,7 @@ import pytest
 from alpha_extremal.bounds import StarForestSpec, complete_split_quadratic
 from alpha_extremal.graphs import CliqueJoinMatching, Graph, construct, disjoint_union
 from alpha_extremal.harness import (
+    TIE_TOL,
     BicliqueMinorFree,
     CliqueMinorFree,
     StarForestFree,
@@ -22,7 +23,7 @@ from alpha_extremal.harness import (
     reports_to_csv,
     sweep_inequalities,
 )
-from alpha_extremal.spectral import quotient_alpha_index
+from alpha_extremal.spectral import alpha_index, quotient_alpha_index
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -131,6 +132,24 @@ class TestExtremalSearch:
         clamped = extremal_search(n, [0.5], cls, workers=workers)
         assert sizes == [size]
         assert clamped == extremal_search(n, [0.5], cls, workers=1)
+
+    @pytest.mark.parametrize("cls", [
+        CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
+        StarForestFree(StarForestSpec((2, 2))),
+    ], ids=class_label)
+    def test_equals_brute_force_over_all_members(self, graphs_by_order, cls):
+        # Every member solved at every weight: the bound-ordered solves must
+        # find the same maximum and the same ties.
+        weights = (0.25, 0.75)
+        for n in range(1, 8):
+            members = [g for g in graphs_by_order[n] if class_member(g, cls)]
+            want = []
+            for a in weights:
+                values = [alpha_index(g, a).alpha_index for g in members]
+                best = max(values)
+                ties = {canonical_graph6(g) for g, v in zip(members, values) if v >= best - TIE_TOL}
+                want.append((best, sorted(ties)))
+            assert extremal_search(n, weights, cls) == want
 
     def test_repeat_runs_identical(self):
         a = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))

@@ -16,6 +16,7 @@ from alpha_extremal.spectral import (
     SpectralResult,
     alpha_index,
     alpha_matrix,
+    collatz_wielandt_bound,
     jacobi_eigensystem,
     quotient_alpha_index,
     quotient_matrix,
@@ -166,6 +167,33 @@ class TestAlphaIndex:
         data = json.loads(json.dumps(result.to_json_dict()))
         assert set(data) == {"rho", "residual", "vector"}
         assert len(data["vector"]) == 3
+
+
+class TestCollatzWielandtBound:
+    def test_bounds_alpha_index(self, graphs_by_order):
+        with_isolated = 0
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                with_isolated += 0 in g.degrees()
+                for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+                    assert collatz_wielandt_bound(g, a) >= alpha_index(g, a).alpha_index - 1e-12
+        assert with_isolated == 1 + 1 + 2 + 4 + 11 + 34 + 156  # the graphs of order n - 1
+
+    def test_exact_on_regular_components(self):
+        assert collatz_wielandt_bound(Graph.cycle(7), 0.3) == 2.0
+        assert collatz_wielandt_bound(Graph.complete(5), 0.8) == pytest.approx(4.0, abs=1e-15)
+        assert collatz_wielandt_bound(Graph.empty(4), 0.5) == 0.0
+
+    def test_star_closed_form(self):
+        # Centre: 3a + (1-a)*3/3; leaves: a + (1-a)*3. The index is below both.
+        for a in (0.2, 0.5, 0.7):
+            bound = collatz_wielandt_bound(Graph.star(3), a)
+            assert bound == pytest.approx(max(1 + 2 * a, 3 - 2 * a), abs=1e-15)
+            assert bound >= alpha_index(Graph.star(3), a).alpha_index
+
+    def test_weight_validation(self):
+        with pytest.raises(ValueError):
+            collatz_wielandt_bound(Graph.complete(3), 1.5)
 
 
 class TestJacobi:
