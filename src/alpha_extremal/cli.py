@@ -7,9 +7,9 @@ and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
 errors (bad flags, malformed graph6 or grid syntax, a range grid of more
-than MAX_GRID_POINTS weights), 3 domain errors (infeasible parameters, an
-order above the enumeration cap, violated preconditions) and eigensolver
-non-convergence.
+than MAX_GRID_POINTS weights, an --out path that cannot be created), 3
+domain errors (infeasible parameters, an order above the enumeration cap,
+violated preconditions) and eigensolver non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
 reports never drift across runs.
 """
@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -59,6 +60,15 @@ MAX_GRID_POINTS = 10_000
 
 class CliParseError(ValueError):
     """Malformed command-line value (exit code 2)."""
+
+
+@contextmanager
+def _creating_out():
+    """An --out path that cannot be created is a parse error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliParseError(f"cannot create --out path {exc.filename}: {exc.strerror}") from exc
 
 
 def _parse_decimal(text: str) -> str:
@@ -209,7 +219,9 @@ def _cmd_alpha_index(args) -> int:
 def _cmd_enumerate(args) -> int:
     lines = (encode_graph6(g) for g in enumerate_graphs(args.n))
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _creating_out():
+            fh = open(args.out, "w", encoding="ascii")
+        with fh:
             for line in lines:
                 fh.write(line + "\n")
     else:
@@ -229,7 +241,8 @@ def _cmd_check(args) -> int:
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _creating_out():
+            out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
     for n in orders:
@@ -258,6 +271,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.samples < 0:
+        raise CliParseError(f"--samples must be >= 0, got {args.samples}")
     report = sweep_inequalities(corrupt=args.corrupt, seed=args.seed, samples=args.samples)
     print(report.summary())
     return 0
@@ -327,7 +342,8 @@ def _cmd_bounds(args) -> int:
     lines = [",".join(header)] + [",".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        with _creating_out():
+            Path(args.out).write_text(text, encoding="ascii")
     else:
         print(text, end="")
     return 0

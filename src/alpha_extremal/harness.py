@@ -2,9 +2,10 @@
 
 extremal_search runs one census per (class, order): the enumeration walk
 extends only class members, testing each child once, and at each weight of
-the grid the members are solved in decreasing order of a Collatz-Wielandt
-upper bound until no remaining bound can reach the maximum; several workers
-split that one census into enumeration shards.
+the grid the members are visited in decreasing order of a Collatz-Wielandt
+upper bound until no remaining bound can reach the maximum, and a member is
+solved only if its bound, tightened by a few power steps, still can; several
+workers split that one census into enumeration shards.
 check_theorem compares each weight's maximum against the predicted closed
 form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
@@ -76,6 +77,8 @@ from .star_forests import is_star_forest_free
 
 TIE_TOL = 1e-9
 MATCH_TOL = 1e-9
+# Power steps that tighten a member's Collatz-Wielandt bound before its eigensolve.
+GATE_POWER_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,16 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     """One list per weight of (member, alpha index) pairs for the class
     members of one enumeration shard that can reach the shard's maximum.
 
-    Members are solved in decreasing collatz_wielandt_bound order, ties by
-    enumeration index, and the solves stop at the first bound below the
-    shard's best minus 2*TIE_TOL. A skipped member's index is at most its
-    bound, so it falls short of the global maximum minus TIE_TOL by more
-    than the float error of the bound and of the solve: it is neither a
-    maximizer nor a tie.
+    Members are visited in decreasing collatz_wielandt_bound order, ties by
+    enumeration index, and the visit stops at the first bound below the
+    shard's best minus 2*TIE_TOL. Before its eigensolve, each member's bound
+    is tightened by GATE_POWER_STEPS power steps, and the member is skipped
+    when that bound is below the same margin. Both bounds are valid for the
+    member's index (every power iterate is a positive Collatz-Wielandt
+    vector), so a skipped member falls short of the shard's best, and hence
+    of the global maximum, by more than 2*TIE_TOL minus the float error of
+    the bound and of the solve (about 1e-15): it is neither a maximizer nor
+    a tie.
     """
     n, alphas, cls, shard, nshards = args
     members = list(enumeration.enumerate_graphs(n, shard=shard, nshards=nshards,
@@ -167,6 +174,8 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
         for i in sorted(range(len(members)), key=lambda i: (-bounds[i], i)):
             if bounds[i] < best - 2 * TIE_TOL:
                 break
+            if collatz_wielandt_bound(members[i], a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
+                continue
             value = alpha_index(members[i], a).alpha_index
             best = max(best, value)
             pairs.append((members[i], value))
@@ -186,8 +195,9 @@ def extremal_search(
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
     Membership is decided once per tested graph; at each weight, only the
-    members whose Collatz-Wielandt bound can reach their shard's maximum
-    are solved. At most one process per member prefix node is started.
+    members whose Collatz-Wielandt bounds, from the degree vector and
+    tightened by power steps, can reach their shard's maximum are solved.
+    At most one process per member prefix node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)

@@ -10,9 +10,10 @@ exactly in linear time: K4-minor-free graphs are the series-parallel ones,
 which a degree <= 2 reduction empties (Duffin 1965), and K_{2,3}-minor-free
 graphs are those whose every block is outerplanar or K4 (Ellingham,
 Marshall, Ozeki and Tsuchiya 2016), with outerplanarity tested by Mitchell's
-1979 degree-2 reduction. A present K4 or K_{2,3} minor, and every other
-pattern, goes to the branch-set search, so every positive answer carries a
-certificate.
+1979 degree-2 reduction. In has_minor a present K4 or K_{2,3} minor, and
+every other pattern, goes to the branch-set search, so every positive answer
+carries a certificate; is_minor_free, which only needs the yes/no answer,
+stops at the decider for K4 and K_{2,3}.
 
 The search assigns branch sets one pattern vertex at a time; candidate sets
 are enumerated as connected subsets of the unused vertices (each exactly
@@ -289,41 +290,44 @@ _ABSENCE_DECIDERS = {
 }
 
 
+def _outsized(g: Graph, pat: Graph) -> bool:
+    """The pattern has more vertices or more edges than g, so it is no minor."""
+    return pat.n > g.n or pat.edge_count() > g.edge_count()
+
+
+def _require_searchable(g: Graph) -> None:
+    if g.n > HOST_CAP:
+        raise MinorSearchCapError(
+            f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}"
+        )
+
+
 def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
     """Branch-set certificate when the pattern is a minor of g, else None.
 
-    Clique patterns of order <= 3 have direct certificates at any order, and
-    a pattern with more vertices or edges than g is absent at any order.
+    A pattern with more vertices or edges than g is absent at any order, and
+    clique patterns of order <= 3 have direct certificates at any order.
     Otherwise hosts above the cap are refused. K4 and K_{2,3} absence is
     decided exactly by the series-parallel and block-outerplanarity tests,
     which return None at once; a present minor, and every other pattern,
     goes to the branch-set search for its certificate.
     """
     pat = pattern_graph(p)
-    m = pat.n
-    if m > g.n:
+    if _outsized(g, pat):
         return None
-    emb = None
     searched = False
     if isinstance(p, CliqueMinor) and p.r <= 3:
         if p.r == 1:
             emb = MinorEmbedding(((0,),))
         elif p.r == 2:
-            edges = g.edges()
-            if not edges:
-                return None
-            emb = MinorEmbedding(((edges[0][0],), (edges[0][1],)))
+            u, v = g.edges()[0]
+            emb = MinorEmbedding(((u,), (v,)))
         else:
             if g.is_forest():
                 return None
             emb = _cycle_certificate(g)
     else:
-        if pat.edge_count() > g.edge_count():
-            return None
-        if g.n > HOST_CAP:
-            raise MinorSearchCapError(
-                f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}"
-            )
+        _require_searchable(g)
         decide = _ABSENCE_DECIDERS.get(p)
         if decide is not None and decide(g):
             return None
@@ -338,7 +342,19 @@ def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
 
 
 def is_minor_free(g: Graph, p: MinorPattern) -> bool:
-    return has_minor(g, p) is None
+    """Whether the pattern is not a minor of g.
+
+    K4 and K_{2,3} stop at their exact decider, after the same early exits
+    as has_minor (outsized pattern, then the host cap), and build no
+    certificate; every other pattern asks has_minor.
+    """
+    decide = _ABSENCE_DECIDERS.get(p)
+    if decide is None:
+        return has_minor(g, p) is None
+    if _outsized(g, pattern_graph(p)):
+        return True
+    _require_searchable(g)
+    return decide(g)
 
 
 def _branch_set_search(

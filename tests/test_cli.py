@@ -135,6 +135,14 @@ class TestEnumerateCommand:
         assert code == 0
         assert len(target.read_text().splitlines()) == 34
 
+    def test_unusable_out_path_is_parse_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--out", str(blocker / "g4.g6"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_closed_pipe_ends_quietly(self):
         # `alpha-extremal enumerate --n 8 | head -1`: the reader leaves after one line.
         src = Path(alpha_extremal.__file__).resolve().parent.parent
@@ -284,7 +292,9 @@ class TestCheckCommand:
             outputs.append((out, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
             if workers == "1":
                 # 1,715 members at two weights; solving them all takes 3,430.
-                assert len(calls) == 165
+                # The degree-vector bound alone leaves 165 solves; tightened
+                # by two power steps it leaves only each weight's maximizer.
+                assert len(calls) == 2
         assert outputs[0] == outputs[1]
 
     def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
@@ -299,6 +309,23 @@ class TestCheckCommand:
         assert "n >=" in err
         assert list(out_dir.iterdir()) == []
 
+    def test_unusable_out_path_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        from alpha_extremal import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("census started for an unusable --out path")
+
+        monkeypatch.setattr(harness, "extremal_search", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "check", "--theorem", "T1", "--r", "4", "--n", "8", "--alpha", "0.5",
+            "--workers", "1", "--out", str(blocker / "reports"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_clean(self, capsys):
@@ -310,6 +337,12 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--corrupt", "0.2")
         assert code == 0
         assert "VIOLATION" in out
+
+    def test_negative_samples_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--samples", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
 
 
 class TestBoundsCommand:
@@ -365,3 +398,14 @@ class TestBoundsCommand:
         )
         assert code == 0
         assert len(target.read_text().splitlines()) == 3
+
+    def test_unusable_out_path_is_parse_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "bounds", "--table", "join", "--n", "12", "--k", "2", "--d", "3",
+            "--alpha", "0.5", "--out", str(blocker / "table.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err

@@ -187,6 +187,22 @@ class TestExactDeciders:
         for g in hosts:
             assert is_minor_free(g, pattern)
 
+    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    def test_presence_needs_no_search(self, monkeypatch, pattern):
+        hosts = {
+            CliqueMinor(4): [Graph.complete(5), Graph.complete(4)],
+            BicliqueMinor(2, 3): [Graph.complete(5), Graph.complete_bipartite(2, 3)],
+        }[pattern]
+        certificates = [has_minor(g, pattern) for g in hosts]
+
+        def never(*args):
+            raise AssertionError("branch-set search run for a membership answer")
+
+        monkeypatch.setattr(minors, "_branch_set_search", never)
+        for g, emb in zip(hosts, certificates):
+            assert not is_minor_free(g, pattern)
+            assert emb is not None and verify_minor_embedding(g, pattern, emb)
+
     def test_k4_blocks_are_k23_minor_free(self):
         # Two K4 blocks sharing a cut vertex have no K_{2,3} minor; an ear
         # between two vertices of one K4 block makes one.

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpha_extremal.graphs import (
     CliqueJoinCliques,
@@ -194,6 +196,27 @@ class TestCollatzWielandtBound:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             collatz_wielandt_bound(Graph.complete(3), 1.5)
+
+    def test_power_steps_tighten_and_stay_above(self, graphs_by_order):
+        with_isolated = 0
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                with_isolated += 0 in g.degrees()
+                for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+                    tight = collatz_wielandt_bound(g, a, 2)
+                    assert alpha_index(g, a).alpha_index - 1e-12 <= tight
+                    assert tight <= collatz_wielandt_bound(g, a)
+        assert with_isolated == 209
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))),
+        st.floats(0.0, 1.0), st.integers(0, 4))
+    def test_power_steps_property(self, graph, a, steps):
+        n, pairs = graph
+        g = Graph.from_edges(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
+        tight = collatz_wielandt_bound(g, a, steps)
+        assert alpha_index(g, a).alpha_index - 1e-12 <= tight <= collatz_wielandt_bound(g, a)
 
 
 class TestJacobi:
