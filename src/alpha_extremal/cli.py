@@ -6,8 +6,9 @@ parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
-errors (bad flags, malformed graph6 or grid syntax, a range grid of more
-than MAX_GRID_POINTS weights, an --out path that cannot be created), 3
+errors (bad flags, malformed graph6 or grid syntax, a non-finite or
+repeated weight, a range grid of more than MAX_GRID_POINTS weights, an
+--out path that cannot be created, a negative or non-finite --corrupt), 3
 domain errors (infeasible parameters, an order above the enumeration cap,
 violated preconditions) and eigensolver non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -73,9 +75,11 @@ def _creating_out():
 
 def _parse_decimal(text: str) -> str:
     try:
-        Decimal(text)
+        finite = Decimal(text).is_finite()
     except InvalidOperation as exc:
         raise CliParseError(f"not a decimal number: {text!r}") from exc
+    if not finite:
+        raise CliParseError(f"not a finite decimal number: {text!r}")
     return text
 
 
@@ -113,6 +117,8 @@ def parse_alpha_grid(spec: str) -> list[str]:
         out = [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]
     if not out:
         raise CliParseError(f"grid {spec!r} is empty")
+    if len({Decimal(p) for p in out}) < len(out):
+        raise CliParseError(f"grid {spec!r} repeats a weight")
     return out
 
 
@@ -217,6 +223,7 @@ def _cmd_alpha_index(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    check_order(args.n)
     lines = (encode_graph6(g) for g in enumerate_graphs(args.n))
     if args.out:
         with _creating_out():
@@ -273,6 +280,8 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.samples < 0:
         raise CliParseError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.corrupt < math.inf:  # also refuses nan
+        raise CliParseError(f"--corrupt must be finite and >= 0, got {args.corrupt}")
     report = sweep_inequalities(corrupt=args.corrupt, seed=args.seed, samples=args.samples)
     print(report.summary())
     return 0

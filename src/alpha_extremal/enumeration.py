@@ -26,13 +26,12 @@ that is not closed under vertex deletion (connectedness, say) loses members.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_labeling_masks, orbits_from_generators
 from .graphs import Graph
 
 ENUMERATION_CAP = 10
-PREFIX_ORDER = 6  # shards deal out the tree's nodes at order min(n, PREFIX_ORDER)
 
 
 class EnumerationCapError(ValueError):
@@ -149,26 +148,24 @@ def check_order(n: int) -> None:
 
 
 def enumerate_graphs(
-    n: int, *, shard: int = 0, nshards: int = 1, keep: Callable[[Graph], bool] = _keep_all
+    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Graph] | None = None
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of the order-n graphs that
-    ``keep`` accepts, or shard ``shard`` of ``nshards`` of that stream.
+    ``keep`` accepts, or of those that descend from ``roots``.
 
     ``keep`` must be closed under vertex deletion: it is tested on every
     node of the augmentation tree, and a rejected node's subtree is never
     generated, so a kept graph below a rejected ancestor would be lost. The
     default keeps every graph.
 
-    Shards deal out the pruned tree's nodes at order min(n, PREFIX_ORDER)
-    round robin, so the union over all shards is the whole census and shard
-    0 of 1 is the whole census in order.
+    ``roots`` are nodes of order at most n that this walk emitted with the
+    same ``keep``; each root's descendants are emitted in turn, so the roots
+    of one order, in walk order, give the whole census in order. The default
+    is the order-1 root.
     """
-    if not 0 <= shard < nshards:
-        raise ValueError(f"shard {shard} not in range(0, {nshards})")
     check_order(n)
-    root = Graph(1, (0,))
-    if not keep(root):
-        return
-    for idx, node in enumerate(_descend(root, min(PREFIX_ORDER, n), keep)):
-        if idx % nshards == shard:
-            yield from _descend(node, n, keep)
+    if roots is None:
+        root = Graph(1, (0,))
+        roots = [root] if keep(root) else []
+    for node in roots:
+        yield from _descend(node, n, keep)

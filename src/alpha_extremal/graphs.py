@@ -146,23 +146,25 @@ class Graph:
             seen |= frontier
         return seen == (1 << self.n) - 1
 
-    def is_forest(self) -> bool:
-        """Acyclicity via repeated leaf stripping."""
+    def two_core(self) -> int:
+        """Vertex mask of the 2-core: what repeated leaf stripping leaves."""
         deg = list(self.degrees())
-        alive = (1 << self.n) - 1
+        core = (1 << self.n) - 1
         stack = [v for v in range(self.n) if deg[v] <= 1]
-        removed = 0
         while stack:
             v = stack.pop()
-            if not alive >> v & 1:
+            if not core >> v & 1:
                 continue
-            alive ^= 1 << v
-            removed += 1
-            for u in iter_bits(self.adj[v] & alive):
+            core ^= 1 << v
+            for u in iter_bits(self.adj[v] & core):
                 deg[u] -= 1
                 if deg[u] == 1:
                     stack.append(u)
-        return removed == self.n
+        return core
+
+    def is_forest(self) -> bool:
+        """Acyclicity: the 2-core is empty."""
+        return self.two_core() == 0
 
     # -- derived graphs -----------------------------------------------
 

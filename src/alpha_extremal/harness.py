@@ -4,8 +4,9 @@ extremal_search runs one census per (class, order): the enumeration walk
 extends only class members, testing each child once, and at each weight of
 the grid the members are visited in decreasing order of a Collatz-Wielandt
 upper bound until no remaining bound can reach the maximum, and a member is
-solved only if its bound, tightened by a few power steps, still can; several
-workers split that one census into enumeration shards.
+solved only if its bound, tightened by a few power steps, still can. The
+member prefix of the tree, to order PREFIX_ORDER, is walked once, its nodes
+are dealt out round robin, and each worker generates the members below its own.
 check_theorem compares each weight's maximum against the predicted closed
 form and extremal construction and issues a verdict.
 sweep_inequalities evaluates every closed-form inequality in the bounds
@@ -79,6 +80,8 @@ TIE_TOL = 1e-9
 MATCH_TOL = 1e-9
 # Power steps that tighten a member's Collatz-Wielandt bound before its eigensolve.
 GATE_POWER_STEPS = 2
+# Workers are dealt the member prefix nodes of order min(n, PREFIX_ORDER).
+PREFIX_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,9 @@ def canonical_graph6(g: Graph) -> str:
 
 
 def _census_shard(args) -> list[list[tuple[Graph, float]]]:
-    """One list per weight of (member, alpha index) pairs for the class
-    members of one enumeration shard that can reach the shard's maximum.
+    """One list per weight of (member, alpha index) pairs for the order-n
+    class members below one shard's prefix nodes that can reach the shard's
+    maximum.
 
     Members are visited in decreasing collatz_wielandt_bound order, ties by
     enumeration index, and the visit stops at the first bound below the
@@ -163,9 +167,8 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     the bound and of the solve (about 1e-15): it is neither a maximizer nor
     a tie.
     """
-    n, alphas, cls, shard, nshards = args
-    members = list(enumeration.enumerate_graphs(n, shard=shard, nshards=nshards,
-                                                keep=_member_of(cls)))
+    n, alphas, cls, roots = args
+    members = list(enumeration.enumerate_graphs(n, keep=_member_of(cls), roots=roots))
     solved = []
     for a in alphas:
         bounds = [collatz_wielandt_bound(g, a) for g in members]
@@ -197,19 +200,18 @@ def extremal_search(
     Membership is decided once per tested graph; at each weight, only the
     members whose Collatz-Wielandt bounds, from the degree vector and
     tightened by power steps, can reach their shard's maximum are solved.
-    At most one process per member prefix node is started.
+    The member prefix is walked once; shard s descends from prefix nodes
+    s, s + workers, ..., and at most one process per node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
-    if workers > 1:  # no more processes than prefix nodes to deal out
-        prefix = min(n, enumeration.PREFIX_ORDER)
-        workers = sum(1 for _ in itertools.islice(
-            enumeration.enumerate_graphs(prefix, keep=_member_of(cls)), workers))
-    if workers <= 1:
-        shards = [_census_shard((n, weights, cls, 0, 1))]
+    prefix = list(enumeration.enumerate_graphs(min(n, PREFIX_ORDER), keep=_member_of(cls)))
+    workers = max(1, min(workers, len(prefix)))
+    jobs = [(n, weights, cls, prefix[s::workers]) for s in range(workers)]
+    if workers == 1:
+        shards = [_census_shard(jobs[0])]
     else:
-        jobs = [(n, weights, cls, s, workers) for s in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             shards = pool.map(_census_shard, jobs)
     results = []

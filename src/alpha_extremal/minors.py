@@ -141,21 +141,10 @@ def verify_minor_embedding(g: Graph, p: MinorPattern, emb: MinorEmbedding) -> bo
 
 def _cycle_certificate(g: Graph) -> MinorEmbedding:
     """Branch sets contracting any cycle to a triangle."""
-    # Strip leaves down to the 2-core, then walk inside it until the path
-    # closes on itself; every 2-core vertex has two core neighbors, so the
-    # walk always progresses and closes within n steps.
-    deg = list(g.degrees())
-    core = (1 << g.n) - 1
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        if not core >> v & 1:
-            continue
-        core ^= 1 << v
-        for u in iter_bits(g.adj[v] & core):
-            deg[u] -= 1
-            if deg[u] == 1:
-                stack.append(u)
+    # Walk inside the 2-core until the path closes on itself; every 2-core
+    # vertex has two core neighbors, so the walk always progresses and
+    # closes within n steps.
+    core = g.two_core()
     assert core, "cycle requested from an acyclic graph"
     start = (core & -core).bit_length() - 1
     path = [start]

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from alpha_extremal.enumeration import enumerate_graphs
@@ -15,3 +17,26 @@ def graphs_by_order():
 @pytest.fixture(scope="session")
 def graphs_order_8():
     return list(enumerate_graphs(8))
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace multiprocessing.Pool with a serial in-process map; the
+    returned list records the size of every pool opened."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return sizes

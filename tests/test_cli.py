@@ -40,6 +40,13 @@ class TestAlphaGridParsing:
             parse_alpha_grid("0.1:inf:0.1")
         with pytest.raises(CliParseError, match="finite"):
             parse_alpha_grid("nan:1:0.1")
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("0.5,sNaN")
+        # The same weight twice would solve it twice and write two reports.
+        with pytest.raises(CliParseError, match="repeats"):
+            parse_alpha_grid("0.5,0.50")
+        with pytest.raises(CliParseError, match="repeats"):
+            parse_alpha_grid("0.25,0.5,5E-1")
 
     def test_range_grid_is_counted_before_it_is_built(self, capsys):
         # 8e8 points: building the list first would take minutes and gigabytes.
@@ -128,6 +135,13 @@ class TestEnumerateCommand:
         code, _, err = run(capsys, "enumerate", "--n", "11")
         assert code == 3
         assert "cap" in err
+
+    def test_cap_refusal_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "g11.g6"
+        code, _, err = run(capsys, "enumerate", "--n", "11", "--out", str(target))
+        assert code == 3
+        assert "cap" in err
+        assert not target.exists()
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g5.g6"
@@ -337,6 +351,14 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--corrupt", "0.2")
         assert code == 0
         assert "VIOLATION" in out
+
+    @pytest.mark.parametrize("corrupt", ["-100", "inf", "nan"])
+    def test_negative_or_non_finite_corrupt_is_parse_error(self, capsys, corrupt):
+        # A negative value loosens every check, so the self-test would pass anything.
+        code, out, err = run(capsys, "sweep", "--corrupt", corrupt)
+        assert code == 2
+        assert out == ""
+        assert "--corrupt" in err
 
     def test_negative_samples_is_parse_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--samples", "-1")

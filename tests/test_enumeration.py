@@ -71,29 +71,32 @@ class TestCapAndErrors:
 
 
 class TestSharding:
+    """Splitting a walk by its nodes: round-robin shares of one order's
+    nodes, each descended from as ``roots``, cover the census."""
+
     @pytest.mark.parametrize("nshards", [2, 3, 5])
     def test_union_equals_full_enumeration(self, nshards, graphs_by_order):
         full = [encode_graph6(g) for g in graphs_by_order[7]]
-        merged = []
-        for shard in range(nshards):
-            merged.extend(
-                encode_graph6(g) for g in enumerate_graphs(7, shard=shard, nshards=nshards)
-            )
+        prefix = graphs_by_order[6]
+        merged = [
+            encode_graph6(g)
+            for shard in range(nshards)
+            for g in enumerate_graphs(7, roots=prefix[shard::nshards])
+        ]
         assert sorted(merged) == sorted(full)
         assert len(merged) == len(set(merged))
 
     def test_single_shard_is_identity(self, graphs_by_order):
-        for n in (5, 7):  # below and above the prefix order 6
+        # The descents from one order's nodes, in node order, are the walk.
+        for n, m in ((5, 5), (7, 6), (7, 3), (6, 1)):
             full = [encode_graph6(g) for g in graphs_by_order[n]]
-            assert [encode_graph6(g) for g in enumerate_graphs(n, shard=0, nshards=1)] == full
+            descents = [encode_graph6(g) for g in enumerate_graphs(n, roots=graphs_by_order[m])]
+            assert descents == full
 
     def test_order_one(self):
-        assert [g.n for g in enumerate_graphs(1, shard=0, nshards=2)] == [1]
-        assert list(enumerate_graphs(1, shard=1, nshards=2)) == []
-
-    def test_bad_shard_index(self):
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(4, shard=2, nshards=2))
+        prefix = list(enumerate_graphs(1))
+        assert [g.n for g in enumerate_graphs(1, roots=prefix[0::2])] == [1]
+        assert list(enumerate_graphs(1, roots=prefix[1::2])) == []
 
 
 class TestPrunedWalk:
@@ -110,11 +113,13 @@ class TestPrunedWalk:
     def test_shard_union_equals_single_shard(self, name):
         keep = HEREDITARY[name]
         whole = [encode_graph6(g) for g in enumerate_graphs(7, keep=keep)]
+        prefix = list(enumerate_graphs(6, keep=keep))
+        assert [encode_graph6(g) for g in enumerate_graphs(7, keep=keep, roots=prefix)] == whole
         for nshards in (2, 3, 5):
             merged = [
                 encode_graph6(g)
                 for shard in range(nshards)
-                for g in enumerate_graphs(7, shard=shard, nshards=nshards, keep=keep)
+                for g in enumerate_graphs(7, keep=keep, roots=prefix[shard::nshards])
             ]
             assert sorted(merged) == sorted(whole)
 

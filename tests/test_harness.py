@@ -4,6 +4,7 @@ import re
 import jsonschema
 import pytest
 
+from alpha_extremal import harness
 from alpha_extremal.bounds import StarForestSpec, complete_split_quadratic
 from alpha_extremal.graphs import CliqueJoinMatching, Graph, construct, disjoint_union
 from alpha_extremal.harness import (
@@ -110,28 +111,26 @@ class TestExtremalSearch:
         (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 156),  # every order-6 graph is a member
         (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
     ])
-    def test_pool_clamped_to_prefix_nodes(self, monkeypatch, n, cls, workers, size):
-        import multiprocessing
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    def test_pool_clamped_to_prefix_nodes(self, in_process_pool, n, cls, workers, size):
         clamped = extremal_search(n, [0.5], cls, workers=workers)
-        assert sizes == [size]
+        assert in_process_pool == [size]
         assert clamped == extremal_search(n, [0.5], cls, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_prefix_walked_once(self, monkeypatch, in_process_pool, workers):
+        # Each tree node is tested once at any worker count: 46 class_member
+        # calls walk the forests of orders 1 to 6, one checks the predicted
+        # witness.
+        calls = []
+
+        def counted(g, cls):
+            calls.append(g)
+            return class_member(g, cls)
+
+        monkeypatch.setattr(harness, "class_member", counted)
+        check_theorem(CliqueMinorFree(3), 6, [0.5], workers=workers)
+        assert len(calls) == 47
+        assert in_process_pool == ([3] if workers > 1 else [])
 
     @pytest.mark.parametrize("cls", [
         CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
