@@ -315,7 +315,8 @@ def predicted_value(cls: ForbiddenClass, n: int, alpha: float) -> float:
         return clique_join_quadratic(n, cls.s, cls.t, a).largest_root
     spec = cls.spec
     if spec.min_degree == 1:
-        return complete_split_quadratic(n, spec.k, a).largest_root
+        # Not complete_split_quadratic: at n = k-1 its root can exceed the index.
+        return quotient_alpha_index(CompleteSplit(n, spec.k - 1), a)
     return clique_join_quadratic(n, spec.k, spec.min_degree, a).largest_root
 
 

@@ -99,17 +99,26 @@ class TestAlphaIndexCommand:
         assert "p*t" in err
 
     def test_non_convergence_is_domain_error(self, capsys, monkeypatch):
-        import functools
-
         from alpha_extremal import spectral
 
-        one_sweep = functools.partial(spectral.jacobi_eigensystem, max_sweeps=1)
-        monkeypatch.setattr(spectral, "jacobi_eigensystem", one_sweep)
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
         code, _, err = run(
             capsys, "alpha-index", "--family", "split", "--n", "6", "--m", "2", "--alpha", "0.5"
         )
         assert code == 3
         assert err.startswith("error:") and "did not converge" in err
+
+    @pytest.mark.slow
+    def test_large_many_block_join_converges(self, capsys):
+        # A many-block join that needs 310 sweeps, within the sweep budget.
+        code, out, _ = run(
+            capsys, "alpha-index", "--family", "matching", "--n", "100", "--k", "3",
+            "--alpha", "0.5",
+        )
+        assert code == 0
+        fields = dict(map(str.strip, line.split("=")) for line in out.splitlines() if "=" in line)
+        assert float(fields["alpha index"]) == pytest.approx(51.0, abs=1e-9)
+        assert float(fields["residual"]) <= 1e-10
 
     def test_missing_family_param(self, capsys):
         code, _, err = run(capsys, "alpha-index", "--family", "split", "--alpha", "0.5")
@@ -176,6 +185,18 @@ class TestEnumerateCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize(
+        "degrees,n,alpha,rho", [("1,1", "1", "0.5", 0.0), ("1,1,1", "2", "0.75", 1.0)]
+    )
+    def test_star_forest_clique_witness_matches(self, capsys, degrees, n, alpha, rho):
+        # At n = k-1 the witness is the clique K_{k-1}, of index k-2; the
+        # complete split quadratic's root there is max(k-2, a(k-1)).
+        code, out, _ = run(
+            capsys, "check", "--theorem", "T3", "--degrees", degrees, "--n", n, "--alpha", alpha,
+        )
+        assert code == 0
+        assert f"max={rho} predicted={rho} verdict=MATCH" in out
+
     def test_text_run(self, capsys):
         code, out, _ = run(
             capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",

@@ -226,14 +226,30 @@ class TestJacobi:
         assert list(values) == [3.0, 1.0, 2.0]
         assert np.array_equal(vectors, np.eye(3))
 
-    def test_eigensystem_reconstructs_matrix(self):
-        rng = np.random.default_rng(11)
-        base = rng.normal(size=(12, 12))
-        sym = (base + base.T) / 2
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))))
+    def test_eigensystem_reconstructs_matrix(self, matrix):
+        # Exactly symmetric input: the solver copies rotated rows into columns.
+        n, entries = matrix
+        upper = np.zeros((n, n))
+        upper[np.triu_indices(n)] = entries
+        sym = upper + np.triu(upper, 1).T
         values, vectors, _ = jacobi_eigensystem(sym)
         again = vectors @ np.diag(values) @ vectors.T
         assert np.allclose(again, sym, atol=1e-11)
-        assert np.allclose(vectors.T @ vectors, np.eye(12), atol=1e-12)
+        assert np.allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec", [CliqueJoinMatching(100, 3), CliqueJoinCliques(100, 2, 3, 33)])
+    def test_order_100_joins_converge(self, spec):
+        # The paper's many-block joins: 310 and 410 sweeps at weight 1/2.
+        g = construct(spec)
+        result = alpha_index(g, 0.5)
+        assert result.residual <= 1e-10
+        oracle = np.linalg.eigvalsh(alpha_matrix(g, 0.5))[-1]
+        assert abs(result.alpha_index - oracle) <= 1e-9
 
     def test_high_multiplicity_spectrum(self):
         # Joins of many equal blocks: the slow-draining case for Jacobi.
