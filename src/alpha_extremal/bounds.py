@@ -26,23 +26,12 @@ class QuadraticBound:
     def discriminant(self) -> float:
         return self.b * self.b - 4.0 * self.c
 
-    def evaluate(self, x: float) -> float:
-        return x * x + self.b * x + self.c
-
     @property
     def largest_root(self) -> float:
         disc = self.discriminant()
         if disc < 0.0:
             raise ValueError(f"quadratic x^2 + {self.b}x + {self.c} has no real root")
         return (-self.b + math.sqrt(disc)) / 2.0
-
-    @property
-    def smallest_root(self) -> float:
-        # Companion root via c/r avoids cancellation when |r| dominates.
-        r = self.largest_root
-        if r != 0.0:
-            return self.c / r
-        return (-self.b - math.sqrt(self.discriminant())) / 2.0
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,14 @@ def canonical_labeling_masks(
             return
         cell = cells[target]
         tried: set[int] = set()
+        fixers: list[tuple[int, ...]] = []  # the generators gens[:seen] that fix path
+        seen = 0
         for u in cell:
             if tried:
                 # Skip u when some automorphism fixing the current prefix
                 # maps it into an already-explored sibling.
-                fixers = [g for g in gens if all(g[x] == x for x in path)]
+                fixers += [g for g in gens[seen:] if all(g[x] == x for x in path)]
+                seen = len(gens)
                 if fixers:
                     orbit = {u}
                     frontier = [u]

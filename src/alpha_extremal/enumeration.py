@@ -11,8 +11,13 @@ the new vertex sits in that orbit, and neighbor sets are tried once per
 Aut(parent) orbit. Together this emits exactly one representative per
 isomorphism class, deterministically, with no global dedup table.
 
-Since the deletion vertex always has minimum degree, neighbor sets larger
-than min_degree(parent) + 1 can never be accepted and are not generated.
+Since the deletion vertex has minimum degree, neighbor sets have at most
+min_degree(parent) + 1 vertices, and at that size they hold every vertex of
+minimum degree (as in McKay's ``geng``). A child is canonically labeled
+only when some vertex ties with the new one on (degree, sorted neighbor
+degrees); that labeling also yields the automorphisms its own children are
+tried under, so within one walk no node is labeled twice, and a rejected
+child with no tie is never labeled.
 
 Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
 So for a predicate ``keep`` that is closed under vertex deletion (every
@@ -29,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_labeling_masks, orbits_from_generators
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 ENUMERATION_CAP = 10
 
@@ -42,43 +47,27 @@ def _degrees(adj: tuple[int, ...]) -> list[int]:
     return [row.bit_count() for row in adj]
 
 
-def _accept(n: int, adj: tuple[int, ...]) -> bool:
-    """Is vertex n-1 a canonical deletion vertex of this order-n graph?"""
+def _deletion_candidates(n: int, adj: tuple[int, ...]) -> list[int]:
+    """Vertex n-1 (of minimum degree) and the vertices tied with it on
+    (degree, sorted neighbor degrees); empty when some vertex beats it."""
     degs = _degrees(adj)
     v = n - 1
-    mind = min(degs)
-    if degs[v] > mind:
-        return False
-    min_set = [u for u in range(n) if degs[u] == mind]
-    if len(min_set) == 1:
-        return True
+    min_set = [u for u in range(v) if degs[u] == degs[v]]
+    if not min_set:
+        return [v]
 
-    def kappa(u: int) -> tuple[int, ...]:
-        row = adj[u]
-        out = []
-        while row:
-            low = row & -row
-            out.append(degs[low.bit_length() - 1])
-            row ^= low
-        out.sort()
-        return tuple(out)
+    def kappa(u: int) -> list[int]:
+        return sorted([degs[w] for w in iter_bits(adj[u])])
 
     kv = kappa(v)
     candidates = [v]
     for u in min_set:
-        if u == v:
-            continue
         ku = kappa(u)
         if ku < kv:
-            return False
+            return []
         if ku == kv:
             candidates.append(u)
-    if len(candidates) == 1:
-        return True
-    perm, gens = canonical_labeling_masks(n, adj)
-    orbit = orbits_from_generators(n, gens)
-    chosen = min(candidates, key=lambda u: perm[u])
-    return orbit[chosen] == orbit[v]
+    return candidates
 
 
 def _permute_mask(mask: int, g: tuple[int, ...]) -> int:
@@ -106,13 +95,25 @@ def _is_orbit_min(mask: int, gens: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _children(m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Accepted one-vertex extensions of an order-m graph, in deterministic order."""
+def _children(
+    m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(child, deletion candidates) for the one-vertex extensions of an
+    order-m graph whose new vertex has minimum degree and no vertex beats it,
+    one neighbor set per Aut orbit, in (size, lexicographic) order.
+
+    A vertex of degree below the size must join the neighbor set, or it
+    would end below the new vertex; that happens only at min_degree + 1.
+    """
     degs = _degrees(adj)
-    max_size = min(m, (min(degs) if m else 0) + 1)
-    for size in range(max_size + 1):
-        for combo in combinations(range(m), size):
-            mask = 0
+    for size in range(min(m, min(degs) + 1) + 1):
+        forced = [u for u in range(m) if degs[u] < size]
+        if len(forced) > size:
+            break
+        base = sum(1 << u for u in forced)
+        free = [u for u in range(m) if degs[u] >= size]
+        for combo in combinations(free, size - len(forced)):
+            mask = base
             for u in combo:
                 mask |= 1 << u
             if gens and not _is_orbit_min(mask, gens):
@@ -120,19 +121,33 @@ def _children(m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]) -> Iter
             child = tuple(
                 row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(adj)
             ) + (mask,)
-            if _accept(m + 1, child):
-                yield child
+            candidates = _deletion_candidates(m + 1, child)
+            if candidates:
+                yield child, candidates
 
 
-def _descend(g: Graph, target: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
+def _descend(
+    g: Graph, target: int, keep: Callable[[Graph], bool], gens: list[tuple[int, ...]] | None
+) -> Iterator[Graph]:
+    """The kept order-target descendants of g; ``gens`` generate Aut(g), or
+    are None when g is not labeled yet."""
     if g.n == target:
         yield g
         return
-    gens = canonical_labeling_masks(g.n, g.adj)[1] if g.n > 1 else []
-    for adj in _children(g.n, g.adj, gens):
+    if gens is None:
+        gens = canonical_labeling_masks(g.n, g.adj)[1]
+    for adj, candidates in _children(g.n, g.adj, gens):
+        child_gens = None
+        if len(candidates) > 1:
+            # Accept only when the new vertex is in the orbit of the tied
+            # candidate that the canonical labeling puts first.
+            perm, child_gens = canonical_labeling_masks(g.n + 1, adj)
+            orbit = orbits_from_generators(g.n + 1, child_gens)
+            if orbit[min(candidates, key=perm.__getitem__)] != orbit[g.n]:
+                continue
         child = Graph(g.n + 1, adj)
         if keep(child):
-            yield from _descend(child, target, keep)
+            yield from _descend(child, target, keep, child_gens)
 
 
 def _keep_all(g: Graph) -> bool:
@@ -153,10 +168,10 @@ def enumerate_graphs(
     """One representative per isomorphism class of the order-n graphs that
     ``keep`` accepts, or of those that descend from ``roots``.
 
-    ``keep`` must be closed under vertex deletion: it is tested on every
-    node of the augmentation tree, and a rejected node's subtree is never
-    generated, so a kept graph below a rejected ancestor would be lost. The
-    default keeps every graph.
+    ``keep`` must be closed under vertex deletion: it is tested once on every
+    node of the augmentation tree (whose last vertex has minimum degree), and
+    a rejected node's subtree is never generated, so a kept graph below a
+    rejected ancestor would be lost. The default keeps every graph.
 
     ``roots`` are nodes of order at most n that this walk emitted with the
     same ``keep``; each root's descendants are emitted in turn, so the roots
@@ -168,4 +183,4 @@ def enumerate_graphs(
         root = Graph(1, (0,))
         roots = [root] if keep(root) else []
     for node in roots:
-        yield from _descend(node, n, keep)
+        yield from _descend(node, n, keep, None)

@@ -8,7 +8,6 @@ in the package cheap. Graph values are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Union
 
 
@@ -177,32 +176,6 @@ class Graph:
                 new_row |= 1 << perm[u]
             adj[perm[v]] = new_row
         return Graph(self.n, tuple(adj))
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"no edge ({u},{v}) to delete")
-        adj = list(self.adj)
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        return Graph(self.n, tuple(adj))
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v or self.has_edge(u, v):
-            raise ValueError(f"cannot add edge ({u},{v})")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in combinations(keep, 2)
-            if self.has_edge(u, v)
-        ]
-        return Graph.from_edges(len(keep), edges)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

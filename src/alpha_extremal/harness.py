@@ -71,6 +71,8 @@ from .minors import BicliqueMinor, CliqueMinor, is_minor_free
 from .spectral import (
     alpha_index,
     collatz_wielandt_bound,
+    degree_sums,
+    degree_vector_bound,
     quotient_alpha_index,
     require_open_weight,
 )
@@ -156,22 +158,26 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     class members below one shard's prefix nodes that can reach the shard's
     maximum.
 
-    Members are visited in decreasing collatz_wielandt_bound order, ties by
-    enumeration index, and the visit stops at the first bound below the
-    shard's best minus 2*TIE_TOL. Before its eigensolve, each member's bound
-    is tightened by GATE_POWER_STEPS power steps, and the member is skipped
-    when that bound is below the same margin. Both bounds are valid for the
-    member's index (every power iterate is a positive Collatz-Wielandt
-    vector), so a skipped member falls short of the shard's best, and hence
-    of the global maximum, by more than 2*TIE_TOL minus the float error of
-    the bound and of the solve (about 1e-15): it is neither a maximizer nor
-    a tie.
+    Members are visited in decreasing degree_vector_bound order (their
+    degree sums found once for all weights), ties by enumeration index, and
+    the visit stops at the first bound below the shard's best minus
+    2*TIE_TOL. Before its eigensolve, each member's bound is tightened by
+    GATE_POWER_STEPS power steps, and the member is skipped when that bound
+    is below the same margin. Both bounds are valid for the member's index
+    (every power iterate is a positive Collatz-Wielandt vector), so a
+    skipped member falls short of the shard's best, and hence of the global
+    maximum, by more than 2*TIE_TOL minus the float error of the bound and
+    of the solve (about 1e-15): it is neither a maximizer nor a tie.
     """
     n, alphas, cls, roots = args
     members = list(enumeration.enumerate_graphs(n, keep=_member_of(cls), roots=roots))
+    table = [[] for _ in alphas]  # per weight, each member's degree-vector bound
+    for g in members:
+        sums = degree_sums(g)
+        for bounds, a in zip(table, alphas):
+            bounds.append(degree_vector_bound(sums, a))
     solved = []
-    for a in alphas:
-        bounds = [collatz_wielandt_bound(g, a) for g in members]
+    for a, bounds in zip(alphas, table):
         pairs = []
         best = -math.inf
         for i in sorted(range(len(members)), key=lambda i: (-bounds[i], i)):
@@ -415,10 +421,6 @@ class SweepReport:
     checked: int = 0
     skipped: int = 0
     violations: list[SweepViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def summary(self) -> str:
         lines = [

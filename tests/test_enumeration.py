@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+from alpha_extremal import enumeration
 from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.canon import canonical_form
 from alpha_extremal.enumeration import EnumerationCapError, enumerate_graphs
@@ -24,6 +26,14 @@ HEREDITARY = {
     "S2+S2-free": lambda g: is_star_forest_free(g, StarForestSpec((2, 2))),
     "S3+S1-free": lambda g: is_star_forest_free(g, StarForestSpec((3, 1))),
 }
+
+
+def stream_digest(graphs):
+    """SHA-256 of the walk's graph6 stream, one graph per line."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(encode_graph6(g).encode() + b"\n")
+    return h.hexdigest()
 
 
 def brute_force_classes(n):
@@ -126,3 +136,63 @@ class TestPrunedWalk:
     def test_rejected_root_yields_nothing(self):
         assert list(enumerate_graphs(1, keep=lambda g: False)) == []
         assert list(enumerate_graphs(4, keep=lambda g: False)) == []
+
+
+class TestWalkPins:
+    """The walk's output, byte for byte, as the generator before
+    degree-targeted neighbor sets and membership-first labeling emitted it."""
+
+    def test_all_graphs_order_8(self, graphs_order_8):
+        assert stream_digest(graphs_order_8) == (
+            "ad1646ccda544491b0f23beea4fe1cfa17367486991a0e6c42bda8c4c04a4105"
+        )
+
+    @pytest.mark.parametrize("name, digest", [
+        ("K4-minor-free", "aac31a8a7dbbc5c625d39e7e087457e609b32237eef510ee3c156c29a08060fb"),
+        ("S2+S2-free", "5675f2b388b4029f737c053bfd547207000b292a5281ebe2e94f071ce57c6120"),
+    ])
+    def test_pruned_order_9(self, name, digest):
+        assert stream_digest(enumerate_graphs(9, keep=HEREDITARY[name])) == digest
+
+
+class TestKeepContract:
+    @pytest.mark.parametrize("name", [None] + sorted(HEREDITARY))
+    def test_sees_each_node_once_last_vertex_at_minimum_degree(self, name):
+        seen = []
+
+        def keep(g):
+            seen.append(g)
+            return name is None or HEREDITARY[name](g)
+
+        for _ in enumerate_graphs(7, keep=keep):
+            pass
+        assert seen
+        assert len({canonical_form(g) for g in seen}) == len(seen)
+        for g in seen:
+            degrees = g.degrees()
+            assert degrees[-1] == min(degrees)
+
+    @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
+    def test_nodes_labeled_once_and_untied_rejects_never(self, monkeypatch, name):
+        keep = HEREDITARY.get(name, lambda g: True)
+        rejected = []
+        labeled = []
+        label = enumeration.canonical_labeling_masks
+
+        def noted(g):
+            if keep(g):
+                return True
+            rejected.append(g)
+            return False
+
+        def counted(n, adj):
+            labeled.append(adj)
+            return label(n, adj)
+
+        monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
+        for _ in enumerate_graphs(7, keep=noted):
+            pass
+        assert len(labeled) == len(set(labeled))
+        for g in rejected:
+            tied = len(enumeration._deletion_candidates(g.n, g.adj)) > 1
+            assert (g.adj in labeled) == tied

@@ -24,6 +24,7 @@ from alpha_extremal.spectral import (
     quotient_matrix,
     require_weight,
 )
+from conftest import delete_edge
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -133,7 +134,7 @@ class TestAlphaIndex:
             g = connected[int(idx)]
             edges = g.edges()
             u, v = edges[int(rng.integers(len(edges)))]
-            smaller = g.delete_edge(u, v)
+            smaller = delete_edge(g, u, v)
             for a in (0.25, 0.5, 0.75):
                 assert alpha_index(g, a).alpha_index > alpha_index(smaller, a).alpha_index + 1e-9
 
@@ -178,24 +179,24 @@ class TestCollatzWielandtBound:
             for g in graphs_by_order[n]:
                 with_isolated += 0 in g.degrees()
                 for a in (0.1, 0.25, 0.5, 0.75, 0.9):
-                    assert collatz_wielandt_bound(g, a) >= alpha_index(g, a).alpha_index - 1e-12
+                    assert collatz_wielandt_bound(g, a, 0) >= alpha_index(g, a).alpha_index - 1e-12
         assert with_isolated == 1 + 1 + 2 + 4 + 11 + 34 + 156  # the graphs of order n - 1
 
     def test_exact_on_regular_components(self):
-        assert collatz_wielandt_bound(Graph.cycle(7), 0.3) == 2.0
-        assert collatz_wielandt_bound(Graph.complete(5), 0.8) == pytest.approx(4.0, abs=1e-15)
-        assert collatz_wielandt_bound(Graph.empty(4), 0.5) == 0.0
+        assert collatz_wielandt_bound(Graph.cycle(7), 0.3, 0) == 2.0
+        assert collatz_wielandt_bound(Graph.complete(5), 0.8, 0) == pytest.approx(4.0, abs=1e-15)
+        assert collatz_wielandt_bound(Graph.empty(4), 0.5, 0) == 0.0
 
     def test_star_closed_form(self):
         # Centre: 3a + (1-a)*3/3; leaves: a + (1-a)*3. The index is below both.
         for a in (0.2, 0.5, 0.7):
-            bound = collatz_wielandt_bound(Graph.star(3), a)
+            bound = collatz_wielandt_bound(Graph.star(3), a, 0)
             assert bound == pytest.approx(max(1 + 2 * a, 3 - 2 * a), abs=1e-15)
             assert bound >= alpha_index(Graph.star(3), a).alpha_index
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            collatz_wielandt_bound(Graph.complete(3), 1.5)
+            collatz_wielandt_bound(Graph.complete(3), 1.5, 0)
 
     def test_power_steps_tighten_and_stay_above(self, graphs_by_order):
         with_isolated = 0
@@ -205,7 +206,7 @@ class TestCollatzWielandtBound:
                 for a in (0.1, 0.25, 0.5, 0.75, 0.9):
                     tight = collatz_wielandt_bound(g, a, 2)
                     assert alpha_index(g, a).alpha_index - 1e-12 <= tight
-                    assert tight <= collatz_wielandt_bound(g, a)
+                    assert tight <= collatz_wielandt_bound(g, a, 0)
         assert with_isolated == 209
 
     @settings(max_examples=60, deadline=None)
@@ -216,7 +217,7 @@ class TestCollatzWielandtBound:
         n, pairs = graph
         g = Graph.from_edges(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
         tight = collatz_wielandt_bound(g, a, steps)
-        assert alpha_index(g, a).alpha_index - 1e-12 <= tight <= collatz_wielandt_bound(g, a)
+        assert alpha_index(g, a).alpha_index - 1e-12 <= tight <= collatz_wielandt_bound(g, a, 0)
 
 
 class TestJacobi:
