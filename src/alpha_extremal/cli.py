@@ -24,6 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
 
 from .bounds import (
@@ -288,61 +289,52 @@ def _cmd_sweep(args) -> int:
 
 
 def _bounds_rows(args) -> tuple[list[str], list[list[str]]]:
-    def fmt(x) -> str:
-        return repr(float(x))
-
+    """The table's header and one row per point: the point's key cells, its
+    values (floats in repr, None as empty) and an empty reason, or, when the
+    values raise ValueError, empty value cells and the error as the reason."""
+    n, k, d = args.n, args.k, args.d
     if args.table == "split":
-        if args.n is None or args.k is None:
+        if n is None or k is None:
             raise CliParseError("--table split needs --n and --k")
         header = ["alpha", "n", "k", "lower_bound_1", "lower_bound_2", "largest_root", "gap", "reason"]
-        rows = []
-        for alpha_str in parse_alphas(args):
-            a = float(Decimal(alpha_str))
-            try:
-                low1, low2 = complete_split_lower_bounds(args.n, args.k, a)
-                root = complete_split_quadratic(args.n, args.k, a).largest_root
-                gap = lower_bound_gap(args.k, a)
-                rows.append([alpha_str, str(args.n), str(args.k), fmt(low1),
-                             fmt(low2) if low2 is not None else "", fmt(root), fmt(gap), ""])
-            except ValueError as exc:
-                rows.append([alpha_str, str(args.n), str(args.k), "", "", "", "", str(exc)])
-        return header, rows
+        keys = [str(n), str(k)]
 
-    if args.table == "join":
-        if args.n is None or args.k is None or args.d is None:
+        def values(a):
+            return [*complete_split_lower_bounds(n, k, a),
+                    complete_split_quadratic(n, k, a).largest_root, lower_bound_gap(k, a)]
+    elif args.table == "join":
+        if n is None or k is None or d is None:
             raise CliParseError("--table join needs --n, --k and --d")
         header = ["alpha", "n", "k", "d", "largest_root", "reason"]
-        rows = []
-        for alpha_str in parse_alphas(args):
-            a = float(Decimal(alpha_str))
-            try:
-                root = clique_join_quadratic(args.n, args.k, args.d, a).largest_root
-                rows.append([alpha_str, str(args.n), str(args.k), str(args.d), fmt(root), ""])
-            except ValueError as exc:
-                rows.append([alpha_str, str(args.n), str(args.k), str(args.d), "", str(exc)])
-        return header, rows
+        keys = [str(n), str(k), str(d)]
 
-    if args.n is None:
-        raise CliParseError("--table q needs --n")
-    header = ["n", "family", "parameters", "q_bound", "twice_join_root", "reason"]
+        def values(a):
+            return [clique_join_quadratic(n, k, d, a).largest_root]
+    if args.table != "q":
+        points = [([a, *keys], partial(values, float(Decimal(a)))) for a in parse_alphas(args)]
+    else:
+        if n is None:
+            raise CliParseError("--table q needs --n")
+        header = ["n", "family", "parameters", "q_bound", "twice_join_root", "reason"]
+        points = []
+        if args.s is not None and args.t is not None:
+            s, t = args.s, args.t
+            points.append(([str(n), "biclique", f"s={s};t={t}"], lambda: [
+                biclique_q_bound(n, s, t), 2 * clique_join_quadratic(n, s, t, 0.5).largest_root]))
+        if args.degrees is not None:
+            spec = StarForestSpec(_parse_degrees(args.degrees))
+            points.append(([str(n), "star_forest", spec.label()], lambda: [
+                star_forest_q_bound(n, spec),
+                2 * clique_join_quadratic(n, spec.k, spec.min_degree, 0.5).largest_root]))
+        if not points:
+            raise CliParseError("--table q needs --s/--t or --degrees")
     rows = []
-    if args.s is not None and args.t is not None:
+    for key_cells, compute in points:
         try:
-            value = biclique_q_bound(args.n, args.s, args.t)
-            twice = 2 * clique_join_quadratic(args.n, args.s, args.t, 0.5).largest_root
-            rows.append([str(args.n), "biclique", f"s={args.s};t={args.t}", fmt(value), fmt(twice), ""])
+            cells, reason = ["" if x is None else repr(float(x)) for x in compute()], ""
         except ValueError as exc:
-            rows.append([str(args.n), "biclique", f"s={args.s};t={args.t}", "", "", str(exc)])
-    if args.degrees is not None:
-        spec = StarForestSpec(_parse_degrees(args.degrees))
-        try:
-            value = star_forest_q_bound(args.n, spec)
-            twice = 2 * clique_join_quadratic(args.n, spec.k, spec.min_degree, 0.5).largest_root
-            rows.append([str(args.n), "star_forest", spec.label(), fmt(value), fmt(twice), ""])
-        except ValueError as exc:
-            rows.append([str(args.n), "star_forest", spec.label(), "", "", str(exc)])
-    if not rows:
-        raise CliParseError("--table q needs --s/--t or --degrees")
+            cells, reason = [""] * (len(header) - len(key_cells) - 1), str(exc)
+        rows.append(key_cells + cells + [reason])
     return header, rows
 
 

@@ -7,8 +7,11 @@ upper bound until no remaining bound can reach the maximum, and a member is
 solved only if its bound, tightened by a few power steps, still can. The
 member prefix of the tree, to order PREFIX_ORDER, is walked once, its nodes
 are dealt out round robin, and each worker generates the members below its own.
-check_theorem compares each weight's maximum against the predicted closed
-form and extremal construction and issues a verdict.
+check_theorem compares each weight's maximum against one prediction rule,
+the alpha index of the claim's own construction (from its equitable
+quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
+feasible construction at the order is the clique-join quadratic's root, an
+upper bound for the class, predicted instead.
 sweep_inequalities evaluates every closed-form inequality in the bounds
 module over fixed grids: one generator per check family yields rows
 (check, params, lhs, relation, rhs, witness graph or None), or SKIP for an
@@ -32,7 +35,7 @@ import itertools
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -250,34 +253,18 @@ class VerificationReport:
     notes: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "class": self.class_label,
-            "n": self.n,
-            "alpha": self.alpha,
-            "exhaustive_max": self.exhaustive_max,
-            "witnesses": list(self.witnesses),
-            "predicted_value": self.predicted_value,
-            "predicted_witness": self.predicted_witness,
-            "verdict": self.verdict,
-            "threshold_satisfied": self.threshold_satisfied,
-            "notes": self.notes,
-        }
+        """The fields in declaration order, keyed by REPORT_CSV_COLUMNS."""
+        d = {key: getattr(self, f.name) for key, f in zip(REPORT_CSV_COLUMNS, fields(self))}
+        d["witnesses"] = list(self.witnesses)
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+# The report's field names, with class_label written as "class".
 REPORT_CSV_COLUMNS = [
-    "class",
-    "n",
-    "alpha",
-    "exhaustive_max",
-    "witnesses",
-    "predicted_value",
-    "predicted_witness",
-    "verdict",
-    "threshold_satisfied",
-    "notes",
+    "class" if f.name == "class_label" else f.name for f in fields(VerificationReport)
 ]
 
 
@@ -294,7 +281,10 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 
 def predicted_witness_spec(cls: ForbiddenClass, n: int) -> ConstructionSpec | None:
-    """The construction claimed extremal, when it is feasible at this order."""
+    """The construction claimed extremal at this order. When it is
+    infeasible: None for T2 and T3 with d_k >= 2, which fall back on the
+    clique-join quadratic; FeasibilityError for the complete split graphs of
+    T1 and T3 with d_k = 1, which have no fallback."""
     if isinstance(cls, CliqueMinorFree):
         spec = CompleteSplit(n, cls.r - 2)
     elif isinstance(cls, BicliqueMinorFree):
@@ -308,22 +298,23 @@ def predicted_witness_spec(cls: ForbiddenClass, n: int) -> ConstructionSpec | No
     try:
         require_feasible(spec)
     except FeasibilityError:
+        if isinstance(spec, CompleteSplit):
+            raise
         return None
     return spec
 
 
-def predicted_value(cls: ForbiddenClass, n: int, alpha: float) -> float:
-    """Closed-form prediction for the extremal alpha index of the class."""
+def predicted_value(cls: ForbiddenClass, n: int, spec: ConstructionSpec | None,
+                    alpha: float) -> float:
+    """The predicted extremal alpha index at order n: that of the construction
+    ``spec = predicted_witness_spec(cls, n)``, or, when there is none, the
+    root of the clique-join quadratic (which refuses weights below its order
+    minimum)."""
     a = require_open_weight(alpha)
-    if isinstance(cls, CliqueMinorFree):
-        return quotient_alpha_index(CompleteSplit(n, cls.r - 2), a)
-    if isinstance(cls, BicliqueMinorFree):
-        return clique_join_quadratic(n, cls.s, cls.t, a).largest_root
-    spec = cls.spec
-    if spec.min_degree == 1:
-        # Not complete_split_quadratic: at n = k-1 its root can exceed the index.
-        return quotient_alpha_index(CompleteSplit(n, spec.k - 1), a)
-    return clique_join_quadratic(n, spec.k, spec.min_degree, a).largest_root
+    if spec is not None:
+        return quotient_alpha_index(spec, a)
+    k, d = (cls.s, cls.t) if isinstance(cls, BicliqueMinorFree) else (cls.spec.k, cls.spec.min_degree)
+    return clique_join_quadratic(n, k, d, a).largest_root
 
 
 def claim_threshold_satisfied(cls: ForbiddenClass, n: int, alpha: float) -> bool:
@@ -364,17 +355,18 @@ def check_theorem(
     """Exhaustively test one extremal claim at one order over a weight grid;
     one report per weight, in the given order.
 
-    An order above the enumeration cap is refused before any work, and every
-    predicted value is computed before the census, so an infeasible weight
-    fails before any search. The predicted construction is
-    independently validated for class membership; a failure there would
-    falsify the construction side of the claim and raises instead of
-    reporting.
+    Each weight is predicted from the claim's construction, found once. An
+    order above the enumeration cap is refused before any work, and every
+    predicted value is computed before the census, so a weight that the
+    quadratic fallback refuses fails before any search. The predicted
+    construction is independently validated for class membership; a
+    failure there would falsify the construction side of the claim and
+    raises instead of reporting.
     """
     enumeration.check_order(n)
     weights = [require_open_weight(a) for a in alphas]
-    values = [predicted_value(cls, n, a) for a in weights]
     spec = predicted_witness_spec(cls, n)
+    values = [predicted_value(cls, n, spec, a) for a in weights]
     witness_g6 = None
     if spec is not None:
         witness_graph = construct(spec)

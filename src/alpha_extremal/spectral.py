@@ -13,13 +13,15 @@ eigenvalue, from the degree vector (via degree_sums, which does not depend on
 the weight) and from a few power iterates of it, which let a census order its
 members and skip those that cannot reach its maximum.
 
-Join constructions with a regular non-clique part admit a tiny equitable
-quotient whose largest eigenvalue equals the full graph's exactly; that
-cross-check route is exposed as quotient_alpha_index.
+Every join construction has a tiny equitable quotient (one class per
+regular block) whose largest eigenvalue equals the full graph's exactly.
+quotient_alpha_index builds its symmetrized form in closed form, exactly
+symmetric, and is how the harness predicts each claim's extremal value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,44 +210,28 @@ def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)
 
 
-def quotient_matrix(spec: ConstructionSpec, alpha: float) -> np.ndarray:
-    """Equitable-quotient matrix of a join construction.
-
-    One class per regular block (clique part first). 2x2 for the families
-    whose non-clique part is regular; the matching family with a leftover
-    isolated vertex needs a third class.
-    """
-    a = require_weight(alpha)
-    clique, parts = quotient_classes(spec)
-    classes = []  # (size, within-class regularity, is the clique part)
-    if clique > 0:
-        classes.append((clique, clique - 1, True))
-    classes.extend((size, reg, False) for size, reg in parts)
-    n = sum(size for size, _, _ in classes)
-    c = len(classes)
-    mat = np.zeros((c, c))
-    for i, (size_i, reg_i, clique_i) in enumerate(classes):
-        degree = n - 1 if clique_i else clique + reg_i
-        mat[i, i] = a * degree + (1.0 - a) * reg_i
-        for j, (size_j, _, clique_j) in enumerate(classes):
-            if i != j:
-                count = size_j if (clique_i or clique_j) else 0
-                mat[i, j] = (1.0 - a) * count
-    return mat
-
-
 def quotient_alpha_index(spec: ConstructionSpec, alpha: float) -> float:
     """Largest eigenvalue of the equitable quotient; equals the full graph's.
 
-    The quotient is symmetrized by the similarity diag(sqrt(class sizes)),
-    then solved with the same Jacobi routine on a matrix of size <= 3.
+    One class per regular block, the clique class (size c, when c > 0)
+    first. The quotient is built symmetric, as its similarity transform by
+    diag(sqrt(class sizes)): the clique class's diagonal is a(n-1) +
+    (1-a)(c-1), a part's is a(c+reg) + (1-a)reg for its within-class
+    regularity reg, each clique-part entry is (1-a)sqrt(c*size) and parts
+    are mutually non-adjacent. Each entry is one float written into both
+    triangles, so the matrix of size <= 3 is exactly symmetric and solved by
+    the same Jacobi routine.
     """
-    mat = quotient_matrix(spec, alpha)
-    clique, parts = quotient_classes(spec)
-    sizes = ([clique] if clique > 0 else []) + [size for size, _ in parts]
-    if not sizes:
+    a = require_weight(alpha)
+    c, parts = quotient_classes(spec)
+    n = c + sum(size for size, _ in parts)
+    if not n:
         raise ValueError("empty construction has no spectrum")
-    root = np.sqrt(np.array(sizes, dtype=float))
-    sym = mat * root[:, None] / root[None, :]
-    values, _, _ = jacobi_eigensystem(sym)
+    diagonal = [a * (n - 1) + (1.0 - a) * (c - 1)] if c else []
+    diagonal.extend(a * (c + reg) + (1.0 - a) * reg for _, reg in parts)
+    mat = np.diag(diagonal)
+    if c:
+        for j, (size, _) in enumerate(parts, start=1):
+            mat[0, j] = mat[j, 0] = (1.0 - a) * math.sqrt(c * size)
+    values, _, _ = jacobi_eigensystem(mat)
     return float(np.max(values))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -248,6 +249,12 @@ class TestCheckCommand:
             capsys, "check", "--theorem", "T1", "--r", "2", "--n", "5", "--alpha", "0.5"
         )
         assert code == 3
+        # No complete split construction at the order, and no quadratic to
+        # fall back on for T1 or T3 with d_k = 1.
+        for claim in (("T1", "--r", "6"), ("T3", "--degrees", "1,1,1,1")):
+            code, _, err = run(capsys, "check", "--theorem", *claim, "--n", "2", "--alpha", "0.5")
+            assert code == 3
+            assert "m <= n" in err
 
     def test_negative_workers_is_parse_error(self, capsys):
         code, out, err = run(
@@ -333,16 +340,31 @@ class TestCheckCommand:
         assert outputs[0] == outputs[1]
 
     def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
-        # The T2 quadratic needs n >= 10 at weight 0.25, so the grid fails
-        # before the census and before the feasible 0.5 point is written.
+        # T2 (2,3) has no construction at n = 8 (3 does not divide 7), and the
+        # quadratic it falls back on needs n >= 10 at weight 0.25, so the grid
+        # fails before the census and before the feasible 0.5 point is written.
         out_dir = tmp_path / "reports"
         code, _, err = run(
-            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n", "7",
+            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n", "8",
             "--alpha-grid", "0.5,0.25", "--workers", "1", "--out", str(out_dir),
         )
         assert code == 3
         assert "n >=" in err
         assert list(out_dir.iterdir()) == []
+
+    def test_construction_predicted_below_the_quadratic_order_minimum(self, capsys, tmp_path):
+        # The quadratic refuses weight 0.1 at order 4, but the construction,
+        # K_1 joined to one K_3, is K_4 with index 3.
+        out_dir = tmp_path / "reports"
+        code, out, _ = run(
+            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n", "4",
+            "--alpha", "0.1", "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 0
+        assert "verdict=MATCH" in out
+        report = json.loads((out_dir / "report_T2_s2t3_n4_a0.1.json").read_text())
+        assert report["verdict"] == "MATCH"
+        assert report["predicted_value"] == pytest.approx(3.0, abs=1e-12)
 
     def test_unusable_out_path_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness
@@ -360,6 +382,45 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def out_dir_digest(out_dir: Path) -> str:
+    """SHA-256 of a --out directory: each file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestReportPins:
+    """The report files of `check --out`, byte for byte: the JSON reports
+    plus summary.csv of grid points that the benchmark and earlier
+    comparisons use."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(
+            ("--theorem", "T1", "--r", "4", "--n", "8", "--alpha-grid", "0.25,0.75"),
+            "ee2fa1018d473a1ff232e9e12165adf7ec157b601e319030dd33f7361a19b1a7", id="T1-r4-n8"),
+        pytest.param(
+            ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "7", "--alpha", "0.5"),
+            "f8f88ee9bdc234821420e3997101b9062c11a83c4cd5936814adfb5c9d9dcf0b", id="T2-s2t3-n7"),
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "2,2", "--n", "8", "--alpha", "0.5"),
+            "49536d71da2dedfc1fa2fd55223871006b695868b9a707cfe9d47a9d9bb5a94a", id="T3-2,2-n8"),
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "2,2", "--n", "9", "--alpha", "0.5"),
+            "1684f2b47866148c080c5cf9be10aada61af5c8c87622c5a9b97768654556bef", id="T3-2,2-n9"),
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "2,2", "--n", "10", "--alpha", "0.5"),
+            "51d2774f8fdba47e1e48b38d40e6dbf8401486ae76edf7da1c9eccad1327b933", id="T3-2,2-n10"),
+        pytest.param(
+            ("--theorem", "T1", "--r", "3", "--n-range", "4:8", "--alpha-grid", "0.25,0.5,0.75"),
+            "db7d633d0417aac5c04f3f666e4671cba98418471e56fee9f116fbfcae7b79dc", id="T1-r3-n4:8"),
+    ])
+    def test_report_bytes(self, capsys, tmp_path, argv, digest):
+        code, _, _ = run(capsys, "check", *argv, "--workers", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert out_dir_digest(tmp_path) == digest
 
 
 class TestSweepCommand:

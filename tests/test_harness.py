@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from alpha_extremal import harness
-from alpha_extremal.bounds import StarForestSpec, complete_split_quadratic
+from alpha_extremal.bounds import StarForestSpec, clique_join_quadratic, complete_split_quadratic
 from alpha_extremal.graphs import CliqueJoinMatching, Graph, construct, disjoint_union
 from alpha_extremal.harness import (
     TIE_TOL,
@@ -209,17 +209,20 @@ class TestCheckTheorem:
             extremal_search(11, [0.5], CliqueMinorFree(3), workers=2)
 
     def test_t3_odd_matching_part(self):
-        spec = StarForestSpec((2, 2))
-        rep = check_theorem(StarForestFree(spec), 8, [0.5])[0]
-        # The bound root is unattainable at odd matching part, but the
-        # extremal graph is still the predicted matching construction.
-        assert rep.verdict == "SMALL_N_CAVEAT"
-        assert rep.exhaustive_max < rep.predicted_value
-        assert rep.predicted_witness == canonical_graph6(construct(CliqueJoinMatching(8, 2)))
-        assert rep.witnesses == (rep.predicted_witness,)
-        assert rep.exhaustive_max == pytest.approx(
-            quotient_alpha_index(CliqueJoinMatching(8, 2), 0.5), abs=1e-9
-        )
+        # The matching leaves a vertex over, so the construction falls short
+        # of the quadratic's root; it is predicted by its own index.
+        for n in (8, 10):
+            construction = CliqueJoinMatching(n, 2)
+            rep = check_theorem(StarForestFree(StarForestSpec((2, 2))), n, [0.5])[0]
+            assert rep.verdict == "MATCH"
+            assert rep.predicted_witness == canonical_graph6(construct(construction))
+            assert rep.witnesses == (rep.predicted_witness,)
+            assert rep.predicted_value == quotient_alpha_index(construction, 0.5)
+            assert rep.predicted_value == pytest.approx(
+                alpha_index(construct(construction), 0.5).alpha_index, abs=1e-12
+            )
+            root = clique_join_quadratic(n, 2, 2, 0.5).largest_root
+            assert rep.predicted_value < root - 1e-3
 
     def test_t3_notes_carry_both_thresholds(self):
         spec = StarForestSpec((2, 2))
@@ -234,8 +237,12 @@ class TestCheckTheorem:
     def test_predicted_helpers(self):
         assert predicted_witness_spec(BicliqueMinorFree(2, 3), 10) is not None
         assert predicted_witness_spec(BicliqueMinorFree(2, 3), 9) is None
-        value = predicted_value(CliqueMinorFree(3), 7, 0.5)
+        spec = predicted_witness_spec(CliqueMinorFree(3), 7)
+        value = predicted_value(CliqueMinorFree(3), 7, spec, 0.5)
         assert value == pytest.approx(complete_split_quadratic(7, 2, 0.5).largest_root, abs=1e-12)
+        # No construction: T2 falls back on the quadratic's root.
+        value = predicted_value(BicliqueMinorFree(2, 3), 9, None, 0.5)
+        assert value == clique_join_quadratic(9, 2, 3, 0.5).largest_root
 
     def test_csv_round_trips_floats(self):
         rep = check_theorem(CliqueMinorFree(3), 6, [0.5])[0]
