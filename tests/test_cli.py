@@ -206,6 +206,18 @@ class TestCheckCommand:
         assert code == 0
         assert "verdict=MATCH" in out
 
+    def test_text_line(self, capsys):
+        # The whole line: claim id, class label, point, values, verdict, witnesses.
+        code, out, _ = run(
+            capsys, "check", "--theorem", "T3", "--degrees", "2,2", "--n", "6",
+            "--alpha", "0.5", "--workers", "1",
+        )
+        assert code == 0
+        assert out == (
+            "T3 star_forest_free(2,2) n=6 alpha=0.5: max=4.0 predicted=3.186140661634507 "
+            "verdict=SMALL_N_CAVEAT witnesses=EJ\\w\n"
+        )
+
     def test_report_files_and_summary(self, capsys, tmp_path):
         out_dir = tmp_path / "reports"
         code, _, _ = run(
@@ -416,6 +428,26 @@ class TestReportPins:
         pytest.param(
             ("--theorem", "T1", "--r", "3", "--n-range", "4:8", "--alpha-grid", "0.25,0.5,0.75"),
             "db7d633d0417aac5c04f3f666e4671cba98418471e56fee9f116fbfcae7b79dc", id="T1-r3-n4:8"),
+        # d_k = 1: the complete split graph.
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "1,1", "--n", "6", "--alpha-grid", "0.25,0.75"),
+            "84dd77a8ce30342dbefca9557b753d073effdef10714935e9c7f3a982193a591", id="T3-1,1-n6"),
+        # A 2-regular part.
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "3,3", "--n", "7", "--alpha", "0.5"),
+            "1c5b59c2e65badf3b9863e9478f272ea1bfdc0902116c5ff274ece0fa2e082f9", id="T3-3,3-n7"),
+        # No 3-regular graph on 7 vertices: the quadratic's root is predicted.
+        pytest.param(
+            ("--theorem", "T3", "--degrees", "4,4", "--n", "8", "--alpha", "0.5"),
+            "819ed224bb33e7cf2b8b56e458c5c54d2cc1c373500b61dbe6bb253b38fd670d", id="T3-4,4-n8"),
+        # 3 does not divide n-s+1 = 7: the quadratic's root is predicted.
+        pytest.param(
+            ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "8", "--alpha", "0.5"),
+            "bcb902821ceccd729d60599311e2342d3dc9f61a78e29dd37a440abdb1d78933", id="T2-s2t3-n8"),
+        # K5 membership through the branch-set search.
+        pytest.param(
+            ("--theorem", "T1", "--r", "5", "--n", "7", "--alpha-grid", "0.25,0.5,0.75"),
+            "9b85a93d48626aa0970af295bb11e9d6bab82bc5f76050216427b34c6c677462", id="T1-r5-n7"),
     ])
     def test_report_bytes(self, capsys, tmp_path, argv, digest):
         code, _, _ = run(capsys, "check", *argv, "--workers", "1", "--out", str(tmp_path))
