@@ -6,11 +6,13 @@ parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
-errors (bad flags, malformed graph6 or grid syntax, a non-finite or
-repeated weight, a range grid of more than MAX_GRID_POINTS weights, an
---out path that cannot be created, a negative or non-finite --corrupt), 3
-domain errors (infeasible parameters, an order above the enumeration cap,
-violated preconditions) and eigensolver non-convergence.
+errors (bad or missing flags, malformed graph6 or grid syntax, a non-finite
+weight, a weight repeated as a float (two decimals that round to one float
+are one weight), a range grid of more than MAX_GRID_POINTS weights, an --out
+path that cannot be created, a negative --workers or --samples, a negative
+or non-finite --corrupt), 3 domain errors (infeasible parameters, an order
+above the enumeration cap, violated preconditions) and eigensolver
+non-convergence.
 Weights are parsed as decimal strings and echoed verbatim in file names so
 reports never drift across runs.
 """
@@ -51,7 +53,6 @@ from .harness import (
     ForbiddenClass,
     StarForestFree,
     check_theorem,
-    claim_id,
     reports_to_csv,
     sweep_inequalities,
 )
@@ -118,7 +119,7 @@ def parse_alpha_grid(spec: str) -> list[str]:
         out = [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]
     if not out:
         raise CliParseError(f"grid {spec!r} is empty")
-    if len({Decimal(p) for p in out}) < len(out):
+    if len({float(Decimal(p)) for p in out}) < len(out):  # as the floats handed on
         raise CliParseError(f"grid {spec!r} repeats a weight")
     return out
 
@@ -194,14 +195,6 @@ def _claim_from_args(args) -> ForbiddenClass:
     return StarForestFree(StarForestSpec(_parse_degrees(args.degrees)))
 
 
-def _claim_tag(cls: ForbiddenClass) -> str:
-    if isinstance(cls, CliqueMinorFree):
-        return f"T1_r{cls.r}"
-    if isinstance(cls, BicliqueMinorFree):
-        return f"T2_s{cls.s}t{cls.t}"
-    return "T3_d" + "-".join(str(d) for d in cls.spec.degrees)
-
-
 # -- subcommand bodies ---------------------------------------------------
 
 
@@ -258,7 +251,7 @@ def _cmd_check(args) -> int:
         reports.extend(found)
         if out_dir:
             for alpha_str, rep in zip(alphas, found):
-                name = f"report_{_claim_tag(cls)}_n{n}_a{alpha_str}.json"
+                name = f"report_{cls.tag}_n{n}_a{alpha_str}.json"
                 (out_dir / name).write_text(rep.to_json(), encoding="ascii")
     csv_text = reports_to_csv(reports)
     if out_dir:
@@ -270,7 +263,7 @@ def _cmd_check(args) -> int:
     else:
         for rep in reports:
             line = (
-                f"{claim_id(cls)} {rep.class_label} n={rep.n} alpha={rep.alpha}: "
+                f"{cls.claim} {rep.class_label} n={rep.n} alpha={rep.alpha}: "
                 f"max={rep.exhaustive_max!r} predicted={rep.predicted_value!r} "
                 f"verdict={rep.verdict} witnesses={','.join(rep.witnesses)}"
             )

@@ -7,6 +7,7 @@ in the package cheap. Graph values are immutable and hashable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -121,9 +122,6 @@ class Graph:
             out.extend((u, v) for v in iter_bits(row >> (u + 1) << (u + 1)))
         return out
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
-
     def is_regular(self, d: int | None = None) -> bool:
         degs = set(self.degrees())
         if len(degs) > 1:
@@ -202,6 +200,11 @@ def union_of_copies(k: int, g: Graph) -> Graph:
 
 
 # -- named construction families --------------------------------------
+#
+# Each family is a clique joined to a part that is a disjoint union of
+# regular graphs; clique_and_part() gives (clique size, part graph) and
+# raises FeasibilityError naming the violated invariant when no graph has
+# the family's parameters.
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,11 @@ class CompleteSplit:
 
     n: int
     m: int
+
+    def clique_and_part(self) -> tuple[int, Graph]:
+        if not 0 <= self.m <= self.n:
+            raise FeasibilityError(f"CompleteSplit needs 0 <= m <= n, got m={self.m}, n={self.n}")
+        return self.m, Graph.empty(self.n - self.m)
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,26 @@ class CliqueJoinCliques:
     s: int
     t: int
     p: int
+
+    def clique_and_part(self) -> tuple[int, Graph]:
+        if self.s < 1 or self.t < 1 or self.p < 1:
+            raise FeasibilityError("CliqueJoinCliques needs s >= 1, t >= 1, p >= 1")
+        if self.n - self.s + 1 != self.p * self.t:
+            raise FeasibilityError(
+                f"CliqueJoinCliques needs n-s+1 = p*t exactly, got "
+                f"{self.n}-{self.s}+1 = {self.n - self.s + 1} != {self.p}*{self.t}"
+            )
+        return self.s - 1, union_of_copies(self.p, Graph.complete(self.t))
+
+
+def _part_order(spec) -> int:
+    """n-k+1, the order of the part joined to the clique on k-1 vertices."""
+    m = spec.n - spec.k + 1
+    if spec.k < 1 or m < 0:
+        raise FeasibilityError(
+            f"{type(spec).__name__} needs k >= 1 and n >= k-1, got n={spec.n}, k={spec.k}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -233,6 +261,10 @@ class CliqueJoinMatching:
     n: int
     k: int
 
+    def clique_and_part(self) -> tuple[int, Graph]:
+        p, q = divmod(_part_order(self), 2)
+        return self.k - 1, disjoint_union(union_of_copies(p, Graph.complete(2)), Graph.empty(q))
+
 
 @dataclass(frozen=True)
 class CliqueJoinRegular:
@@ -242,21 +274,18 @@ class CliqueJoinRegular:
     k: int
     d: int
 
+    def clique_and_part(self) -> tuple[int, Graph]:
+        m, r = _part_order(self), self.d - 1
+        if not 0 <= r < max(m, 1):
+            raise FeasibilityError(
+                f"CliqueJoinRegular needs 0 <= d-1 < n-k+1, got d-1={r}, n-k+1={m}"
+            )
+        if (r * m) % 2 != 0:
+            raise FeasibilityError(f"parity violation: (d-1)(n-k+1) = {r}*{m} must be even")
+        return self.k - 1, regular_circulant(m, r)
+
 
 ConstructionSpec = Union[CompleteSplit, CliqueJoinCliques, CliqueJoinMatching, CliqueJoinRegular]
-
-
-def circulant(n: int, offsets: Iterable[int]) -> Graph:
-    """Circulant graph on Z_n with the given connection offsets (and their negatives)."""
-    edges = set()
-    for off in offsets:
-        off %= n
-        if off == 0:
-            continue
-        for v in range(n):
-            u, w = v, (v + off) % n
-            edges.add((min(u, w), max(u, w)))
-    return Graph.from_edges(n, edges)
 
 
 def regular_circulant(n: int, degree: int) -> Graph:
@@ -266,90 +295,31 @@ def regular_circulant(n: int, degree: int) -> Graph:
     odd (which forces n even). Connected for degree >= 2 since offset 1 is
     always included.
     """
-    if degree < 0 or (n == 0 and degree > 0) or (n > 0 and degree >= n):
+    if not 0 <= degree < max(n, 1):
         raise FeasibilityError(f"no {degree}-regular graph on {n} vertices")
     if degree % 2 == 1 and n % 2 == 1:
         raise FeasibilityError(
             f"parity violation: {degree}-regular graph on odd order {n} is impossible"
         )
-    offsets = list(range(1, degree // 2 + 1))
-    if degree % 2 == 1:
-        offsets.append(n // 2)
-    g = circulant(n, offsets) if n else Graph.empty(0)
-    if n and not g.is_regular(degree):
-        raise FeasibilityError(f"no circulant realizes degree {degree} on {n} vertices")
-    return g
-
-
-def require_feasible(spec: ConstructionSpec) -> None:
-    """Raise FeasibilityError naming the violated invariant when no graph
-    has the spec's parameters; the one feasibility check of every family."""
-    if isinstance(spec, CompleteSplit):
-        if not 0 <= spec.m <= spec.n:
-            raise FeasibilityError(f"CompleteSplit needs 0 <= m <= n, got m={spec.m}, n={spec.n}")
-    elif isinstance(spec, CliqueJoinCliques):
-        if spec.s < 1 or spec.t < 1 or spec.p < 1:
-            raise FeasibilityError("CliqueJoinCliques needs s >= 1, t >= 1, p >= 1")
-        if spec.n - spec.s + 1 != spec.p * spec.t:
-            raise FeasibilityError(
-                f"CliqueJoinCliques needs n-s+1 = p*t exactly, got "
-                f"{spec.n}-{spec.s}+1 = {spec.n - spec.s + 1} != {spec.p}*{spec.t}"
-            )
-    elif isinstance(spec, (CliqueJoinMatching, CliqueJoinRegular)):
-        m = spec.n - spec.k + 1
-        if spec.k < 1 or m < 0:
-            raise FeasibilityError(
-                f"{type(spec).__name__} needs k >= 1 and n >= k-1, got n={spec.n}, k={spec.k}"
-            )
-        if isinstance(spec, CliqueJoinRegular):
-            r = spec.d - 1
-            if not 0 <= r < max(m, 1):
-                raise FeasibilityError(
-                    f"CliqueJoinRegular needs 0 <= d-1 < n-k+1, got d-1={r}, n-k+1={m}"
-                )
-            if (r * m) % 2 != 0:
-                raise FeasibilityError(
-                    f"parity violation: (d-1)(n-k+1) = {r}*{m} must be even"
-                )
-    else:
-        raise TypeError(f"unknown construction spec: {spec!r}")
+    offsets = [*range(1, degree // 2 + 1), *([n // 2] if degree % 2 else [])]
+    return Graph.from_edges(n, [(v, (v + off) % n) for off in offsets for v in range(n)])
 
 
 def construct(spec: ConstructionSpec) -> Graph:
-    """Build the graph named by a construction spec.
-
-    Raises FeasibilityError naming the violated invariant when the parameters
-    are infeasible.
-    """
-    require_feasible(spec)
-    if isinstance(spec, CompleteSplit):
-        return join(Graph.complete(spec.m), Graph.empty(spec.n - spec.m))
-    if isinstance(spec, CliqueJoinCliques):
-        return join(Graph.complete(spec.s - 1), union_of_copies(spec.p, Graph.complete(spec.t)))
-    m = spec.n - spec.k + 1
-    if isinstance(spec, CliqueJoinMatching):
-        p, q = divmod(m, 2)
-        part = disjoint_union(union_of_copies(p, Graph.complete(2)), Graph.empty(q))
-        return join(Graph.complete(spec.k - 1), part)
-    return join(Graph.complete(spec.k - 1), regular_circulant(m, spec.d - 1))
+    """Build the graph named by a construction spec: its clique joined to its part."""
+    clique, part = spec.clique_and_part()
+    return join(Graph.complete(clique), part)
 
 
 def quotient_classes(spec: ConstructionSpec) -> tuple[int, list[tuple[int, int]]]:
     """Equitable partition data for a construction.
 
-    Returns (clique_size, parts) where parts lists the non-clique classes as
-    (size, within-class regularity) with empty classes dropped. Every clique
-    vertex is adjacent to everything; distinct non-clique classes are mutually
-    non-adjacent and internally regular, so the partition is equitable.
+    Returns (clique_size, parts) where parts lists the part's degree classes
+    as (size, degree), by decreasing degree. Every clique vertex is adjacent
+    to everything, and the part is a disjoint union of regular graphs, so a
+    part vertex's neighbors outside the clique all lie in its own degree
+    class: the partition is equitable.
     """
-    require_feasible(spec)
-    if isinstance(spec, CompleteSplit):
-        clique, parts = spec.m, [(spec.n - spec.m, 0)]
-    elif isinstance(spec, CliqueJoinCliques):
-        clique, parts = spec.s - 1, [(spec.n - spec.s + 1, spec.t - 1)]
-    elif isinstance(spec, CliqueJoinMatching):
-        p, q = divmod(spec.n - spec.k + 1, 2)
-        clique, parts = spec.k - 1, [(2 * p, 1), (q, 0)]
-    else:
-        clique, parts = spec.k - 1, [(spec.n - spec.k + 1, spec.d - 1)]
-    return clique, [(size, reg) for size, reg in parts if size > 0]
+    clique, part = spec.clique_and_part()
+    sizes = Counter(part.degrees())
+    return clique, [(sizes[d], d) for d in sorted(sizes, reverse=True)]

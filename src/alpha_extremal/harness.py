@@ -18,13 +18,16 @@ module over fixed grids: one generator per check family yields rows
 infeasible point, and one evaluator checks each row at SWEEP_TOL, tightened
 by ``corrupt`` (a self-test: a large enough value fails every check).
 
-Claims are addressed by the identifiers T1 (clique-minor-free hosts,
-complete split construction), T2 (biclique-minor-free hosts, clique joined
-to disjoint cliques), and T3 (star-forest-free hosts, clique joined to a
-regular graph). T1 and T2 are asserted only for sufficiently large order
-with no explicit threshold, so their reports never mark the threshold as
-satisfied; T3 carries an explicit threshold far beyond exhaustive scale,
-plus a smaller variant for connected hosts that is recorded in the notes.
+Each claim is a class that answers for itself: CliqueMinorFree (T1),
+BicliqueMinorFree (T2) and StarForestFree (T3) give their claim id, label,
+report-file tag, membership test, order threshold and notes, and their
+``clique_join = (k, d)``. All three extremal graphs are a clique K_{k-1}
+joined to a (d-1)-regular part: (r-1, 1) for T1, the complete split graph;
+(s, t) for T2, the part disjoint copies of K_t; (k, d_k) for T3. T1 and T2
+are asserted only for sufficiently large order with no explicit threshold,
+so their reports never mark the threshold as satisfied; T3 carries an
+explicit threshold far beyond exhaustive scale, plus a smaller variant for
+connected hosts that is recorded in the notes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -68,7 +71,6 @@ from .graphs import (
     construct,
     join,
     regular_circulant,
-    require_feasible,
 )
 from .minors import BicliqueMinor, CliqueMinor, is_minor_free
 from .spectral import (
@@ -89,19 +91,48 @@ GATE_POWER_STEPS = 2
 PREFIX_ORDER = 6
 
 
+class ForbiddenClass:
+    """The host class of one claim (see the module docstring). By default a
+    claim has no explicit order threshold."""
+
+    def threshold(self, alpha: float) -> float:
+        """The order from which the claim is asserted at this weight."""
+        return math.inf
+
+    def notes(self, alpha: float) -> str:
+        return "claim asserted for sufficiently large order only; no explicit threshold"
+
+
 @dataclass(frozen=True)
-class CliqueMinorFree:
+class CliqueMinorFree(ForbiddenClass):
     r: int
+    claim = "T1"
 
     def __post_init__(self):
         if self.r < 3:
             raise ValueError(f"clique-minor-free class needs r >= 3, got {self.r}")
 
+    @property
+    def label(self) -> str:
+        return f"clique_minor_free({self.r})"
+
+    @property
+    def tag(self) -> str:
+        return f"T1_r{self.r}"
+
+    @property
+    def clique_join(self) -> tuple[int, int]:
+        return self.r - 1, 1
+
+    def member(self, g: Graph) -> bool:
+        return is_minor_free(g, CliqueMinor(self.r))
+
 
 @dataclass(frozen=True)
-class BicliqueMinorFree:
+class BicliqueMinorFree(ForbiddenClass):
     s: int
     t: int
+    claim = "T2"
 
     def __post_init__(self):
         if not 2 <= self.s <= self.t:
@@ -109,38 +140,56 @@ class BicliqueMinorFree:
                 f"biclique-minor-free class needs t >= s >= 2, got s={self.s}, t={self.t}"
             )
 
+    @property
+    def label(self) -> str:
+        return f"biclique_minor_free({self.s},{self.t})"
+
+    @property
+    def tag(self) -> str:
+        return f"T2_s{self.s}t{self.t}"
+
+    @property
+    def clique_join(self) -> tuple[int, int]:
+        return self.s, self.t
+
+    def member(self, g: Graph) -> bool:
+        return is_minor_free(g, BicliqueMinor(self.s, self.t))
+
 
 @dataclass(frozen=True)
-class StarForestFree:
+class StarForestFree(ForbiddenClass):
     spec: StarForestSpec
+    claim = "T3"
 
+    @property
+    def label(self) -> str:
+        return f"star_forest_free({','.join(map(str, self.spec.degrees))})"
 
-ForbiddenClass = Union[CliqueMinorFree, BicliqueMinorFree, StarForestFree]
+    @property
+    def tag(self) -> str:
+        return "T3_d" + "-".join(map(str, self.spec.degrees))
 
+    @property
+    def clique_join(self) -> tuple[int, int]:
+        return self.spec.k, self.spec.min_degree
 
-def class_label(cls: ForbiddenClass) -> str:
-    if isinstance(cls, CliqueMinorFree):
-        return f"clique_minor_free({cls.r})"
-    if isinstance(cls, BicliqueMinorFree):
-        return f"biclique_minor_free({cls.s},{cls.t})"
-    degrees = ",".join(str(d) for d in cls.spec.degrees)
-    return f"star_forest_free({degrees})"
+    def member(self, g: Graph) -> bool:
+        return is_star_forest_free(g, self.spec)
 
+    def threshold(self, alpha: float) -> float:
+        return star_forest_order_threshold(self.spec, alpha)
 
-def claim_id(cls: ForbiddenClass) -> str:
-    if isinstance(cls, CliqueMinorFree):
-        return "T1"
-    if isinstance(cls, BicliqueMinorFree):
-        return "T2"
-    return "T3"
+    def notes(self, alpha: float) -> str:
+        general = self.threshold(alpha)
+        connected = star_forest_order_threshold_connected(self.spec, alpha)
+        return (
+            f"explicit order thresholds: {general:.6g} (any host), "
+            f"{connected:.6g} (connected hosts); values below either are desk-scale only"
+        )
 
 
 def class_member(g: Graph, cls: ForbiddenClass) -> bool:
-    if isinstance(cls, CliqueMinorFree):
-        return is_minor_free(g, CliqueMinor(cls.r))
-    if isinstance(cls, BicliqueMinorFree):
-        return is_minor_free(g, BicliqueMinor(cls.s, cls.t))
-    return is_star_forest_free(g, cls.spec)
+    return cls.member(g)
 
 
 def _member_of(cls: ForbiddenClass):
@@ -227,7 +276,7 @@ def extremal_search(
     for j in range(len(weights)):
         solved = [pair for shard in shards for pair in shard[j]]
         if not solved:
-            raise ValueError(f"class {class_label(cls)} has no members at order {n}")
+            raise ValueError(f"class {cls.label} has no members at order {n}")
         best = max(value for _, value in solved)
         ties = {canonical_graph6(g) for g, value in solved if value >= best - TIE_TOL}
         results.append((best, sorted(ties)))
@@ -281,24 +330,25 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 
 def predicted_witness_spec(cls: ForbiddenClass, n: int) -> ConstructionSpec | None:
-    """The construction claimed extremal at this order. When it is
-    infeasible: None for T2 and T3 with d_k >= 2, which fall back on the
-    clique-join quadratic; FeasibilityError for the complete split graphs of
-    T1 and T3 with d_k = 1, which have no fallback."""
-    if isinstance(cls, CliqueMinorFree):
-        spec = CompleteSplit(n, cls.r - 2)
+    """The construction claimed extremal at this order: K_{k-1} joined to a
+    (d-1)-regular part for ``(k, d) = cls.clique_join`` (d = 1 is the
+    complete split graph, d = 2 a maximum matching, and T2's part is
+    disjoint copies of K_t). When it is infeasible: None for d >= 2, which
+    falls back on the clique-join quadratic; FeasibilityError for d = 1,
+    which has no fallback."""
+    k, d = cls.clique_join
+    if d == 1:
+        spec = CompleteSplit(n, k - 1)
     elif isinstance(cls, BicliqueMinorFree):
-        spec = CliqueJoinCliques(n, cls.s, cls.t, (n - cls.s + 1) // cls.t)
-    elif cls.spec.min_degree == 1:
-        spec = CompleteSplit(n, cls.spec.k - 1)
-    elif cls.spec.min_degree == 2:
-        spec = CliqueJoinMatching(n, cls.spec.k)
+        spec = CliqueJoinCliques(n, k, d, (n - k + 1) // d)
+    elif d == 2:
+        spec = CliqueJoinMatching(n, k)
     else:
-        spec = CliqueJoinRegular(n, cls.spec.k, cls.spec.min_degree)
+        spec = CliqueJoinRegular(n, k, d)
     try:
-        require_feasible(spec)
+        spec.clique_and_part()
     except FeasibilityError:
-        if isinstance(spec, CompleteSplit):
+        if d == 1:
             raise
         return None
     return spec
@@ -313,25 +363,7 @@ def predicted_value(cls: ForbiddenClass, n: int, spec: ConstructionSpec | None,
     a = require_open_weight(alpha)
     if spec is not None:
         return quotient_alpha_index(spec, a)
-    k, d = (cls.s, cls.t) if isinstance(cls, BicliqueMinorFree) else (cls.spec.k, cls.spec.min_degree)
-    return clique_join_quadratic(n, k, d, a).largest_root
-
-
-def claim_threshold_satisfied(cls: ForbiddenClass, n: int, alpha: float) -> bool:
-    if isinstance(cls, StarForestFree):
-        return n >= star_forest_order_threshold(cls.spec, alpha)
-    return False
-
-
-def _claim_notes(cls: ForbiddenClass, alpha: float) -> str:
-    if isinstance(cls, StarForestFree):
-        general = star_forest_order_threshold(cls.spec, alpha)
-        connected = star_forest_order_threshold_connected(cls.spec, alpha)
-        return (
-            f"explicit order thresholds: {general:.6g} (any host), "
-            f"{connected:.6g} (connected hosts); values below either are desk-scale only"
-        )
-    return "claim asserted for sufficiently large order only; no explicit threshold"
+    return clique_join_quadratic(n, *cls.clique_join, a).largest_root
 
 
 def classify_verdict(exhaustive_max: float, predicted: float, threshold_satisfied: bool) -> str:
@@ -372,15 +404,15 @@ def check_theorem(
         witness_graph = construct(spec)
         if not class_member(witness_graph, cls):
             raise RuntimeError(
-                f"predicted witness {spec} is not {class_label(cls)}: construction claim falsified"
+                f"predicted witness {spec} is not {cls.label}: construction claim falsified"
             )
         witness_g6 = canonical_graph6(witness_graph)
     found = extremal_search(n, weights, cls, workers=workers)
     reports = []
     for a, value, (best, witnesses) in zip(weights, values, found):
-        satisfied = claim_threshold_satisfied(cls, n, a)
+        satisfied = n >= cls.threshold(a)
         reports.append(VerificationReport(
-            class_label=class_label(cls),
+            class_label=cls.label,
             n=n,
             alpha=a,
             exhaustive_max=best,
@@ -389,7 +421,7 @@ def check_theorem(
             predicted_witness=witness_g6,
             verdict=classify_verdict(best, value, satisfied),
             threshold_satisfied=satisfied,
-            notes=_claim_notes(cls, a),
+            notes=cls.notes(a),
         ))
     return reports
 

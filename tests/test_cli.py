@@ -48,6 +48,24 @@ class TestAlphaGridParsing:
             parse_alpha_grid("0.5,0.50")
         with pytest.raises(CliParseError, match="repeats"):
             parse_alpha_grid("0.25,0.5,5E-1")
+        # Distinct decimals that round to one float are one weight to the census.
+        with pytest.raises(CliParseError, match="repeats"):
+            parse_alpha_grid("0.1,0.1000000000000000000001")
+        with pytest.raises(CliParseError, match="repeats"):
+            parse_alpha_grid("0.1:0.1000000000000000000002:0.0000000000000000000001")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--workers", "1"),
+        ("bounds", "--table", "join", "--n", "10", "--k", "2", "--d", "3"),
+    ])
+    @pytest.mark.parametrize("grid", [
+        "0.1,0.1000000000000000000001", "0.1:0.1000000000000000000002:0.0000000000000000000001",
+    ])
+    def test_float_repeat_is_parse_error(self, capsys, argv, grid):
+        code, out, err = run(capsys, *argv, "--alpha-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "repeats a weight" in err
 
     def test_range_grid_is_counted_before_it_is_built(self, capsys):
         # 8e8 points: building the list first would take minutes and gigabytes.

@@ -14,8 +14,6 @@ from alpha_extremal.harness import (
     StarForestFree,
     canonical_graph6,
     check_theorem,
-    claim_id,
-    class_label,
     class_member,
     classify_verdict,
     extremal_search,
@@ -52,12 +50,15 @@ REPORT_SCHEMA = {
 
 class TestClassBasics:
     def test_labels_and_ids(self):
-        assert class_label(CliqueMinorFree(3)) == "clique_minor_free(3)"
-        assert class_label(BicliqueMinorFree(2, 3)) == "biclique_minor_free(2,3)"
-        assert class_label(StarForestFree(StarForestSpec((2, 2)))) == "star_forest_free(2,2)"
-        assert claim_id(CliqueMinorFree(3)) == "T1"
-        assert claim_id(BicliqueMinorFree(2, 2)) == "T2"
-        assert claim_id(StarForestFree(StarForestSpec((1, 1)))) == "T3"
+        assert CliqueMinorFree(3).label == "clique_minor_free(3)"
+        assert BicliqueMinorFree(2, 3).label == "biclique_minor_free(2,3)"
+        assert StarForestFree(StarForestSpec((2, 2))).label == "star_forest_free(2,2)"
+        assert CliqueMinorFree(3).claim == "T1"
+        assert BicliqueMinorFree(2, 2).claim == "T2"
+        assert StarForestFree(StarForestSpec((1, 1))).claim == "T3"
+        assert CliqueMinorFree(5).clique_join == (4, 1)
+        assert BicliqueMinorFree(2, 3).clique_join == (2, 3)
+        assert StarForestFree(StarForestSpec((3, 2, 4))).clique_join == (3, 2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestExtremalSearch:
     @pytest.mark.parametrize("cls", [
         CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
         StarForestFree(StarForestSpec((2, 2))),
-    ], ids=class_label)
+    ], ids=lambda cls: cls.label)
     def test_equals_brute_force_over_all_members(self, graphs_by_order, cls):
         # Every member solved at every weight: the bound-ordered solves must
         # find the same maximum and the same ties.
