@@ -210,28 +210,29 @@ def star_minor_edge_bound(h: int, t: int) -> float:
 # -- signless Laplacian specializations (weight 1/2) ---------------------
 
 
-def biclique_q_bound(n: int, s: int, t: int) -> float:
-    """Signless Laplacian ceiling for complete-bipartite-minor-free graphs.
+def _clique_join_q_bound(n: int, k: int, d: int) -> float:
+    """(n + 2k + 2d - 6 + sqrt((n + 2k - 2d - 2)^2 + 8(k-1)(d-k+1))) / 2,
+    twice the clique-join quadratic root at weight 1/2."""
+    disc = (n + 2 * k - 2 * d - 2) ** 2 + 8 * (k - 1) * (d - k + 1)
+    return (n + 2 * k + 2 * d - 6 + math.sqrt(disc)) / 2.0
 
-    (n + 2s + 2t - 6 + sqrt((n + 2s - 2t - 2)^2 + 8(s-1)(t-s+1))) / 2;
-    equals twice the clique-join quadratic root at weight 1/2.
-    """
+
+def biclique_q_bound(n: int, s: int, t: int) -> float:
+    """Signless Laplacian ceiling for complete-bipartite-minor-free graphs:
+    the clique-join ceiling at (k, d) = (s, t)."""
     if not 2 <= s <= t:
         raise ValueError(f"biclique bound needs t >= s >= 2, got s={s}, t={t}")
     minimum = clique_join_order_minimum(s, t, 0.5)
     if n < minimum:
         raise ValueError(f"biclique bound needs n >= {minimum:.6g}, got n={n}")
-    disc = (n + 2 * s - 2 * t - 2) ** 2 + 8 * (s - 1) * (t - s + 1)
-    return (n + 2 * s + 2 * t - 6 + math.sqrt(disc)) / 2.0
+    return _clique_join_q_bound(n, s, t)
 
 
 def star_forest_q_bound(n: int, spec: StarForestSpec) -> float:
-    """Signless Laplacian ceiling for star-forest-free graphs.
-
-    (n + 2k + 2d_k - 6 + sqrt((n + 2k - 2d_k - 2)^2 + 8(k-1)(d_k-k+1))) / 2
-    with d_k the smallest star degree; equals twice the clique-join
-    quadratic root at weight 1/2. For d_k = 2 with n-k+1 odd the ceiling is
-    not attained (the extremal matching construction falls strictly below).
+    """Signless Laplacian ceiling for star-forest-free graphs: the
+    clique-join ceiling at (k, d_k), with d_k the smallest star degree. For
+    d_k = 2 with n-k+1 odd the ceiling is not attained (the extremal
+    matching construction falls strictly below).
     """
     k = spec.k
     d = spec.min_degree
@@ -240,8 +241,7 @@ def star_forest_q_bound(n: int, spec: StarForestSpec) -> float:
     minimum = clique_join_order_minimum(k, d, 0.5)
     if n < minimum:
         raise ValueError(f"star forest bound needs n >= {minimum:.6g}, got n={n}")
-    disc = (n + 2 * k - 2 * d - 2) ** 2 + 8 * (k - 1) * (d - k + 1)
-    return (n + 2 * k + 2 * d - 6 + math.sqrt(disc)) / 2.0
+    return _clique_join_q_bound(n, k, d)
 
 
 # -- order thresholds of the extremal statements -------------------------

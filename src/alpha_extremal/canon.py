@@ -1,4 +1,4 @@
-"""Canonical labeling, automorphism generators, and vertex orbits.
+"""Canonical labeling, automorphism generators, and orbits.
 
 Equitable partition refinement (iterated neighbor-count splitting) plus
 individualization backtracking, the classical scheme for exact graph
@@ -10,6 +10,9 @@ automorphisms prune the search (a candidate branch vertex is skipped when an
 automorphism fixing the current individualization prefix maps it into an
 already-explored sibling).
 
+``orbit`` is the one orbit walk: of vertices for that pruning and the
+enumeration's tie test, of vertex masks for its neighbor-set orbit test.
+
 Exact at any order, but cost grows with symmetry; the rest of the package
 uses it at order <= 10 where it is fast.
 """
@@ -17,15 +20,26 @@ uses it at order <= 10 where it is fast.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable, Hashable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, mask_of
 
 
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def orbit(point: Hashable, gens: list[tuple[int, ...]], image: Callable = lambda v, g: g[v]) -> Iterator:
+    """Each point of ``point``'s orbit under the group ``gens`` generate, once, ``point``
+    first; ``image(p, g)`` is p's image under g (default: a vertex). The group is
+    finite, so closing under forward images gives the whole orbit."""
+    seen = {point}
+    frontier = [point]
+    yield point
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = image(p, g)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+                yield q
 
 
 def refine_partition(
@@ -40,7 +54,7 @@ def refine_partition(
     order isomorphism-invariant. ``splitters`` defaults to all cells.
     """
     queue: deque[int] = deque(
-        splitters if splitters is not None else [_mask_of(c) for c in cells]
+        splitters if splitters is not None else [mask_of(c) for c in cells]
     )
     while queue:
         w = queue.popleft()
@@ -58,7 +72,7 @@ def refine_partition(
                 for cnt in sorted(buckets):
                     sub = buckets[cnt]
                     new_cells.append(sub)
-                    queue.append(_mask_of(sub))
+                    queue.append(mask_of(sub))
         cells = new_cells
     return cells
 
@@ -125,22 +139,12 @@ def canonical_labeling_masks(
                 # maps it into an already-explored sibling.
                 fixers += [g for g in gens[seen:] if all(g[x] == x for x in path)]
                 seen = len(gens)
-                if fixers:
-                    orbit = {u}
-                    frontier = [u]
-                    while frontier:
-                        v = frontier.pop()
-                        for g in fixers:
-                            w = g[v]
-                            if w not in orbit:
-                                orbit.add(w)
-                                frontier.append(w)
-                    if orbit & tried:
-                        continue
+                if fixers and not tried.isdisjoint(orbit(u, fixers)):
+                    continue
             rest = [x for x in cell if x != u]
             child = cells[:target] + [[u], rest] + cells[target + 1 :]
             path.append(u)
-            search(refine_partition(adj, child, [1 << u, _mask_of(rest)]))
+            search(refine_partition(adj, child, [1 << u, mask_of(rest)]))
             path.pop()
             tried.add(u)
 
@@ -158,24 +162,3 @@ def canonical_perm(g: Graph) -> tuple[int, ...]:
 def canonical_form(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
     return g.relabel(canonical_perm(g))
-
-
-def orbits_from_generators(n: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """Vertex orbit labels under the generated group; each label is the orbit minimum."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for g in gens:
-        for v in range(n):
-            a, b = find(v), find(g[v])
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-    return [find(v) for v in range(n)]

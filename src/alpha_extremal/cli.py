@@ -6,8 +6,8 @@ parameter grids, JSON/CSV reports), sweep (closed-form inequality sweeps),
 and bounds (plot-ready CSV tables of bound curves).
 
 Exit codes: 0 success (also when the reader of stdout stops early), 2 parse
-errors (bad or missing flags, malformed graph6 or grid syntax, a non-finite
-weight, a weight repeated as a float (two decimals that round to one float
+errors (bad or missing flags, malformed graph6 or grid syntax, a weight
+not finite as a float, a weight repeated as a float (two decimals that round to one float
 are one weight), a range grid of more than MAX_GRID_POINTS weights, an --out
 path that cannot be created, a negative --workers or --samples, a negative
 or non-finite --corrupt), 3 domain errors (infeasible parameters, an order
@@ -76,12 +76,13 @@ def _creating_out():
 
 
 def _parse_decimal(text: str) -> str:
+    """``text``, refused unless it is a decimal whose float is finite."""
     try:
-        finite = Decimal(text).is_finite()
+        value = Decimal(text)
     except InvalidOperation as exc:
         raise CliParseError(f"not a decimal number: {text!r}") from exc
-    if not finite:
-        raise CliParseError(f"not a finite decimal number: {text!r}")
+    if not (value.is_finite() and math.isfinite(float(value))):
+        raise CliParseError(f"not a finite weight: {text!r}")
     return text
 
 
@@ -113,7 +114,7 @@ def parse_alpha_grid(spec: str) -> list[str]:
         out = []
         cur = start
         for _ in range(count):
-            out.append(str(cur.normalize()))
+            out.append(_parse_decimal(str(cur.normalize())))
             cur += step
     else:
         out = [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]

@@ -33,8 +33,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_labeling_masks, orbits_from_generators
-from .graphs import Graph, iter_bits
+from .canon import canonical_labeling_masks, orbit
+from .graphs import Graph, iter_bits, mask_of, permute_mask
 
 ENUMERATION_CAP = 10
 
@@ -70,31 +70,6 @@ def _deletion_candidates(n: int, adj: tuple[int, ...]) -> list[int]:
     return candidates
 
 
-def _permute_mask(mask: int, g: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << g[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _is_orbit_min(mask: int, gens: list[tuple[int, ...]]) -> bool:
-    """Is ``mask`` the minimum of its orbit under the generated group?"""
-    seen = {mask}
-    frontier = [mask]
-    while frontier:
-        m = frontier.pop()
-        for g in gens:
-            m2 = _permute_mask(m, g)
-            if m2 < mask:
-                return False
-            if m2 not in seen:
-                seen.add(m2)
-                frontier.append(m2)
-    return True
-
-
 def _children(
     m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -110,13 +85,12 @@ def _children(
         forced = [u for u in range(m) if degs[u] < size]
         if len(forced) > size:
             break
-        base = sum(1 << u for u in forced)
+        base = mask_of(forced)
         free = [u for u in range(m) if degs[u] >= size]
         for combo in combinations(free, size - len(forced)):
-            mask = base
-            for u in combo:
-                mask |= 1 << u
-            if gens and not _is_orbit_min(mask, gens):
+            mask = base | mask_of(combo)
+            # One neighbor set per Aut orbit: the orbit's minimum.
+            if gens and any(m2 < mask for m2 in orbit(mask, gens, permute_mask)):
                 continue
             child = tuple(
                 row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(adj)
@@ -142,8 +116,7 @@ def _descend(
             # Accept only when the new vertex is in the orbit of the tied
             # candidate that the canonical labeling puts first.
             perm, child_gens = canonical_labeling_masks(g.n + 1, adj)
-            orbit = orbits_from_generators(g.n + 1, child_gens)
-            if orbit[min(candidates, key=perm.__getitem__)] != orbit[g.n]:
+            if min(candidates, key=perm.__getitem__) not in orbit(g.n, child_gens):
                 continue
         child = Graph(g.n + 1, adj)
         if keep(child):

@@ -2,7 +2,8 @@
 
 Vertices are 0..n-1. Each vertex's neighborhood is stored as an int bitmask,
 which keeps degree counts, subset tests and the exhaustive searches elsewhere
-in the package cheap. Graph values are immutable and hashable.
+in the package cheap. Graph values are immutable and hashable. Vertex sets
+are masks too (``mask_of``, ``permute_mask``, ``reach``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,36 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Vertex mask of ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
+    """Image of the vertex mask ``mask`` under v -> perm[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def reach(adj: tuple[int, ...], start: int, within: int) -> int:
+    """Vertex mask of what ``start`` reaches by paths whose other vertices lie in ``within``."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 class Graph:
@@ -131,17 +162,8 @@ class Graph:
         return not degs if self.n == 0 else degs == {d}
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.n <= 1 or reach(self.adj, 0, full) == full
 
     def two_core(self) -> int:
         """Vertex mask of the 2-core: what repeated leaf stripping leaves."""
@@ -169,10 +191,7 @@ class Graph:
         """Image of the graph under vertex map v -> perm[v]."""
         adj = [0] * self.n
         for v, row in enumerate(self.adj):
-            new_row = 0
-            for u in iter_bits(row):
-                new_row |= 1 << perm[u]
-            adj[perm[v]] = new_row
+            adj[perm[v]] = permute_mask(row, perm)
         return Graph(self.n, tuple(adj))
 
 
@@ -275,14 +294,7 @@ class CliqueJoinRegular:
     d: int
 
     def clique_and_part(self) -> tuple[int, Graph]:
-        m, r = _part_order(self), self.d - 1
-        if not 0 <= r < max(m, 1):
-            raise FeasibilityError(
-                f"CliqueJoinRegular needs 0 <= d-1 < n-k+1, got d-1={r}, n-k+1={m}"
-            )
-        if (r * m) % 2 != 0:
-            raise FeasibilityError(f"parity violation: (d-1)(n-k+1) = {r}*{m} must be even")
-        return self.k - 1, regular_circulant(m, r)
+        return self.k - 1, regular_circulant(_part_order(self), self.d - 1)
 
 
 ConstructionSpec = Union[CompleteSplit, CliqueJoinCliques, CliqueJoinMatching, CliqueJoinRegular]

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, mask_of, reach
 
 HOST_CAP = 12
 
@@ -101,38 +101,20 @@ def _tie_groups(p: MinorPattern) -> list[int]:
     return list(range(p.pattern.n))
 
 
-def _connected_in(g: Graph, vertices: tuple[int, ...]) -> bool:
-    if not vertices:
-        return False
-    member = 0
-    for v in vertices:
-        member |= 1 << v
-    seen = 1 << vertices[0]
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v] & member
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == member
-
-
 def verify_minor_embedding(g: Graph, p: MinorPattern, emb: MinorEmbedding) -> bool:
     """Independent inspection of a claimed branch-set certificate."""
     pat = pattern_graph(p)
     sets = emb.branch_sets
     if len(sets) != pat.n:
         return False
-    used: set[int] = set()
+    used = 0
     for branch in sets:
         if not branch or any(not 0 <= v < g.n for v in branch):
             return False
-        if used & set(branch):
+        member = mask_of(branch)
+        if used & member or reach(g.adj, branch[0], member) != member:
             return False
-        if not _connected_in(g, branch):
-            return False
-        used |= set(branch)
+        used |= member
     for i, j in pat.edges():
         if not any(g.has_edge(u, v) for u in sets[i] for v in sets[j]):
             return False

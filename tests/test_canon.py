@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbits_from_generators
+from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph
 
@@ -17,7 +17,9 @@ def automorphism_generators(g):
 
 
 def vertex_orbits(g):
-    return orbits_from_generators(g.n, automorphism_generators(g))
+    """Each vertex's orbit label: the orbit's minimum."""
+    gens = automorphism_generators(g)
+    return [min(orbit(v, gens)) for v in range(g.n)]
 
 
 def brute_force_automorphisms(g):
@@ -106,5 +108,11 @@ class TestCanonicalForm:
         assert orbits[0] == 0
         assert orbits[1] == orbits[2] == orbits[3] == 1
 
-    def test_orbits_from_generators_empty(self):
-        assert orbits_from_generators(3, []) == [0, 1, 2]
+    def test_orbit_without_generators(self):
+        assert [list(orbit(v, [])) for v in range(3)] == [[0], [1], [2]]
+
+    def test_orbit_starts_at_point_and_visits_once(self):
+        cycle = tuple((v + 1) % 5 for v in range(5))
+        flip = tuple((-v) % 5 for v in range(5))
+        walk = list(orbit(2, [cycle, flip]))
+        assert walk[0] == 2 and sorted(walk) == list(range(5))

@@ -53,6 +53,13 @@ class TestAlphaGridParsing:
             parse_alpha_grid("0.1,0.1000000000000000000001")
         with pytest.raises(CliParseError, match="repeats"):
             parse_alpha_grid("0.1:0.1000000000000000000002:0.0000000000000000000001")
+        # A decimal beyond the float range is an infinite weight.
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("1e400")
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("1e400,2e400")
+        with pytest.raises(CliParseError, match="finite"):
+            parse_alpha_grid("1e400:1e400:1")
 
     @pytest.mark.parametrize("argv", [
         ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--workers", "1"),
@@ -66,6 +73,21 @@ class TestAlphaGridParsing:
         assert code == 2
         assert out == ""
         assert "repeats a weight" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--workers", "1", "--alpha-grid", "1e400"),
+        ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--workers", "1",
+         "--alpha-grid", "1e400,2e400"),
+        ("check", "--theorem", "T1", "--r", "3", "--n", "5", "--workers", "1",
+         "--alpha-grid", "1e400:1e400:1"),
+        ("alpha-index", "--g6", "Bw", "--alpha", "1e400"),
+        ("bounds", "--table", "join", "--n", "10", "--k", "2", "--d", "3", "--alpha", "1e400"),
+    ])
+    def test_float_overflow_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "not a finite weight" in err
 
     def test_range_grid_is_counted_before_it_is_built(self, capsys):
         # 8e8 points: building the list first would take minutes and gigabytes.

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 
 from alpha_extremal.canon import canonical_form
@@ -64,6 +65,13 @@ class TestGraphBasics:
         assert not Graph.cycle(4).is_forest()
         assert not disjoint_union(Graph.path(2), Graph.path(2)).is_connected()
         assert Graph.empty(1).is_connected()
+
+    def test_connectivity_matches_networkx(self, graphs_by_order):
+        for graphs in graphs_by_order.values():
+            for g in graphs:
+                h = nx.empty_graph(g.n)
+                h.add_edges_from(g.edges())
+                assert g.is_connected() == nx.is_connected(h)
 
     def test_relabel_roundtrip(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -159,7 +167,7 @@ class TestConstructions:
                 build(CliqueJoinCliques(10, 2, 3, 2))
             with pytest.raises(FeasibilityError, match="parity"):
                 build(CliqueJoinRegular(8, 2, 2))  # 1-regular part on 7 vertices
-            with pytest.raises(FeasibilityError, match="d-1"):
+            with pytest.raises(FeasibilityError, match="no 4-regular graph on 3 vertices"):
                 build(CliqueJoinRegular(5, 3, 5))
             with pytest.raises(FeasibilityError):
                 build(CompleteSplit(4, 5))
