@@ -5,10 +5,26 @@ individualization backtracking, the classical scheme for exact graph
 canonization. Leaves of the search tree are complete labelings; the
 canonical one minimizes the packed upper-triangle adjacency bit string in
 graph6 bit order, so canonical graph6 strings compare lexicographically.
-Every pair of leaves with equal codes certifies an automorphism; discovered
-automorphisms prune the search (a candidate branch vertex is skipped when an
-automorphism fixing the current individualization prefix maps it into an
-already-explored sibling).
+Every pair of leaves with equal codes certifies an automorphism. Known
+automorphisms prune the search three ways (McKay 1981, *Practical graph
+isomorphism*; McKay & Piperno 2014):
+
+- twins (equal open or equal closed neighborhoods) are swapped by a
+  transposition, so those of consecutive twins seed the generators before
+  the search starts;
+- a candidate branch vertex is skipped when an automorphism fixing the
+  current individualization prefix maps it into an already-explored sibling;
+- a leaf whose code equals the first leaf's or the best leaf's gives an
+  automorphism that fixes the prefix the two paths share and maps the
+  earlier path's next vertex to the current one. The search then jumps back
+  to where the paths part, since what is left below is the image of a
+  sibling subtree already explored.
+
+Each pruned subtree is the image, under an automorphism fixing its prefix,
+of an earlier sibling subtree, which holds a leaf of the same code earlier
+in depth-first order. The canonical leaf, the first of minimal code, is
+therefore never pruned, and the labels are those of the unpruned search.
+The automorphisms found still generate the whole group, as in nauty.
 
 ``orbit`` is the one orbit walk: of vertices for that pruning and the
 enumeration's tie test, of vertex masks for its neighbor-set orbit test.
@@ -51,28 +67,32 @@ def refine_partition(
 
     Cells are repeatedly split by neighbor counts into the pending splitter
     sets; new sub-cells are ordered by ascending count, which keeps the cell
-    order isomorphism-invariant. ``splitters`` defaults to all cells.
+    order isomorphism-invariant. ``splitters`` defaults to all cells. A
+    discrete partition is returned as soon as it is reached, since no
+    splitter can change it.
     """
+    n = len(adj)
     queue: deque[int] = deque(
         splitters if splitters is not None else [mask_of(c) for c in cells]
     )
-    while queue:
+    while queue and len(cells) < n:
         w = queue.popleft()
         new_cells: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                buckets.setdefault((adj[v] & w).bit_count(), []).append(v)
-            if len(buckets) == 1:
+            counts = [(adj[v] & w).bit_count() for v in cell]
+            if counts.count(counts[0]) == len(counts):
                 new_cells.append(cell)
-            else:
-                for cnt in sorted(buckets):
-                    sub = buckets[cnt]
-                    new_cells.append(sub)
-                    queue.append(mask_of(sub))
+                continue
+            buckets: dict[int, list[int]] = {}
+            for v, cnt in zip(cell, counts):
+                buckets.setdefault(cnt, []).append(v)
+            for cnt in sorted(buckets):
+                sub = buckets[cnt]
+                new_cells.append(sub)
+                queue.append(mask_of(sub))
         cells = new_cells
     return cells
 
@@ -87,6 +107,23 @@ def _code_of(n: int, adj: tuple[int, ...], order: list[int]) -> int:
     return code
 
 
+def _twin_transpositions(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """(v0 v1), (v1 v2), ... along each class of twins: vertices with equal
+    open neighborhoods, or equal closed ones. Consecutive transpositions,
+    unlike (v0 vi), go on fixing the prefix as the class is individualized."""
+    gens = []
+    for rows in (adj, [row | 1 << v for v, row in enumerate(adj)]):
+        classes: dict[int, list[int]] = {}
+        for v, row in enumerate(rows):
+            classes.setdefault(row, []).append(v)
+        for twins in classes.values():
+            for u, v in zip(twins, twins[1:]):
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                gens.append(tuple(swap))
+    return gens
+
+
 def canonical_labeling_masks(
     n: int, adj: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -97,46 +134,43 @@ def canonical_labeling_masks(
     """
     if n == 0:
         return (), []
-    best_code: int | None = None
-    best_order: list[int] = []
-    first_code: int | None = None
-    first_order: list[int] = []
-    gens: list[tuple[int, ...]] = []
+    gens = _twin_transpositions(n, adj)
     path: list[int] = []
+    first: tuple[int, list[int], list[int]] | None = None  # (code, order, path) of a leaf
+    best: tuple[int, list[int], list[int]] | None = None
+    done = n  # what a search that ran to its end returns: deeper than any node
 
-    def record_automorphism(ref_order: list[int], order: list[int]) -> None:
-        sigma = [0] * n
-        for pos in range(n):
-            sigma[ref_order[pos]] = order[pos]
-        tup = tuple(sigma)
-        if any(s != v for v, s in enumerate(tup)) and tup not in gens:
-            gens.append(tup)
-
-    def visit_leaf(order: list[int]) -> None:
-        nonlocal best_code, best_order, first_code, first_order
+    def visit_leaf(order: list[int]) -> int:
+        """Note the leaf; after an automorphism, return the depth to resume at."""
+        nonlocal first, best
         code = _code_of(n, adj, order)
-        if first_code is None:
-            first_code, first_order = code, order[:]
-        elif code == first_code:
-            record_automorphism(first_order, order)
-        if best_code is None or code < best_code:
-            best_code, best_order = code, order[:]
-        elif code == best_code and order != best_order:
-            record_automorphism(best_order, order)
+        if first is None:
+            first = best = (code, order, path[:])
+            return done
+        for ref_code, ref_order, ref_path in (first, best):
+            if code == ref_code:
+                sigma = [0] * n
+                for ref_v, v in zip(ref_order, order):
+                    sigma[ref_v] = v
+                gens.append(tuple(sigma))
+                # Resume where the two paths part: below that node, the rest of
+                # this path's subtree is the image of one already explored.
+                return next(d for d, (u, v) in enumerate(zip(path, ref_path)) if u != v)
+        if code < best[0]:
+            best = (code, order, path[:])
+        return done
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[list[int]]) -> int:
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            visit_leaf([c[0] for c in cells])
-            return
+            return visit_leaf([c[0] for c in cells])
+        depth = len(path)
         cell = cells[target]
         tried: set[int] = set()
         fixers: list[tuple[int, ...]] = []  # the generators gens[:seen] that fix path
         seen = 0
         for u in cell:
             if tried:
-                # Skip u when some automorphism fixing the current prefix
-                # maps it into an already-explored sibling.
                 fixers += [g for g in gens[seen:] if all(g[x] == x for x in path)]
                 seen = len(gens)
                 if fixers and not tried.isdisjoint(orbit(u, fixers)):
@@ -144,13 +178,16 @@ def canonical_labeling_masks(
             rest = [x for x in cell if x != u]
             child = cells[:target] + [[u], rest] + cells[target + 1 :]
             path.append(u)
-            search(refine_partition(adj, child, [1 << u, mask_of(rest)]))
+            resume = search(refine_partition(adj, child, [1 << u, mask_of(rest)]))
             path.pop()
+            if resume < depth:
+                return resume
             tried.add(u)
+        return done
 
     search(refine_partition(adj, [list(range(n))]))
     perm = [0] * n
-    for pos, v in enumerate(best_order):
+    for pos, v in enumerate(best[1]):
         perm[v] = pos
     return tuple(perm), gens
 

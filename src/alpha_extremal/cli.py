@@ -53,6 +53,7 @@ from .harness import (
     ForbiddenClass,
     StarForestFree,
     check_theorem,
+    predictions,
     reports_to_csv,
     sweep_inequalities,
 )
@@ -245,8 +246,13 @@ def _cmd_check(args) -> int:
     if out_dir:
         with _creating_out():
             out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
     weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
+    # Every order is predicted before the first census, as the cap is checked
+    # above, so an order with no prediction leaves no partial grid in --out.
+    # The first order is predicted by its own check_theorem call.
+    for n in orders[1:]:
+        predictions(cls, n, weights)
+    reports = []
     for n in orders:
         found = check_theorem(cls, n, weights, workers=workers)
         reports.extend(found)

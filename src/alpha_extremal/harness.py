@@ -377,6 +377,16 @@ def classify_verdict(exhaustive_max: float, predicted: float, threshold_satisfie
     return "PREDICTION_EXCEEDED" if diff > 0 else "PREDICTION_UNATTAINED"
 
 
+def predictions(cls: ForbiddenClass, n: int,
+                alphas: Iterable[float]) -> tuple[ConstructionSpec | None, list[float]]:
+    """The claim's construction at order n and its predicted value at each
+    weight. Refuses an order above the enumeration cap, and an order or a
+    weight with no prediction, without a census."""
+    enumeration.check_order(n)
+    spec = predicted_witness_spec(cls, n)
+    return spec, [predicted_value(cls, n, spec, a) for a in alphas]
+
+
 def check_theorem(
     cls: ForbiddenClass,
     n: int,
@@ -395,10 +405,8 @@ def check_theorem(
     failure there would falsify the construction side of the claim and
     raises instead of reporting.
     """
-    enumeration.check_order(n)
     weights = [require_open_weight(a) for a in alphas]
-    spec = predicted_witness_spec(cls, n)
-    values = [predicted_value(cls, n, spec, a) for a in weights]
+    spec, values = predictions(cls, n, weights)
     witness_g6 = None
     if spec is not None:
         witness_graph = construct(spec)

@@ -1,9 +1,11 @@
 import multiprocessing
+from collections import deque
 
 import pytest
 
+from alpha_extremal.canon import orbit
 from alpha_extremal.enumeration import enumerate_graphs
-from alpha_extremal.graphs import Graph
+from alpha_extremal.graphs import Graph, mask_of
 
 # Published census of simple graphs on 1..9 unlabeled vertices.
 GRAPH_CENSUS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
@@ -17,6 +19,89 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
     return Graph(g.n, tuple(adj))
+
+
+def plain_refine(adj, cells, splitters=None):
+    """Equitable refinement with a bucket pass over every cell and splitter,
+    as ``canon.refine_partition`` computes it without its shortcuts."""
+    queue = deque(splitters if splitters is not None else [mask_of(c) for c in cells])
+    while queue:
+        w = queue.popleft()
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & w).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                for cnt in sorted(buckets):
+                    new_cells.append(buckets[cnt])
+                    queue.append(mask_of(buckets[cnt]))
+        cells = new_cells
+    return cells
+
+
+def unpruned_labeling(n, adj):
+    """Oracle for ``canon.canonical_labeling_masks``: the same search tree and
+    leaf order, pruned only where an automorphism found so far that fixes the
+    prefix maps a sibling onto a tried one. With no twin seeding and no jump
+    back after an automorphism, it also visits the nodes those two prune."""
+    if n == 0:
+        return (), []
+    best_code = best_order = first_code = first_order = None
+    gens = []
+    path = []
+
+    def record_automorphism(ref_order, order):
+        sigma = [0] * n
+        for pos in range(n):
+            sigma[ref_order[pos]] = order[pos]
+        tup = tuple(sigma)
+        if any(s != v for v, s in enumerate(tup)) and tup not in gens:
+            gens.append(tup)
+
+    def visit_leaf(order):
+        nonlocal best_code, best_order, first_code, first_order
+        code = 0
+        for j in range(1, n):
+            for i in range(j):
+                code = code << 1 | (adj[order[j]] >> order[i] & 1)
+        if first_code is None:
+            first_code, first_order = code, order[:]
+        elif code == first_code:
+            record_automorphism(first_order, order)
+        if best_code is None or code < best_code:
+            best_code, best_order = code, order[:]
+        elif code == best_code and order != best_order:
+            record_automorphism(best_order, order)
+
+    def search(cells):
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            visit_leaf([c[0] for c in cells])
+            return
+        cell = cells[target]
+        tried = set()
+        for u in cell:
+            fixers = [g for g in gens if all(g[x] == x for x in path)]
+            if fixers and not tried.isdisjoint(orbit(u, fixers)):
+                continue
+            rest = [x for x in cell if x != u]
+            child = cells[:target] + [[u], rest] + cells[target + 1:]
+            path.append(u)
+            search(plain_refine(adj, child, [1 << u, mask_of(rest)]))
+            path.pop()
+            tried.add(u)
+
+    search(plain_refine(adj, [list(range(n))]))
+    perm = [0] * n
+    for pos, v in enumerate(best_order):
+        perm[v] = pos
+    return tuple(perm), gens
 
 
 @pytest.fixture(scope="session")

@@ -404,6 +404,28 @@ class TestCheckCommand:
         assert "n >=" in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_order_without_prediction_refused_before_any_census(
+        self, capsys, monkeypatch, tmp_path, workers
+    ):
+        # n = 4 has a construction; n = 5 has none, and the quadratic it falls
+        # back on needs n >= 10 at weight 0.25, so no order of the range is run.
+        from alpha_extremal import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("census started before every order was predicted")
+
+        monkeypatch.setattr(harness, "extremal_search", never)
+        out_dir = tmp_path / "reports"
+        code, out, err = run(
+            capsys, "check", "--theorem", "T2", "--s", "2", "--t", "3", "--n-range", "4:8",
+            "--alpha-grid", "0.25,0.5", "--workers", workers, "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert "got n=5" in err
+        assert list(out_dir.iterdir()) == []
+
     def test_construction_predicted_below_the_quadratic_order_minimum(self, capsys, tmp_path):
         # The quadratic refuses weight 0.1 at order 4, but the construction,
         # K_1 joined to one K_3, is K_4 with index 3.

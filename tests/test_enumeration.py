@@ -11,7 +11,7 @@ from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
 from alpha_extremal.star_forests import is_star_forest_free
-from conftest import GRAPH_CENSUS
+from conftest import GRAPH_CENSUS, unpruned_labeling
 
 # Predicates closed under vertex deletion, as the census and the sweep use them.
 # A single star cannot be a StarForestSpec (it needs two stars), so S3 is
@@ -153,6 +153,23 @@ class TestWalkPins:
     ])
     def test_pruned_order_9(self, name, digest):
         assert stream_digest(enumerate_graphs(9, keep=HEREDITARY[name])) == digest
+
+    @pytest.mark.parametrize("name", ["K4-minor-free", "S2+S2-free"])
+    def test_pruned_order_9_labels_equal_the_unpruned_search(self, monkeypatch, name):
+        labeled = []
+        label = enumeration.canonical_labeling_masks
+
+        def noted(n, adj):
+            perm, gens = label(n, adj)
+            labeled.append((adj, perm))
+            return perm, gens
+
+        monkeypatch.setattr(enumeration, "canonical_labeling_masks", noted)
+        for _ in enumerate_graphs(9, keep=HEREDITARY[name]):
+            pass
+        assert labeled
+        for adj, perm in labeled:
+            assert perm == unpruned_labeling(len(adj), adj)[0]
 
 
 class TestKeepContract:
