@@ -118,7 +118,8 @@ def _descend(
             perm, child_gens = canonical_labeling_masks(g.n + 1, adj)
             if min(candidates, key=perm.__getitem__) not in orbit(g.n, child_gens):
                 continue
-        child = Graph(g.n + 1, adj)
+        # _children's tables are symmetric and loop-free by construction.
+        child = Graph.unchecked(g.n + 1, adj)
         if keep(child):
             yield from _descend(child, target, keep, child_gens)
 

@@ -79,6 +79,18 @@ class Graph:
         self.adj = tuple(adj)
         self._hash = hash((n, self.adj))
 
+    @classmethod
+    def unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph on ``adj`` without ``__init__``'s checks: only for tables
+        symmetric and loop-free by construction, such as the enumeration's
+        children. Tables from outside (graph6, edge lists) go through
+        ``__init__``."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = adj
+        g._hash = hash((n, adj))
+        return g
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

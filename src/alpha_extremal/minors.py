@@ -29,6 +29,7 @@ re-validated before being returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Union
@@ -84,11 +85,17 @@ class MinorEmbedding:
 
 
 def pattern_graph(p: MinorPattern) -> Graph:
+    if isinstance(p, GraphMinor):
+        return p.pattern
+    return _built_pattern(p)
+
+
+@functools.cache
+def _built_pattern(p: CliqueMinor | BicliqueMinor) -> Graph:
+    """K_r or K_{s,t}, built once per pattern."""
     if isinstance(p, CliqueMinor):
         return Graph.complete(p.r)
-    if isinstance(p, BicliqueMinor):
-        return Graph.complete_bipartite(p.s, p.t)
-    return p.pattern
+    return Graph.complete_bipartite(p.s, p.t)
 
 
 def _tie_groups(p: MinorPattern) -> list[int]:

@@ -8,15 +8,23 @@ rotation per step, its columns copied from the rows so the iterate stays
 exactly symmetric; repeated runs are bitwise reproducible, and library
 eigensolvers are used only as independent oracles in the test suite.
 
+alpha_index solves on the graph's coarsest equitable partition. For an
+equitable partition of a nonnegative symmetric matrix the quotient has the
+same largest eigenvalue, and its eigenvector lifts to one of the full matrix
+that is constant on each cell (Godsil and Royle, *Algebraic Graph Theory*
+9.3; Brouwer and Haemers, *Spectra of Graphs* 2.3). The paper's joins are
+2- or 3-class solves; a graph whose partition is discrete is solved on
+alpha_matrix itself, so its result is the dense solve's, bit for bit.
+
 degree_vector_bound and collatz_wielandt_bound are cheap upper bounds on that
 eigenvalue, from the degree vector (via degree_sums, which does not depend on
 the weight) and from a few power iterates of it, which let a census order its
 members and skip those that cannot reach its maximum.
 
 Every join construction has a tiny equitable quotient (one class per
-regular block) whose largest eigenvalue equals the full graph's exactly.
-quotient_alpha_index builds its symmetrized form in closed form, exactly
-symmetric, and is how the harness predicts each claim's extremal value.
+regular block). quotient_alpha_index builds its symmetrized form in closed
+form from the construction's parameters, exactly symmetric, and is how the
+harness predicts each claim's extremal value.
 """
 
 from __future__ import annotations
@@ -26,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConstructionSpec, Graph, iter_bits, quotient_classes
+from .canon import refine_partition
+from .graphs import ConstructionSpec, Graph, iter_bits, mask_of, quotient_classes
 
 JACOBI_TOL = 1e-12
 # Graphs with high-multiplicity spectra (joins of many equal blocks) drain
 # their off-diagonal mass slowly once the simple eigenvalues have converged,
-# about 2% per sweep late on: slow convergence, not a roundoff floor. At
-# weight 1/2 the paper's order-100 joins need CliqueJoinMatching(100,3) 310
-# sweeps and CliqueJoinCliques(100,2,3,33) 410; the budget covers both.
+# about 2% per sweep late on: slow convergence, not a roundoff floor. On the
+# full matrix at weight 1/2 the paper's order-100 joins need
+# CliqueJoinMatching(100,3) 310 sweeps and CliqueJoinCliques(100,2,3,33) 410;
+# the budget covers both. alpha_index solves their quotients in one sweep.
 MAX_SWEEPS = 500
 
 
@@ -146,6 +156,9 @@ def jacobi_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
     of A into its columns p and q. For an exactly symmetric input the iterate
     stays exactly symmetric, and the copy is bit for bit the column rotation.
     (One symmetric only up to rounding may differ from it in the last bits.)
+    A step's scalars are Python floats and its row products go through two
+    preallocated buffers, with no temporary arrays: each entry of the new
+    rows gets the IEEE operations of c*w[p] - s*w[q] and s*w[p] + c*w[q].
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -153,6 +166,10 @@ def jacobi_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
         return np.diagonal(a).copy(), np.eye(n), 0
     w = np.hstack([a, np.eye(n)])
     a = w[:, :n]
+    rows = list(w)
+    heads = [row[:n] for row in rows]  # the rows of the iterate
+    cols = list(a.T)
+    sp, sq = np.empty(2 * n), np.empty(2 * n)
     for sweep in range(MAX_SWEEPS + 1):
         off = a.copy()
         np.fill_diagonal(off, 0.0)
@@ -162,49 +179,90 @@ def jacobi_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
         if sweep == MAX_SWEEPS:
             break
         for p in range(n - 1):
+            wp, ap = rows[p], heads[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = ap.item(q)
                 if abs(apq) < 1e-280:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
+                    ap[q] = 0.0
+                    heads[q][p] = 0.0
                     continue
-                app = a[p, p]
-                aqq = a[q, q]
+                aq = heads[q]
+                app = ap.item(p)
+                aqq = aq.item(q)
                 tau = (aqq - app) / (2.0 * apq)
                 if abs(tau) > 1e150:
                     t = 1.0 / (2.0 * tau)
                 else:
                     sign = 1.0 if tau >= 0.0 else -1.0
-                    t = sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                w[p], w[q] = c * w[p] - s * w[q], s * w[p] + c * w[q]
-                a[:, p] = a[p]
-                a[:, q] = a[q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                wq = rows[q]
+                np.multiply(wp, s, out=sp)
+                np.multiply(wq, s, out=sq)
+                np.multiply(wp, c, out=wp)
+                np.subtract(wp, sq, out=wp)
+                np.multiply(wq, c, out=wq)
+                np.add(sp, wq, out=wq)
+                np.copyto(cols[p], ap)
+                np.copyto(cols[q], aq)
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
     raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
+
+
+def equitable_quotient(g: Graph, alpha: float) -> tuple[list[list[int]], np.ndarray]:
+    """The coarsest equitable partition of g, cells ordered by their smallest
+    vertex, and the symmetrized quotient of a*D + (1-a)*A on it.
+
+    Cell i's diagonal entry is a*deg + (1-a)*inner, with deg and inner the
+    degree and within-cell degree its vertices share; entry (i, j) is
+    (1-a)*cnt*sqrt(|i|/|j|), with cnt the neighbors a vertex of cell i has
+    in cell j, written once into both triangles, so the quotient is exactly
+    symmetric. On a discrete partition it is alpha_matrix(g, alpha) itself.
+    """
+    a = require_weight(alpha)
+    off = 1.0 - a
+    cells = sorted(refine_partition(g.adj, [list(range(g.n))]), key=min)
+    masks = [mask_of(cell) for cell in cells]
+    k = len(cells)
+    rows = [[0.0] * k for _ in range(k)]
+    for i, cell in enumerate(cells):
+        nbrs = g.adj[cell[0]]
+        rows[i][i] = a * nbrs.bit_count() + off * (nbrs & masks[i]).bit_count()
+        for j in range(i + 1, k):
+            cnt = (nbrs & masks[j]).bit_count()
+            if cnt:
+                rows[i][j] = rows[j][i] = off * cnt * math.sqrt(len(cell) / len(cells[j]))
+    return cells, np.array(rows)
 
 
 def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     """Largest eigenvalue of a*D + (1-a)*A with its unit eigenvector.
 
-    The eigenvector sign is fixed by making the largest-magnitude entry
-    positive; for connected graphs it is the positive Perron vector.
+    Solved on the equitable quotient, whose largest eigenvalue is the full
+    matrix's; the quotient eigenvector y lifts to x_v = y_i / sqrt(|i|) on
+    each cell i. The sweep count is the quotient's, and the residual is
+    measured on the full matrix. The eigenvector sign is fixed by making the
+    largest-magnitude entry positive; for connected graphs it is the
+    positive Perron vector.
     """
     if g.n < 1:
         raise ValueError("alpha_index needs a graph of order >= 1")
-    mat = alpha_matrix(g, alpha)
-    values, vectors, sweeps = jacobi_eigensystem(mat)
+    cells, quotient = equitable_quotient(g, alpha)
+    values, vectors, sweeps = jacobi_eigensystem(quotient)
     k = int(np.argmax(values))
     rho = float(values[k])
-    x = vectors[:, k]
+    x = np.empty(g.n)
+    for cell, y in zip(cells, vectors[:, k].tolist()):
+        x[cell] = y / math.sqrt(len(cell))
     top = int(np.argmax(np.abs(x)))
     if x[top] < 0.0:
         x = -x
     x = x / np.sqrt(np.sum(x * x))
+    mat = alpha_matrix(g, alpha)
     residual_vec = np.sum(mat * x, axis=1) - rho * x
     residual = float(np.sqrt(np.sum(residual_vec * residual_vec)))
     return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)

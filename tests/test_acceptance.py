@@ -37,7 +37,7 @@ from alpha_extremal.harness import (
     extremal_search,
     predicted_witness_spec,
 )
-from alpha_extremal.spectral import alpha_index
+from alpha_extremal.spectral import alpha_index, alpha_matrix
 from alpha_extremal.star_forests import is_star_forest_free
 
 
@@ -65,8 +65,9 @@ def test_criterion_1_eigensolver_oracle_bounds(graphs_by_order):
 
 
 def test_criterion_2_complete_split_closed_form():
-    """Quadratic root equals the dense alpha index of the complete split
-    graph to 1e-9 for k <= 6, orders up to 60, and a 9-point weight grid."""
+    """Quadratic root equals the alpha index of the complete split graph,
+    and eigvalsh of its dense matrix, to 1e-9 for k <= 6, orders up to 60,
+    and a 9-point weight grid."""
     weights = [i / 10 for i in range(1, 10)]
     checked = 0
     for k in range(2, 7):
@@ -78,7 +79,9 @@ def test_criterion_2_complete_split_closed_form():
             for a in weights:
                 root = complete_split_quadratic(n, k, a).largest_root
                 rho = alpha_index(g, a).alpha_index
+                dense = float(np.linalg.eigvalsh(alpha_matrix(g, a))[-1])
                 assert abs(root - rho) <= 1e-9, (n, k, a, root, rho)
+                assert abs(root - dense) <= 1e-9, (n, k, a, root, dense)
                 checked += 1
     assert checked >= 300
     report(2, f"{checked} closed-form agreements at 1e-9 (k <= 6, n <= 60, 9 weights)")

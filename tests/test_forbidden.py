@@ -333,3 +333,4 @@ class TestConstructionMembership:
         assert pattern_graph(CliqueMinor(4)) == Graph.complete(4)
         assert pattern_graph(BicliqueMinor(2, 3)) == Graph.complete_bipartite(2, 3)
         assert pattern_graph(GraphMinor(PETERSEN)) is PETERSEN
+        assert pattern_graph(CliqueMinor(4)) is pattern_graph(CliqueMinor(4))  # built once

@@ -55,6 +55,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
 
+    def test_walk_nodes_pass_the_checks_they_skip(self, graphs_by_order):
+        # The enumeration builds its nodes through Graph.unchecked.
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                checked = Graph(g.n, g.adj)
+                assert checked == g and hash(checked) == hash(g)
+
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
         assert g.edges() == [(0, 1), (0, 2), (1, 3)]

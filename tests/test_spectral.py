@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -16,10 +17,12 @@ from alpha_extremal.graphs import (
     construct,
 )
 from alpha_extremal.spectral import (
+    MAX_SWEEPS,
     SpectralResult,
     alpha_index,
     alpha_matrix,
     collatz_wielandt_bound,
+    equitable_quotient,
     jacobi_eigensystem,
     quotient_alpha_index,
     require_weight,
@@ -51,6 +54,36 @@ def rayleigh_quotient(g, alpha, x):
 def eigh_oracle(g, a):
     """Independent dense eigensolver (LAPACK) for cross-checks."""
     return float(np.linalg.eigvalsh(alpha_matrix(g, a))[-1])
+
+
+def dense_alpha_index(g, a):
+    """alpha_index solved on the full matrix a*D + (1-a)*A, as it was before
+    the equitable quotient: the reference a discrete partition must match."""
+    mat = alpha_matrix(g, a)
+    values, vectors, sweeps = jacobi_eigensystem(mat)
+    k = int(np.argmax(values))
+    rho = float(values[k])
+    x = vectors[:, k]
+    top = int(np.argmax(np.abs(x)))
+    if x[top] < 0.0:
+        x = -x
+    x = x / np.sqrt(np.sum(x * x))
+    residual_vec = np.sum(mat * x, axis=1) - rho * x
+    residual = float(np.sqrt(np.sum(residual_vec * residual_vec)))
+    return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)
+
+
+def gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+
+
+def random_symmetric(n, seed):
+    """Exactly symmetric, standard normal entries."""
+    upper = np.triu(np.random.default_rng(seed).normal(size=(n, n)))
+    return upper + np.triu(upper, 1).T
 
 
 class TestAlphaMatrix:
@@ -160,9 +193,7 @@ class TestAlphaIndex:
             alpha_index(Graph.empty(0), 0.5)
 
     def test_large_instance_self_consistency(self):
-        rng = np.random.default_rng(7)
-        edges = [(i, j) for i in range(200) for j in range(i + 1, 200) if rng.random() < 0.08]
-        result = alpha_index(Graph.from_edges(200, edges), 0.4)
+        result = alpha_index(gnp(200, 0.08, 7), 0.4)
         assert result.residual <= 1e-10
 
     def test_json_shape(self):
@@ -242,21 +273,101 @@ class TestJacobi:
         assert np.allclose(again, sym, atol=1e-11)
         assert np.allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
 
+    @pytest.mark.parametrize("matrix, digest", [
+        pytest.param(lambda: random_symmetric(12, 12),
+                     "8afffbd02bca8cf11daa93fb2241ed62e67a76eedf7ead2e145ae4dc198a9241", id="n12"),
+        pytest.param(lambda: random_symmetric(60, 60),
+                     "f19fb24b239348a5efff0b4bfd481473fcc64caad8947f537dc072dadb1fc75d", id="n60"),
+        pytest.param(lambda: alpha_matrix(gnp(200, 0.08, 7), 0.4),
+                     "8a90ca6dc59a55fe2e26a4be83ee70faf3b21192ae6154e0f7e3ef4255525d1d", id="n200"),
+    ])
+    def test_eigensystem_bytes(self, matrix, digest):
+        # Eigenvalues, eigenvectors and sweep count, bit for bit: the rotation
+        # arithmetic is fixed, however its steps are arranged.
+        values, vectors, sweeps = jacobi_eigensystem(matrix())
+        data = values.tobytes() + vectors.tobytes() + str(sweeps).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.slow
     @pytest.mark.parametrize("spec", [CliqueJoinMatching(100, 3), CliqueJoinCliques(100, 2, 3, 33)])
     def test_order_100_joins_converge(self, spec):
-        # The paper's many-block joins: 310 and 410 sweeps at weight 1/2.
-        g = construct(spec)
-        result = alpha_index(g, 0.5)
-        assert result.residual <= 1e-10
-        oracle = np.linalg.eigvalsh(alpha_matrix(g, 0.5))[-1]
-        assert abs(result.alpha_index - oracle) <= 1e-9
+        # The paper's many-block joins on the full matrix, within MAX_SWEEPS.
+        mat = alpha_matrix(construct(spec), 0.5)
+        values, vectors, sweeps = jacobi_eigensystem(mat)
+        assert sweeps == {CliqueJoinMatching: 310, CliqueJoinCliques: 410}[type(spec)]
+        assert sweeps <= MAX_SWEEPS
+        k = int(np.argmax(values))
+        x = vectors[:, k]
+        assert np.linalg.norm(mat @ x - values[k] * x) <= 1e-10
+        assert abs(values[k] - np.linalg.eigvalsh(mat)[-1]) <= 1e-9
 
     def test_high_multiplicity_spectrum(self):
         # Joins of many equal blocks: the slow-draining case for Jacobi.
-        g = construct(CliqueJoinCliques(41, 2, 4, 10))
-        result = alpha_index(g, 0.3)
+        mat = alpha_matrix(construct(CliqueJoinCliques(41, 2, 4, 10)), 0.3)
+        values, vectors, _ = jacobi_eigensystem(mat)
+        k = int(np.argmax(values))
+        x = vectors[:, k]
+        assert np.linalg.norm(mat @ x - values[k] * x) <= 1e-10
+
+
+class TestEquitableQuotient:
+    def test_agrees_with_dense_solves(self, graphs_by_order):
+        disconnected = 0
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                disconnected += not g.is_connected()
+                for a in (0.0, 0.3, 0.5, 1.0):
+                    result = alpha_index(g, a)
+                    mat = alpha_matrix(g, a)
+                    assert result.residual <= 1e-10
+                    assert abs(result.alpha_index - np.linalg.eigvalsh(mat)[-1]) <= 1e-12
+                    dense = float(np.max(jacobi_eigensystem(mat)[0]))
+                    assert abs(result.alpha_index - dense) <= 1e-12
+        assert disconnected == 0 + 1 + 2 + 5 + 13 + 44 + 191
+
+    @pytest.mark.parametrize("spec", [
+        CompleteSplit(40, 2),
+        CompleteSplit(200, 3),
+        CliqueJoinCliques(41, 2, 4, 10),
+        CliqueJoinCliques(100, 2, 3, 33),
+        CliqueJoinMatching(45, 3),
+        CliqueJoinMatching(100, 3),
+        CliqueJoinMatching(26, 10),
+        CliqueJoinRegular(52, 3, 4),
+        CliqueJoinRegular(200, 2, 3),
+    ])
+    def test_paper_joins_have_at_most_three_classes(self, spec):
+        g = construct(spec)
+        cells, quotient = equitable_quotient(g, 0.5)
+        assert len(cells) <= 3
+        assert sorted(v for cell in cells for v in cell) == list(range(g.n))
+        assert np.array_equal(quotient, quotient.T)
+        result = alpha_index(g, 0.5)
+        assert result.sweeps <= 3
         assert result.residual <= 1e-10
+        assert result.alpha_index == pytest.approx(quotient_alpha_index(spec, 0.5), abs=1e-12)
+
+    def test_discrete_partition_is_the_dense_solve(self, graphs_by_order):
+        graphs = [g for g in graphs_by_order[7] if len(equitable_quotient(g, 0.5)[0]) == 7]
+        graphs.append(gnp(40, 0.15, 1))
+        assert len(graphs) > 100
+        for g in graphs:
+            for a in (0.0, 0.3, 0.5, 1.0):
+                cells, quotient = equitable_quotient(g, a)
+                assert cells == [[v] for v in range(g.n)]
+                assert np.array_equal(quotient, alpha_matrix(g, a))
+                assert alpha_index(g, a) == dense_alpha_index(g, a)
+
+    def test_disconnected_regular_graph_is_one_class(self):
+        # Two triangles: one 2-regular class, the flat vector, no rotation.
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        cells, quotient = equitable_quotient(g, 0.4)
+        assert cells == [list(range(6))]
+        assert quotient.tolist() == [[0.4 * 2 + 0.6 * 2]]
+        result = alpha_index(g, 0.4)
+        assert result.sweeps == 0
+        assert result.alpha_index == 0.4 * 2 + 0.6 * 2
+        assert result.vector == pytest.approx([1 / math.sqrt(6)] * 6, abs=1e-15)
 
 
 class TestQuotient:
