@@ -15,9 +15,11 @@ Since the deletion vertex has minimum degree, neighbor sets have at most
 min_degree(parent) + 1 vertices, and at that size they hold every vertex of
 minimum degree (as in McKay's ``geng``). A child is canonically labeled
 only when some vertex ties with the new one on (degree, sorted neighbor
-degrees); that labeling also yields the automorphisms its own children are
-tried under, so within one walk no node is labeled twice, and a rejected
-child with no tie is never labeled.
+degrees) and is not its twin (a twin u of v gives the automorphism (u v),
+so a child whose every tie is a twin is accepted as it stands). That
+labeling also yields the automorphisms its own children are tried under,
+so within one walk no node is labeled twice, and a rejected child whose
+ties are all twins is never labeled.
 
 Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
 So for a predicate ``keep`` that is closed under vertex deletion (every
@@ -26,6 +28,9 @@ subgraph-closed class), a rejected node's subtree holds no kept graph, and
 the walk tests each accepted child and descends only into kept ones. It
 emits the kept graphs in exactly the order the full walk would. A ``keep``
 that is not closed under vertex deletion (connectedness, say) loses members.
+
+``keep`` is called only on the order-1 root and on children of kept nodes,
+so it may ask only whether the last vertex breaks membership.
 """
 
 from __future__ import annotations
@@ -110,13 +115,16 @@ def _descend(
         return
     if gens is None:
         gens = canonical_labeling_masks(g.n, g.adj)[1]
+    v = g.n
     for adj, candidates in _children(g.n, g.adj, gens):
         child_gens = None
-        if len(candidates) > 1:
+        # candidates[0] is v. A tied twin u of v is in v's orbit, by (u v);
+        # with every tie a twin, the canonical candidate is, so accept.
+        if any(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in candidates[1:]):
             # Accept only when the new vertex is in the orbit of the tied
             # candidate that the canonical labeling puts first.
             perm, child_gens = canonical_labeling_masks(g.n + 1, adj)
-            if min(candidates, key=perm.__getitem__) not in orbit(g.n, child_gens):
+            if min(candidates, key=perm.__getitem__) not in orbit(v, child_gens):
                 continue
         # _children's tables are symmetric and loop-free by construction.
         child = Graph.unchecked(g.n + 1, adj)
@@ -145,7 +153,9 @@ def enumerate_graphs(
     ``keep`` must be closed under vertex deletion: it is tested once on every
     node of the augmentation tree (whose last vertex has minimum degree), and
     a rejected node's subtree is never generated, so a kept graph below a
-    rejected ancestor would be lost. The default keeps every graph.
+    rejected ancestor would be lost. It is called only on the order-1 root
+    and on children of kept nodes, so it may assume that its graph minus
+    the last vertex is kept. The default keeps every graph.
 
     ``roots`` are nodes of order at most n that this walk emitted with the
     same ``keep``; each root's descendants are emitted in turn, so the roots

@@ -1,12 +1,13 @@
 """Exhaustive small-order verification of the extremal claims.
 
 extremal_search runs one census per (class, order): the enumeration walk
-extends only class members, testing each child once, and at each weight of
-the grid the members are visited in decreasing order of a Collatz-Wielandt
-upper bound until no remaining bound can reach the maximum, and a member is
-solved only if its bound, tightened by a few power steps, still can. The
-member prefix of the tree, to order PREFIX_ORDER, is walked once, its nodes
-are dealt out round robin, and each worker generates the members below its own.
+extends only class members, testing each child once, through its new vertex,
+and at each weight of the grid the members are visited in decreasing order
+of a Collatz-Wielandt upper bound until no remaining bound can reach the
+maximum, and a member is solved only if its bound, tightened by a few power
+steps, still can. The member prefix of the tree, to order PREFIX_ORDER, is
+walked once, its nodes are dealt out round robin, and each worker generates
+the members below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -72,7 +73,7 @@ from .graphs import (
     join,
     regular_circulant,
 )
-from .minors import BicliqueMinor, CliqueMinor, is_minor_free
+from .minors import BicliqueMinor, CliqueMinor, MinorPattern, is_minor_free, settled_by_new_vertex
 from .spectral import (
     alpha_index,
     collatz_wielandt_bound,
@@ -124,8 +125,8 @@ class CliqueMinorFree(ForbiddenClass):
     def clique_join(self) -> tuple[int, int]:
         return self.r - 1, 1
 
-    def member(self, g: Graph) -> bool:
-        return is_minor_free(g, CliqueMinor(self.r))
+    def member(self, g: Graph, new: int | None = None) -> bool:
+        return _minor_free(g, CliqueMinor(self.r), new)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ class BicliqueMinorFree(ForbiddenClass):
     def clique_join(self) -> tuple[int, int]:
         return self.s, self.t
 
-    def member(self, g: Graph) -> bool:
-        return is_minor_free(g, BicliqueMinor(self.s, self.t))
+    def member(self, g: Graph, new: int | None = None) -> bool:
+        return _minor_free(g, BicliqueMinor(self.s, self.t), new)
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ class StarForestFree(ForbiddenClass):
     def clique_join(self) -> tuple[int, int]:
         return self.spec.k, self.spec.min_degree
 
-    def member(self, g: Graph) -> bool:
-        return is_star_forest_free(g, self.spec)
+    def member(self, g: Graph, new: int | None = None) -> bool:
+        return is_star_forest_free(g, self.spec, anchor=new)
 
     def threshold(self, alpha: float) -> float:
         return star_forest_order_threshold(self.spec, alpha)
@@ -188,14 +189,21 @@ class StarForestFree(ForbiddenClass):
         )
 
 
-def class_member(g: Graph, cls: ForbiddenClass) -> bool:
-    return cls.member(g)
+def _minor_free(g: Graph, pattern: MinorPattern, new: int | None) -> bool:
+    return new is not None and settled_by_new_vertex(g, pattern, new) or is_minor_free(g, pattern)
+
+
+def class_member(g: Graph, cls: ForbiddenClass, new: int | None = None) -> bool:
+    """Whether g is in the class; with ``new``, given that g - new is (an
+    excluded minor or star forest in g then uses ``new``)."""
+    return cls.member(g, new)
 
 
 def _member_of(cls: ForbiddenClass):
-    """``class_member`` as an enumeration ``keep``; every class here is closed
-    under vertex deletion. The name is looked up at call time."""
-    return lambda g: class_member(g, cls)
+    """``class_member`` as an enumeration ``keep``, asked only about children
+    of kept nodes, so about the last vertex; every class here is closed under
+    vertex deletion. The name is looked up at call time."""
+    return lambda g: class_member(g, cls, new=g.n - 1)
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -1,19 +1,24 @@
-"""Minor containment: exact deciders for two patterns, branch-set search for the rest.
+"""Minor containment: exact deciders for three patterns, branch-set search for the rest.
 
 A pattern H is a minor of a host G when G holds disjoint connected branch
 sets, one per pattern vertex, with a host edge between every pair of sets
 whose pattern vertices are adjacent.
 
 has_minor dispatches on the pattern. Triangle and smaller clique patterns
-have direct certificates at any order. K4 and K_{2,3} absence is decided
-exactly in linear time: K4-minor-free graphs are the series-parallel ones,
-which a degree <= 2 reduction empties (Duffin 1965), and K_{2,3}-minor-free
-graphs are those whose every block is outerplanar or K4 (Ellingham,
-Marshall, Ozeki and Tsuchiya 2016), with outerplanarity tested by Mitchell's
-1979 degree-2 reduction. In has_minor a present K4 or K_{2,3} minor, and
-every other pattern, goes to the branch-set search, so every positive answer
-carries a certificate; is_minor_free, which only needs the yes/no answer,
-stops at the decider for K4 and K_{2,3}.
+have direct certificates at any order. K4, K_{2,2} and K_{2,3} absence is
+decided exactly in linear time: K4-minor-free graphs are the
+series-parallel ones, which a degree <= 2 reduction empties (Duffin 1965);
+C4-minor-free graphs are those whose every block has at most three vertices
+(a 2-connected block on four or more holds a cycle that long); and
+K_{2,3}-minor-free graphs are those whose every block is outerplanar or K4
+(Ellingham, Marshall, Ozeki and Tsuchiya 2016), with outerplanarity tested
+by Mitchell's 1979 degree-2 reduction. In has_minor a present minor of
+these, and every other pattern, goes to the branch-set search, so every
+positive answer carries a certificate; is_minor_free, which only needs the
+yes/no answer, stops at the decider, at any host order.
+
+settled_by_new_vertex answers from one vertex's attachment alone, for a
+host whose other vertices are known to span no minor, as in the census.
 
 The search assigns branch sets one pattern vertex at a time; candidate sets
 are enumerated as connected subsets of the unused vertices (each exactly
@@ -264,6 +269,7 @@ def _k23_minor_free(g: Graph) -> bool:
 # Patterns whose absence is decided exactly without search.
 _ABSENCE_DECIDERS = {
     CliqueMinor(4): _series_parallel,
+    BicliqueMinor(2, 2): lambda g: all(b.bit_count() <= 3 for b in _blocks(g)),
     BicliqueMinor(2, 3): _k23_minor_free,
 }
 
@@ -273,22 +279,16 @@ def _outsized(g: Graph, pat: Graph) -> bool:
     return pat.n > g.n or pat.edge_count() > g.edge_count()
 
 
-def _require_searchable(g: Graph) -> None:
-    if g.n > HOST_CAP:
-        raise MinorSearchCapError(
-            f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}"
-        )
-
-
 def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
     """Branch-set certificate when the pattern is a minor of g, else None.
 
     A pattern with more vertices or edges than g is absent at any order, and
     clique patterns of order <= 3 have direct certificates at any order.
-    Otherwise hosts above the cap are refused. K4 and K_{2,3} absence is
-    decided exactly by the series-parallel and block-outerplanarity tests,
-    which return None at once; a present minor, and every other pattern,
-    goes to the branch-set search for its certificate.
+    Otherwise hosts above the cap are refused. K4, K_{2,2} and K_{2,3}
+    absence is decided exactly by the series-parallel, block-size and
+    block-outerplanarity tests, which return None at once; a present minor,
+    and every other pattern, goes to the branch-set search for its
+    certificate.
     """
     pat = pattern_graph(p)
     if _outsized(g, pat):
@@ -305,7 +305,8 @@ def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
                 return None
             emb = _cycle_certificate(g)
     else:
-        _require_searchable(g)
+        if g.n > HOST_CAP:
+            raise MinorSearchCapError(f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}")
         decide = _ABSENCE_DECIDERS.get(p)
         if decide is not None and decide(g):
             return None
@@ -322,17 +323,29 @@ def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
 def is_minor_free(g: Graph, p: MinorPattern) -> bool:
     """Whether the pattern is not a minor of g.
 
-    K4 and K_{2,3} stop at their exact decider, after the same early exits
-    as has_minor (outsized pattern, then the host cap), and build no
-    certificate; every other pattern asks has_minor.
+    K4, K_{2,2} and K_{2,3} stop at their exact decider, at any host order,
+    and build no certificate; every other pattern asks has_minor.
     """
     decide = _ABSENCE_DECIDERS.get(p)
     if decide is None:
         return has_minor(g, p) is None
-    if _outsized(g, pattern_graph(p)):
-        return True
-    _require_searchable(g)
-    return decide(g)
+    return _outsized(g, pattern_graph(p)) or decide(g)
+
+
+def settled_by_new_vertex(g: Graph, p: MinorPattern, v: int) -> bool:
+    """True when g is p-minor-free because g - v is and v is simplicial
+    (its neighbours are pairwise adjacent) with fewer neighbours than the
+    pattern's minimum degree; False leaves the question open.
+
+    Such a v is no branch set on its own. A branch set holding v and more
+    holds a neighbour u of v; without v it stays connected, and an edge from
+    v to another set, at a neighbour w, is matched by the edge uw. So every
+    model in g gives one in g - v.
+    """
+    nbrs = g.adj[v]
+    if nbrs.bit_count() >= min(pattern_graph(p).degrees()):
+        return False
+    return all((g.adj[u] | 1 << u) & nbrs == nbrs for u in iter_bits(nbrs))
 
 
 def _branch_set_search(

@@ -7,6 +7,12 @@ embedded stars is irrelevant (subgraph containment, not induced). The search
 is exact backtracking: stars in decreasing-degree order, candidate centers
 in decreasing residual degree (ties by index), leaf sets by lexicographic
 combinations. Found embeddings are re-validated before being returned.
+
+An anchored search looks only for embeddings that use one vertex v, which
+decides containment when g - v is known to be free. Equal-degree stars are
+interchangeable, so it is enough to put v in the first star of each
+distinct degree: that star is placed first, centred at v or with v as a
+leaf of a neighbour, and the rest follow as before.
 """
 
 from __future__ import annotations
@@ -50,15 +56,18 @@ def verify_star_forest_embedding(
     return True
 
 
-def contains_star_forest(g: Graph, spec: StarForestSpec) -> StarForestEmbedding | None:
-    """Exact search for the star forest inside g; None when absent."""
-    degrees = spec.degrees
-    k = len(degrees)
+def contains_star_forest(
+    g: Graph, spec: StarForestSpec, anchor: int | None = None
+) -> StarForestEmbedding | None:
+    """Exact search for the star forest inside g; None when absent. With an
+    ``anchor``, only embeddings that use it are searched."""
+    k = spec.k
     need = spec.degree_sum + k
     if need > g.n:
         return None
     adj = g.adj
     full = (1 << g.n) - 1
+    must = 0 if anchor is None else 1 << anchor  # the first star's block holds it
     centers: list[int] = []
     leaf_sets: list[tuple[int, ...]] = []
 
@@ -69,19 +78,24 @@ def contains_star_forest(g: Graph, spec: StarForestSpec) -> StarForestEmbedding 
         if avail.bit_count() < remaining_need:
             return False
         want = degrees[i]
+        held = must if i == 0 else 0
+        scope = avail & (adj[anchor] | held) if held else avail
         candidates = [
             (-((adj[c] & avail).bit_count()), c)
-            for c in iter_bits(avail)
+            for c in iter_bits(scope)
             if (adj[c] & avail).bit_count() >= want
         ]
         candidates.sort()
         for _, c in candidates:
-            # Equal-degree stars are interchangeable: force ascending centers.
-            if i > 0 and degrees[i] == degrees[i - 1] and c < centers[-1]:
+            # Equal-degree stars are interchangeable (an anchored one is
+            # not): force ascending centers.
+            if i > bool(must) and degrees[i] == degrees[i - 1] and c < centers[-1]:
                 continue
-            pool = list(iter_bits(adj[c] & avail & ~(1 << c)))
+            pool = adj[c] & avail & ~(1 << c)
+            forced = pool & held  # the anchor as a leaf of c
             centers.append(c)
-            for leaf_combo in combinations(pool, want):
+            for leaf_combo in combinations(iter_bits(pool & ~forced), want - forced.bit_count()):
+                leaf_combo = (*iter_bits(forced), *leaf_combo)
                 block = 1 << c
                 for leaf in leaf_combo:
                     block |= 1 << leaf
@@ -92,7 +106,15 @@ def contains_star_forest(g: Graph, spec: StarForestSpec) -> StarForestEmbedding 
             centers.pop()
         return False
 
-    if not place(0, full):
+    firsts = [0] if anchor is None else sorted({spec.degrees.index(d) for d in spec.degrees})
+    for first in firsts:
+        # The star placed first (the anchored one) is that degree's first.
+        degrees = (spec.degrees[first],) + spec.degrees[:first] + spec.degrees[first + 1:]
+        if place(0, full):
+            centers.insert(first, centers.pop(0))
+            leaf_sets.insert(first, leaf_sets.pop(0))
+            break
+    else:
         return None
     emb = StarForestEmbedding(tuple(centers), tuple(leaf_sets))
     if not verify_star_forest_embedding(g, spec, emb):
@@ -100,5 +122,5 @@ def contains_star_forest(g: Graph, spec: StarForestSpec) -> StarForestEmbedding 
     return emb
 
 
-def is_star_forest_free(g: Graph, spec: StarForestSpec) -> bool:
-    return contains_star_forest(g, spec) is None
+def is_star_forest_free(g: Graph, spec: StarForestSpec, anchor: int | None = None) -> bool:
+    return contains_star_forest(g, spec, anchor) is None

@@ -21,6 +21,13 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """g without vertex v; the vertices above v move down by one."""
+    keep = [u for u in range(g.n) if u != v]
+    return Graph.from_edges(g.n - 1, [(keep.index(a), keep.index(b))
+                                      for a, b in g.edges() if v not in (a, b)])
+
+
 def plain_refine(adj, cells, splitters=None):
     """Equitable refinement with a bucket pass over every cell and splitter,
     as ``canon.refine_partition`` computes it without its shortcuts."""

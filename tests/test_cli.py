@@ -348,9 +348,9 @@ class TestCheckCommand:
         calls = []
         original = harness.class_member
 
-        def counted(g, cls):
+        def counted(g, cls, new=None):
             calls.append(g)
-            return original(g, cls)
+            return original(g, cls, new)
 
         monkeypatch.setattr(harness, "class_member", counted)
         counts = []

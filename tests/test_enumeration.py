@@ -211,5 +211,56 @@ class TestKeepContract:
             pass
         assert len(labeled) == len(set(labeled))
         for g in rejected:
-            tied = len(enumeration._deletion_candidates(g.n, g.adj)) > 1
-            assert (g.adj in labeled) == tied
+            # A rejected node was labeled only to settle a tie with a vertex
+            # that is not a twin of the new vertex v.
+            v = g.n - 1
+            untwinned = [
+                u for u in enumeration._deletion_candidates(g.n, g.adj)[1:]
+                if g.adj[u] & ~(1 << v) != g.adj[v] & ~(1 << u)
+            ]
+            assert (g.adj in labeled) == bool(untwinned)
+
+    @pytest.mark.parametrize("name", [None] + sorted(HEREDITARY))
+    def test_keep_sees_only_children_of_kept_nodes(self, name):
+        # The contract a keep may lean on: g minus its last vertex was kept.
+        kept = set()
+        orders = []
+
+        def keep(g):
+            orders.append(g.n)
+            if g.n > 1:
+                parent = Graph(g.n - 1, tuple(row & ~(1 << g.n - 1) for row in g.adj[:-1]))
+                assert parent in kept
+            if name is None or HEREDITARY[name](g):
+                kept.add(g)
+                return True
+            return False
+
+        for _ in enumerate_graphs(7, keep=keep):
+            pass
+        assert orders.count(1) == 1
+
+    def test_twin_ties_settled_without_labeling(self, monkeypatch):
+        # An order-7 node whose ties are all twins of its new vertex is
+        # accepted without a labeling (and, at the target order, never labeled).
+        labeled = []
+        label = enumeration.canonical_labeling_masks
+
+        def counted(n, adj):
+            labeled.append(adj)
+            return label(n, adj)
+
+        monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
+        twin_settled = []
+
+        def keep(g):
+            v = g.n - 1
+            ties = enumeration._deletion_candidates(g.n, g.adj)[1:]
+            if ties and all(g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u) for u in ties):
+                twin_settled.append(g.adj)
+            return True
+
+        for _ in enumerate_graphs(7, keep=keep):
+            pass
+        order_7 = [adj for adj in twin_settled if len(adj) == 7]
+        assert order_7 and not set(order_7) & set(labeled)

@@ -110,6 +110,17 @@ class TestMinorBasics:
         assert has_minor(Graph.cycle(20), CliqueMinor(3)) is not None
         assert is_minor_free(Graph.path(30), CliqueMinor(3))
 
+    def test_deciders_ignore_cap(self):
+        # No search is needed, so no host order is refused: a 13-vertex
+        # path has no K4 minor, and a wheel on 13 vertices has one.
+        wheel = Graph.from_edges(13, list(Graph.cycle(12).edges()) + [(v, 12) for v in range(12)])
+        assert is_minor_free(Graph.path(13), CliqueMinor(4))
+        assert not is_minor_free(wheel, CliqueMinor(4))
+        assert is_minor_free(Graph.cycle(13), BicliqueMinor(2, 3))
+        assert not is_minor_free(wheel, BicliqueMinor(2, 3))
+        assert is_minor_free(Graph.path(13), BicliqueMinor(2, 2))
+        assert not is_minor_free(Graph.cycle(13), BicliqueMinor(2, 2))
+
 
 class TestMinorInvariance:
     def test_relabeling_invariance(self, graphs_by_order):
@@ -143,7 +154,8 @@ class TestMinorInvariance:
         assert len(data["branch_sets"]) == 3
 
 
-DECIDED = (CliqueMinor(4), BicliqueMinor(2, 3))
+DECIDED = (CliqueMinor(4), BicliqueMinor(2, 2), BicliqueMinor(2, 3))
+DECIDED_IDS = ("K4", "K22", "K23")
 
 
 def branch_set_free(g, pattern):
@@ -152,19 +164,19 @@ def branch_set_free(g, pattern):
 
 
 class TestExactDeciders:
-    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_agree_with_branch_set_search(self, graphs_by_order, pattern):
         for n in range(1, 8):
             for g in graphs_by_order[n]:
                 assert is_minor_free(g, pattern) == branch_set_free(g, pattern), g
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_agree_on_order_eight(self, graphs_order_8, pattern):
         for g in graphs_order_8:
             assert is_minor_free(g, pattern) == branch_set_free(g, pattern), g
 
-    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_present_minor_keeps_its_certificate(self, graphs_by_order, pattern):
         present = 0
         for g in graphs_by_order[7]:
@@ -172,9 +184,10 @@ class TestExactDeciders:
             if emb is not None:
                 present += 1
                 assert verify_minor_embedding(g, pattern, emb)
-        assert present == 1044 - {CliqueMinor(4): 360, BicliqueMinor(2, 3): 302}[pattern]
+        free = {CliqueMinor(4): 360, BicliqueMinor(2, 2): 96, BicliqueMinor(2, 3): 302}[pattern]
+        assert present == 1044 - free
 
-    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_absence_needs_no_search(self, monkeypatch, pattern):
         def never(*args):
             raise AssertionError("branch-set search run for a minor-free host")
@@ -182,16 +195,19 @@ class TestExactDeciders:
         monkeypatch.setattr(minors, "_branch_set_search", never)
         hosts = {
             CliqueMinor(4): [construct(CompleteSplit(12, 2)), Graph.cycle(12), Graph.star(11)],
+            BicliqueMinor(2, 2): [construct(CliqueJoinMatching(11, 2)), Graph.path(12),
+                                  union_of_copies(4, Graph.complete(3))],
             BicliqueMinor(2, 3): [construct(CliqueJoinCliques(10, 2, 3, 3)), Graph.cycle(12),
                                   union_of_copies(3, Graph.complete(4))],
         }[pattern]
         for g in hosts:
             assert is_minor_free(g, pattern)
 
-    @pytest.mark.parametrize("pattern", DECIDED, ids=("K4", "K23"))
+    @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_presence_needs_no_search(self, monkeypatch, pattern):
         hosts = {
             CliqueMinor(4): [Graph.complete(5), Graph.complete(4)],
+            BicliqueMinor(2, 2): [Graph.cycle(4), Graph.complete(4)],
             BicliqueMinor(2, 3): [Graph.complete(5), Graph.complete_bipartite(2, 3)],
         }[pattern]
         certificates = [has_minor(g, pattern) for g in hosts]
@@ -263,6 +279,21 @@ class TestStarForests:
         emb = contains_star_forest(Graph.complete(6), StarForestSpec((2, 2)))
         data = emb.to_json_dict()
         assert set(data) == {"centers", "leaves"}
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 1), (2, 2), (2, 1, 1)])
+    def test_anchored_certificates_use_the_anchor(self, graphs_by_order, degrees):
+        spec = StarForestSpec(degrees)
+        found = 0
+        for n in range(2, 8):
+            for g in graphs_by_order[n]:
+                for v in range(n):
+                    emb = contains_star_forest(g, spec, anchor=v)
+                    if emb is None:
+                        continue
+                    found += 1
+                    assert verify_star_forest_embedding(g, spec, emb)
+                    assert v in emb.centers or any(v in leaves for leaves in emb.leaves)
+        assert found
 
 
 class TestStarForestOracle:

@@ -1,10 +1,12 @@
+import collections
+import functools
 import json
 import re
 
 import jsonschema
 import pytest
 
-from alpha_extremal import harness
+from alpha_extremal import enumeration, harness
 from alpha_extremal.bounds import StarForestSpec, clique_join_quadratic, complete_split_quadratic
 from alpha_extremal.graphs import CliqueJoinMatching, Graph, construct, disjoint_union
 from alpha_extremal.harness import (
@@ -23,6 +25,7 @@ from alpha_extremal.harness import (
     sweep_inequalities,
 )
 from alpha_extremal.spectral import alpha_index, quotient_alpha_index
+from conftest import delete_vertex
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -46,6 +49,68 @@ REPORT_SCHEMA = {
         "notes": {"type": "string"},
     },
 }
+
+
+ANCHORED = [CliqueMinorFree(r) for r in range(3, 7)] + [
+    BicliqueMinorFree(s, t) for s, t in ((2, 2), (2, 3), (3, 3))
+] + [StarForestFree(StarForestSpec(d)) for d in ((1, 1), (2, 1), (2, 2), (3, 2, 1), (2, 1, 1))]
+
+
+@pytest.fixture(scope="module")
+def deleted_indices(graphs_by_order):
+    """For each graph of order 2..7, the census index of g - v for each v."""
+    index = {m: {canonical_graph6(h): i for i, h in enumerate(graphs_by_order[m])}
+             for m in range(1, 7)}
+    return {
+        n: [[index[n - 1][canonical_graph6(delete_vertex(g, v))] for v in range(n)]
+            for g in graphs_by_order[n]]
+        for n in range(2, 8)
+    }
+
+
+class TestAnchoredMembership:
+    @pytest.mark.parametrize("cls", ANCHORED, ids=lambda cls: cls.label)
+    def test_agrees_with_the_full_test(self, monkeypatch, graphs_by_order, deleted_indices, cls):
+        # The walk's question, "member, given that g - v is one", has the
+        # full test's answer on every graph of order <= 7 and every such v.
+        # A child the new vertex does not settle asks the full minor test
+        # again; that repeat is served from a cache.
+        monkeypatch.setattr(harness, "is_minor_free", functools.cache(harness.is_minor_free))
+        member = {n: [class_member(g, cls) for g in graphs_by_order[n]] for n in range(1, 8)}
+        asked = 0
+        for n in range(2, 8):
+            for g, whole, below in zip(graphs_by_order[n], member[n], deleted_indices[n]):
+                for v, i in enumerate(below):
+                    if member[n - 1][i]:
+                        asked += 1
+                        assert class_member(g, cls, new=v) == whole, (g, v)
+        assert asked
+
+
+class TestWorkCounts:
+    """The deterministic work of three census checks, so that a change that
+    brings work back shows without timing: walk labelings (a tie settled by
+    twins needs none) and minor or star-forest searches (a minor-class child
+    that its new vertex settles needs none; the star-forest ones are anchored;
+    one more checks the predicted witness in full)."""
+
+    @pytest.mark.parametrize("cls, n, weights, labelings, tests", [
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 376, 634),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 1090, 583),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 244, 139),
+    ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7"])
+    def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests):
+        counts = collections.Counter()
+        for module, name in ((enumeration, "canonical_labeling_masks"),
+                             (harness, "is_minor_free"), (harness, "is_star_forest_free")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        check_theorem(cls, n, weights, workers=1)
+        assert counts["canonical_labeling_masks"] == labelings
+        assert counts["is_minor_free"] + counts["is_star_forest_free"] == tests
 
 
 class TestClassBasics:
@@ -124,9 +189,9 @@ class TestExtremalSearch:
         # more checks the predicted witness.
         calls = []
 
-        def counted(g, cls):
+        def counted(g, cls, new=None):
             calls.append(g)
-            return class_member(g, cls)
+            return class_member(g, cls, new)
 
         monkeypatch.setattr(harness, "class_member", counted)
         check_theorem(CliqueMinorFree(3), 6, [0.5], workers=workers)
