@@ -28,6 +28,11 @@ The automorphisms found still generate the whole group, as in nauty.
 
 ``orbit`` is the one orbit walk: of vertices for that pruning and the
 enumeration's tie test, of vertex masks for its neighbor-set orbit test.
+``stabilizer`` is the only other orbit loop: it walks an orbit the same
+way, keeping a transversal, and its Schreier generators generate the
+stabilizer of a point. The enumeration
+gets a child's group that way, as the stabilizer of the new vertex's
+neighbor set in its parent's group, instead of labeling the child.
 
 Exact at any order, but cost grows with symmetry; the rest of the package
 uses it at order <= 10 where it is fast.
@@ -56,6 +61,37 @@ def orbit(point: Hashable, gens: list[tuple[int, ...]], image: Callable = lambda
                 seen.add(q)
                 frontier.append(q)
                 yield q
+
+
+def stabilizer(point: Hashable, gens: list[tuple[int, ...]], image: Callable = lambda v, g: g[v]) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of ``point`` in the group ``gens`` generate,
+    ``image`` as for ``orbit``, without the identity or repeats. Schreier's lemma
+    (Seress 2003, §4.1): walking ``point``'s orbit with a transversal t_p that
+    maps ``point`` to p, each step p -> q = image(p, s) off the walk's tree
+    gives the generator t_q⁻¹·s·t_p."""
+    if not gens:
+        return []
+    identity = tuple(range(len(gens[0])))
+    transversal = {point: (identity, identity)}  # p: (t_p, t_p⁻¹)
+    frontier = [point]
+    found: dict[tuple[int, ...], None] = {}
+    while frontier:
+        p = frontier.pop()
+        tp = transversal[p][0]
+        for s in gens:
+            q = image(p, s)
+            st = tuple(map(s.__getitem__, tp))  # s·t_p, which maps point to q
+            if q in transversal:
+                h = tuple(map(transversal[q][1].__getitem__, st))
+                if h != identity:
+                    found[h] = None
+            else:
+                inverse = [0] * len(st)
+                for x, y in enumerate(st):
+                    inverse[y] = x
+                transversal[q] = (st, inverse)
+                frontier.append(q)
+    return list(found)
 
 
 def refine_partition(

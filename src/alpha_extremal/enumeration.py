@@ -17,9 +17,14 @@ minimum degree (as in McKay's ``geng``). A child is canonically labeled
 only when some vertex ties with the new one on (degree, sorted neighbor
 degrees) and is not its twin (a twin u of v gives the automorphism (u v),
 so a child whose every tie is a twin is accepted as it stands). That
-labeling also yields the automorphisms its own children are tried under,
-so within one walk no node is labeled twice, and a rejected child whose
-ties are all twins is never labeled.
+labeling also yields the automorphisms its own children are tried under.
+A kept child that was not labeled has its group from its parent's: every
+automorphism maps the new vertex v to v or to a tied twin, so Aut(child) is
+generated by the stabilizer of v's neighbor set in Aut(parent), fixing v,
+and the transpositions (u v) of its tied twins u (Schreier's lemma gives
+the stabilizer). So within one walk only the roots are labeled on descent,
+no node is labeled twice, and a rejected child whose ties are all twins is
+never labeled.
 
 Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
 So for a predicate ``keep`` that is closed under vertex deletion (every
@@ -38,7 +43,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_labeling_masks, orbit
+from .canon import canonical_labeling_masks, orbit, stabilizer
 from .graphs import Graph, iter_bits, mask_of, permute_mask
 
 ENUMERATION_CAP = 10
@@ -109,7 +114,7 @@ def _descend(
     g: Graph, target: int, keep: Callable[[Graph], bool], gens: list[tuple[int, ...]] | None
 ) -> Iterator[Graph]:
     """The kept order-target descendants of g; ``gens`` generate Aut(g), or
-    are None when g is not labeled yet."""
+    are None for a root, which is labeled here."""
     if g.n == target:
         yield g
         return
@@ -128,8 +133,17 @@ def _descend(
                 continue
         # _children's tables are symmetric and loop-free by construction.
         child = Graph.unchecked(g.n + 1, adj)
-        if keep(child):
-            yield from _descend(child, target, keep, child_gens)
+        if not keep(child):
+            continue
+        if child_gens is None and child.n < target:
+            # Every automorphism maps v to v or a tied twin: Aut(parent)'s
+            # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(child).
+            child_gens = [h + (v,) for h in stabilizer(adj[v], gens, permute_mask)]
+            for u in candidates[1:]:
+                swap = list(range(v + 1))
+                swap[u], swap[v] = v, u
+                child_gens.append(tuple(swap))
+        yield from _descend(child, target, keep, child_gens)
 
 
 def _keep_all(g: Graph) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 from collections import deque
 
@@ -26,6 +27,30 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     keep = [u for u in range(g.n) if u != v]
     return Graph.from_edges(g.n - 1, [(keep.index(a), keep.index(b))
                                       for a, b in g.edges() if v not in (a, b)])
+
+
+def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation that fixes g, by trying all of them."""
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if g.relabel(perm) == g
+    ]
+
+
+def generated_group(n, gens):
+    """Every element of the permutation group ``gens`` generate."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        sigma = frontier.pop()
+        for gen in gens:
+            composed = tuple(gen[sigma[v]] for v in range(n))
+            if composed not in seen:
+                seen.add(composed)
+                frontier.append(composed)
+    return seen
 
 
 def plain_refine(adj, cells, splitters=None):

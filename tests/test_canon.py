@@ -15,7 +15,7 @@ from alpha_extremal import canon
 from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph, disjoint_union
-from conftest import unpruned_labeling
+from conftest import brute_force_automorphisms, generated_group, unpruned_labeling
 
 PETERSEN = Graph.from_edges(
     10,
@@ -35,28 +35,6 @@ def orbit_labels(n, gens):
 
 def vertex_orbits(g):
     return orbit_labels(g.n, automorphism_generators(g))
-
-
-def brute_force_automorphisms(g):
-    return [
-        perm
-        for perm in itertools.permutations(range(g.n))
-        if g.relabel(perm) == g
-    ]
-
-
-def generated_group(n, gens):
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        sigma = frontier.pop()
-        for gen in gens:
-            composed = tuple(gen[sigma[v]] for v in range(n))
-            if composed not in seen:
-                seen.add(composed)
-                frontier.append(composed)
-    return seen
 
 
 class TestAutomorphisms:

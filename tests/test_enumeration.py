@@ -5,13 +5,13 @@ import pytest
 
 from alpha_extremal import enumeration
 from alpha_extremal.bounds import StarForestSpec
-from alpha_extremal.canon import canonical_form
+from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit, stabilizer
 from alpha_extremal.enumeration import EnumerationCapError, enumerate_graphs
 from alpha_extremal.graph6 import encode_graph6
-from alpha_extremal.graphs import Graph
+from alpha_extremal.graphs import Graph, permute_mask
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
 from alpha_extremal.star_forests import is_star_forest_free
-from conftest import GRAPH_CENSUS, unpruned_labeling
+from conftest import GRAPH_CENSUS, brute_force_automorphisms, generated_group, unpruned_labeling
 
 # Predicates closed under vertex deletion, as the census and the sweep use them.
 # A single star cannot be a StarForestSpec (it needs two stars), so S3 is
@@ -20,7 +20,10 @@ HEREDITARY = {
     "K3-minor-free": lambda g: is_minor_free(g, CliqueMinor(3)),
     "K4-minor-free": lambda g: is_minor_free(g, CliqueMinor(4)),
     "K5-minor-free": lambda g: is_minor_free(g, CliqueMinor(5)),
+    "K6-minor-free": lambda g: is_minor_free(g, CliqueMinor(6)),
+    "K22-minor-free": lambda g: is_minor_free(g, BicliqueMinor(2, 2)),
     "K23-minor-free": lambda g: is_minor_free(g, BicliqueMinor(2, 3)),
+    "K33-minor-free": lambda g: is_minor_free(g, BicliqueMinor(3, 3)),
     "K13-minor-free": lambda g: is_minor_free(g, BicliqueMinor(1, 3)),
     "S1+S1-free": lambda g: is_star_forest_free(g, StarForestSpec((1, 1))),
     "S2+S2-free": lambda g: is_star_forest_free(g, StarForestSpec((2, 2))),
@@ -34,6 +37,23 @@ def stream_digest(graphs):
     for g in graphs:
         h.update(encode_graph6(g).encode() + b"\n")
     return h.hexdigest()
+
+
+def untwinned_ties(adj):
+    """The vertices tied with the last vertex v on (degree, sorted neighbor
+    degrees) that are not twins of v."""
+    v = len(adj) - 1
+    return [u for u in enumeration._deletion_candidates(len(adj), adj)[1:]
+            if adj[u] & ~(1 << v) != adj[v] & ~(1 << u)]
+
+
+def mask_orbit_labels(n, gens):
+    """Each vertex mask's orbit under ``gens``, labeled by its minimum."""
+    labels = {}
+    for mask in range(1 << n):
+        if mask not in labels:
+            labels.update(dict.fromkeys(orbit(mask, gens, permute_mask), mask))
+    return labels
 
 
 def brute_force_classes(n):
@@ -56,7 +76,19 @@ class TestCensus:
 
     @pytest.mark.slow
     def test_count_order_9(self):
-        assert sum(1 for _ in enumerate_graphs(9)) == GRAPH_CENSUS[9]
+        # The walk with the largest groups, pinned byte for byte as well.
+        count = 0
+
+        def walk():
+            nonlocal count
+            for g in enumerate_graphs(9):
+                count += 1
+                yield g
+
+        assert stream_digest(walk()) == (
+            "10a5a66c3daadbc7e3246a5ff9442e5a53eda62a49df3d2b59cf994cf5a53008"
+        )
+        assert count == GRAPH_CENSUS[9]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force_classes(self, n, graphs_by_order):
@@ -172,6 +204,39 @@ class TestWalkPins:
             assert perm == unpruned_labeling(len(adj), adj)[0]
 
 
+class TestDerivedGroups:
+    """A kept child that no tie test labeled gets its group from its parent's:
+    the stabilizer of its new vertex's neighbor set, by Schreier generators."""
+
+    def test_stabilizer_matches_brute_force(self, graphs_by_order):
+        for n in range(1, 7):
+            for g in graphs_by_order[n]:
+                automorphisms = brute_force_automorphisms(g)
+                gens = canonical_labeling_masks(g.n, g.adj)[1]
+                for mask in range(1 << n):
+                    fixers = {a for a in automorphisms if permute_mask(mask, a) == mask}
+                    assert generated_group(n, stabilizer(mask, gens, permute_mask)) == fixers
+
+    @pytest.mark.parametrize("name", [None, "K4-minor-free", "K23-minor-free", "S2+S2-free"])
+    def test_children_tried_under_the_labeled_orbits(self, monkeypatch, name):
+        handed = []
+        descend = enumeration._descend
+
+        def noted(g, target, keep, gens):
+            if gens is not None and g.n < target:
+                handed.append((g, gens))
+            return descend(g, target, keep, gens)
+
+        monkeypatch.setattr(enumeration, "_descend", noted)
+        for _ in enumerate_graphs(8, keep=HEREDITARY.get(name, lambda g: True)):
+            pass
+        assert {g.n for g, _ in handed} == set(range(2, 8))
+        for g, gens in handed:
+            assert all(g.relabel(h) == g for h in gens)
+            labeled = canonical_labeling_masks(g.n, g.adj)[1]
+            assert mask_orbit_labels(g.n, gens) == mask_orbit_labels(g.n, labeled)
+
+
 class TestKeepContract:
     @pytest.mark.parametrize("name", [None] + sorted(HEREDITARY))
     def test_sees_each_node_once_last_vertex_at_minimum_degree(self, name):
@@ -212,13 +277,12 @@ class TestKeepContract:
         assert len(labeled) == len(set(labeled))
         for g in rejected:
             # A rejected node was labeled only to settle a tie with a vertex
-            # that is not a twin of the new vertex v.
-            v = g.n - 1
-            untwinned = [
-                u for u in enumeration._deletion_candidates(g.n, g.adj)[1:]
-                if g.adj[u] & ~(1 << v) != g.adj[v] & ~(1 << u)
-            ]
-            assert (g.adj in labeled) == bool(untwinned)
+            # that is not a twin of the new vertex.
+            assert (g.adj in labeled) == bool(untwinned_ties(g.adj))
+        for adj in labeled:
+            # Only the root is labeled on descent: a kept child's group comes
+            # from its tie test's labeling or from its parent's group.
+            assert adj == (0,) or untwinned_ties(adj)
 
     @pytest.mark.parametrize("name", [None] + sorted(HEREDITARY))
     def test_keep_sees_only_children_of_kept_nodes(self, name):
@@ -254,9 +318,7 @@ class TestKeepContract:
         twin_settled = []
 
         def keep(g):
-            v = g.n - 1
-            ties = enumeration._deletion_candidates(g.n, g.adj)[1:]
-            if ties and all(g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u) for u in ties):
+            if enumeration._deletion_candidates(g.n, g.adj)[1:] and not untwinned_ties(g.adj):
                 twin_settled.append(g.adj)
             return True
 
