@@ -22,9 +22,9 @@ A kept child that was not labeled has its group from its parent's: every
 automorphism maps the new vertex v to v or to a tied twin, so Aut(child) is
 generated by the stabilizer of v's neighbor set in Aut(parent), fixing v,
 and the transpositions (u v) of its tied twins u (Schreier's lemma gives
-the stabilizer). So within one walk only the roots are labeled on descent,
-no node is labeled twice, and a rejected child whose ties are all twins is
-never labeled.
+the stabilizer). So within one walk only a root handed without its group
+is labeled on descent, no node is labeled twice, and a rejected child whose
+ties are all twins is never labeled.
 
 Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
 So for a predicate ``keep`` that is closed under vertex deletion (every
@@ -36,6 +36,15 @@ that is not closed under vertex deletion (connectedness, say) loses members.
 
 ``keep`` is called only on the order-1 root and on children of kept nodes,
 so it may ask only whether the last vertex breaks membership.
+
+At the target order the decision is the caller's. ``leaves`` yields each
+order-n child of a kept node undecided, with its deletion candidates and its
+parent's group; ``decide`` asks the tie test, then ``keep``, of one leaf, and
+``kept_node`` also gives a kept leaf its group, so that a walk continued
+below it needs no labeling. ``enumerate_graphs`` is the walk with every leaf
+decided in turn; a caller that needs only some leaves (the census, visiting
+them in bound order) decides only those, in any order, since a leaf's
+decision depends only on the leaf and ``keep``.
 """
 
 from __future__ import annotations
@@ -47,6 +56,13 @@ from .canon import canonical_labeling_masks, orbit, stabilizer
 from .graphs import Graph, iter_bits, mask_of, permute_mask
 
 ENUMERATION_CAP = 10
+
+
+# A kept node of the walk: the graph and generators of its automorphism group.
+Node = tuple[Graph, list[tuple[int, ...]] | None]
+# An order-n child of a kept node: the graph, its deletion candidates (None
+# once decided) and generators of its parent's group (its own, once decided).
+Leaf = tuple[Graph, list[int] | None, list[tuple[int, ...]] | None]
 
 
 class EnumerationCapError(ValueError):
@@ -110,40 +126,66 @@ def _children(
                 yield child, candidates
 
 
+def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Whether g's new vertex v = g.n - 1 is in the orbit of the deletion
+    candidate that the canonical labeling puts first, with Aut(g)'s
+    generators when settling that took a labeling (else None)."""
+    v = g.n - 1
+    adj = g.adj
+    # candidates[0] is v. A tied twin u of v is in v's orbit, by (u v);
+    # with every tie a twin, the canonical candidate is, so accept.
+    if all(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in candidates[1:]):
+        return True, None
+    perm, gens = canonical_labeling_masks(g.n, adj)
+    return min(candidates, key=perm.__getitem__) in orbit(v, gens), gens
+
+
+def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> bool:
+    """Whether the walk emits a leaf: its tie test accepts it, then ``keep``
+    does. A leaf with no candidates was decided before it was yielded."""
+    g, candidates, _ = leaf
+    return candidates is None or _tie_test(g, candidates)[0] and keep(g)
+
+
+def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
+    """The node (graph, generators of its automorphism group) that a leaf
+    becomes when the walk keeps it, or None when the walk rejects it."""
+    g, candidates, gens = leaf
+    if candidates is None:
+        return g, gens
+    canonical, child_gens = _tie_test(g, candidates)
+    if not canonical or not keep(g):
+        return None
+    if child_gens is None:
+        # Every automorphism maps v to v or a tied twin: Aut(parent)'s
+        # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(g).
+        v = g.n - 1
+        child_gens = [h + (v,) for h in stabilizer(g.adj[v], gens, permute_mask)]
+        for u in candidates[1:]:
+            swap = list(range(v + 1))
+            swap[u], swap[v] = v, u
+            child_gens.append(tuple(swap))
+    return g, child_gens
+
+
 def _descend(
     g: Graph, target: int, keep: Callable[[Graph], bool], gens: list[tuple[int, ...]] | None
-) -> Iterator[Graph]:
-    """The kept order-target descendants of g; ``gens`` generate Aut(g), or
-    are None for a root, which is labeled here."""
+) -> Iterator[Leaf]:
+    """The order-target leaves below the kept node g; ``gens`` generate
+    Aut(g), or are None for a root, which is labeled here. Nodes below the
+    target are decided here; the leaves are not, save g itself at the target."""
     if g.n == target:
-        yield g
+        yield g, None, gens
         return
     if gens is None:
         gens = canonical_labeling_masks(g.n, g.adj)[1]
-    v = g.n
     for adj, candidates in _children(g.n, g.adj, gens):
-        child_gens = None
-        # candidates[0] is v. A tied twin u of v is in v's orbit, by (u v);
-        # with every tie a twin, the canonical candidate is, so accept.
-        if any(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in candidates[1:]):
-            # Accept only when the new vertex is in the orbit of the tied
-            # candidate that the canonical labeling puts first.
-            perm, child_gens = canonical_labeling_masks(g.n + 1, adj)
-            if min(candidates, key=perm.__getitem__) not in orbit(v, child_gens):
-                continue
         # _children's tables are symmetric and loop-free by construction.
-        child = Graph.unchecked(g.n + 1, adj)
-        if not keep(child):
-            continue
-        if child_gens is None and child.n < target:
-            # Every automorphism maps v to v or a tied twin: Aut(parent)'s
-            # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(child).
-            child_gens = [h + (v,) for h in stabilizer(adj[v], gens, permute_mask)]
-            for u in candidates[1:]:
-                swap = list(range(v + 1))
-                swap[u], swap[v] = v, u
-                child_gens.append(tuple(swap))
-        yield from _descend(child, target, keep, child_gens)
+        leaf = Graph.unchecked(g.n + 1, adj), candidates, gens
+        if g.n + 1 == target:
+            yield leaf
+        elif (node := kept_node(leaf, keep)) is not None:
+            yield from _descend(node[0], target, keep, node[1])
 
 
 def _keep_all(g: Graph) -> bool:
@@ -158,11 +200,34 @@ def check_order(n: int) -> None:
         raise EnumerationCapError(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
+def leaves(
+    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] | None = None
+) -> Iterator[Leaf]:
+    """The order-n leaves of the walk, in walk order, left undecided: each
+    order-n child of a kept node, as (child, deletion candidates, generators
+    of Aut(parent)). ``decide`` tells which the walk emits; ``kept_node``
+    gives such a leaf's own group. A root already at order n is yielded as
+    (root, None, its generators), decided.
+
+    The walk asks ``keep`` only about the order-1 root and nodes below order
+    n. ``roots`` are nodes (graph, generators of its group, or None to label
+    it) below which the walk runs, the order-1 root by default. See
+    ``enumerate_graphs``.
+    """
+    check_order(n)
+    if roots is None:
+        root = Graph(1, (0,))
+        roots = [(root, None)] if keep(root) else []
+    for g, gens in roots:
+        yield from _descend(g, n, keep, gens)
+
+
 def enumerate_graphs(
     n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Graph] | None = None
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of the order-n graphs that
-    ``keep`` accepts, or of those that descend from ``roots``.
+    ``keep`` accepts, or of those that descend from ``roots``: the leaves
+    that ``decide`` accepts, in walk order.
 
     ``keep`` must be closed under vertex deletion: it is tested once on every
     node of the augmentation tree (whose last vertex has minimum degree), and
@@ -172,13 +237,11 @@ def enumerate_graphs(
     the last vertex is kept. The default keeps every graph.
 
     ``roots`` are nodes of order at most n that this walk emitted with the
-    same ``keep``; each root's descendants are emitted in turn, so the roots
-    of one order, in walk order, give the whole census in order. The default
-    is the order-1 root.
+    same ``keep``; each root is labeled and its descendants are emitted in
+    turn, so the roots of one order, in walk order, give the whole census in
+    order. The default is the order-1 root.
     """
-    check_order(n)
-    if roots is None:
-        root = Graph(1, (0,))
-        roots = [root] if keep(root) else []
-    for node in roots:
-        yield from _descend(node, n, keep, None)
+    nodes = None if roots is None else ((g, None) for g in roots)
+    for leaf in leaves(n, keep=keep, roots=nodes):
+        if decide(leaf, keep):
+            yield leaf[0]

@@ -2,12 +2,14 @@
 
 extremal_search runs one census per (class, order): the enumeration walk
 extends only class members, testing each child once, through its new vertex,
-and at each weight of the grid the members are visited in decreasing order
-of a Collatz-Wielandt upper bound until no remaining bound can reach the
-maximum, and a member is solved only if its bound, tightened by a few power
-steps, still can. The member prefix of the tree, to order PREFIX_ORDER, is
-walked once, its nodes are dealt out round robin, and each worker generates
-the members below its own.
+and leaves its order-n leaves undecided. At each weight of the grid the
+leaves are visited in decreasing order of a Collatz-Wielandt upper bound
+until no remaining bound can reach the maximum; only a leaf so reached is
+decided (tie test, then membership), once for all weights, and a member is
+solved only if its bound, tightened by a few power steps, still can. The
+member prefix of the tree, to order PREFIX_ORDER, is walked once, its nodes
+are dealt out round robin with their automorphism groups, and each worker
+walks the leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -218,36 +220,46 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     class members below one shard's prefix nodes that can reach the shard's
     maximum.
 
-    Members are visited in decreasing degree_vector_bound order (their
-    degree sums found once for all weights), ties by enumeration index, and
-    the visit stops at the first bound below the shard's best minus
-    2*TIE_TOL. Before its eigensolve, each member's bound is tightened by
-    GATE_POWER_STEPS power steps, and the member is skipped when that bound
-    is below the same margin. Both bounds are valid for the member's index
-    (every power iterate is a positive Collatz-Wielandt vector), so a
-    skipped member falls short of the shard's best, and hence of the global
-    maximum, by more than 2*TIE_TOL minus the float error of the bound and
-    of the solve (about 1e-15): it is neither a maximizer nor a tie.
+    The walk's order-n leaves come undecided. They are visited in decreasing
+    degree_vector_bound order (their degree sums found once for all
+    weights), ties by walk index, and the visit stops at the first bound
+    below the shard's best minus 2*TIE_TOL. Only a leaf the visit reaches is
+    decided (tie test, then membership), once across weights, and a
+    rejected one is passed over. Accepted leaves keep their walk order, a
+    rejected one never changes the best, and the bounds fall along the
+    visit, so the members break, skip and solve exactly as in a visit over
+    the members alone. Before its eigensolve, each member's bound is
+    tightened by GATE_POWER_STEPS power steps, and the member is skipped
+    when that bound is below the same margin. Both bounds are valid for the
+    member's index (every power iterate is a positive Collatz-Wielandt
+    vector), so a skipped member falls short of the shard's best, and hence
+    of the global maximum, by more than 2*TIE_TOL minus the float error of
+    the bound and of the solve (about 1e-15): it is neither a maximizer nor a tie.
     """
     n, alphas, cls, roots = args
-    members = list(enumeration.enumerate_graphs(n, keep=_member_of(cls), roots=roots))
-    table = [[] for _ in alphas]  # per weight, each member's degree-vector bound
-    for g in members:
+    keep = _member_of(cls)
+    leaves = list(enumeration.leaves(n, keep=keep, roots=roots))
+    table = [[] for _ in alphas]  # per weight, each leaf's degree-vector bound
+    for g, _, _ in leaves:
         sums = degree_sums(g)
         for bounds, a in zip(table, alphas):
             bounds.append(degree_vector_bound(sums, a))
+    accepted: list[bool | None] = [None] * len(leaves)  # decided when first reached
     solved = []
     for a, bounds in zip(alphas, table):
         pairs = []
         best = -math.inf
-        for i in sorted(range(len(members)), key=lambda i: (-bounds[i], i)):
+        for i in sorted(range(len(leaves)), key=lambda i: (-bounds[i], i)):
             if bounds[i] < best - 2 * TIE_TOL:
                 break
-            if collatz_wielandt_bound(members[i], a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
+            if accepted[i] is None:
+                accepted[i] = enumeration.decide(leaves[i], keep)
+            g = leaves[i][0]
+            if not accepted[i] or collatz_wielandt_bound(g, a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
                 continue
-            value = alpha_index(members[i], a).alpha_index
+            value = alpha_index(g, a).alpha_index
             best = max(best, value)
-            pairs.append((members[i], value))
+            pairs.append((g, value))
         solved.append(pairs)
     return solved
 
@@ -263,16 +275,20 @@ def extremal_search(
     weight, with every maximizer (within the tie tolerance) as a sorted
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Membership is decided once per tested graph; at each weight, only the
-    members whose Collatz-Wielandt bounds, from the degree vector and
-    tightened by power steps, can reach their shard's maximum are solved.
-    The member prefix is walked once; shard s descends from prefix nodes
-    s, s + workers, ..., and at most one process per node is started.
+    Membership is decided once per tested graph, and at order n only for
+    the leaves whose degree-vector bounds the visit reaches; at each weight,
+    only the members whose Collatz-Wielandt bounds, from the degree vector
+    and tightened by power steps, can reach their shard's maximum are
+    solved. The member prefix is walked once; shard s descends from prefix
+    nodes s, s + workers, ..., each handed its group, and at most one
+    process per node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
-    prefix = list(enumeration.enumerate_graphs(min(n, PREFIX_ORDER), keep=_member_of(cls)))
+    keep = _member_of(cls)
+    leaves = enumeration.leaves(min(n, PREFIX_ORDER), keep=keep)
+    prefix = [node for leaf in leaves if (node := enumeration.kept_node(leaf, keep)) is not None]
     workers = max(1, min(workers, len(prefix)))
     jobs = [(n, weights, cls, prefix[s::workers]) for s in range(workers)]
     if workers == 1:

@@ -469,54 +469,73 @@ def out_dir_digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
+# The report files of `check --out` at grid points that the benchmark and
+# earlier comparisons use, as out_dir_digest pins them.
+REPORT_PINS = [
+    pytest.param(
+        ("--theorem", "T1", "--r", "4", "--n", "8", "--alpha-grid", "0.25,0.75"),
+        "1a1861c85da4ca3f7c0ec9a65a7ecf96dc40ce3d4d03634f86c29b76358d7351", id="T1-r4-n8"),
+    pytest.param(
+        ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "7", "--alpha", "0.5"),
+        "f8f88ee9bdc234821420e3997101b9062c11a83c4cd5936814adfb5c9d9dcf0b", id="T2-s2t3-n7"),
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "2,2", "--n", "8", "--alpha", "0.5"),
+        "a6521b306b6731882d6cf9562835fedb28400ab42b61ea6e38b38fdee7e7f5de", id="T3-2,2-n8"),
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "2,2", "--n", "9", "--alpha", "0.5"),
+        "61aa69b6ec3a691bf632866eba184b211e53d8fcdbf908279089ce5bb27fef27", id="T3-2,2-n9"),
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "2,2", "--n", "10", "--alpha", "0.5"),
+        "3ab1f691e6776aab2860f7d98bd6fae3a761014d8b4cf0141c79cadda395b5a9", id="T3-2,2-n10"),
+    pytest.param(
+        ("--theorem", "T1", "--r", "3", "--n-range", "4:8", "--alpha-grid", "0.25,0.5,0.75"),
+        "84f6306fa5cc8414d220b82efeab397caf50c5d07eaed8fdee572217f23b12d8", id="T1-r3-n4:8"),
+    # d_k = 1: the complete split graph.
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "1,1", "--n", "6", "--alpha-grid", "0.25,0.75"),
+        "8cbca78875e18153a0e3a186c63a9a6f9ed0e49df47cccf6225cdf36edab2b3c", id="T3-1,1-n6"),
+    # A 2-regular part.
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "3,3", "--n", "7", "--alpha", "0.5"),
+        "1c5b59c2e65badf3b9863e9478f272ea1bfdc0902116c5ff274ece0fa2e082f9", id="T3-3,3-n7"),
+    # No 3-regular graph on 7 vertices: the quadratic's root is predicted.
+    pytest.param(
+        ("--theorem", "T3", "--degrees", "4,4", "--n", "8", "--alpha", "0.5"),
+        "819ed224bb33e7cf2b8b56e458c5c54d2cc1c373500b61dbe6bb253b38fd670d", id="T3-4,4-n8"),
+    # 3 does not divide n-s+1 = 7: the quadratic's root is predicted.
+    pytest.param(
+        ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "8", "--alpha", "0.5"),
+        "bf71c001195eeccf2909da57d89a6ac732d65cd6727fab4bf3cea7ef823d8ee5", id="T2-s2t3-n8"),
+    # K5 membership through the branch-set search.
+    pytest.param(
+        ("--theorem", "T1", "--r", "5", "--n", "7", "--alpha-grid", "0.25,0.5,0.75"),
+        "c694df6f657c00ea3411394981b36196bfa580b787b9d11c410bfb30205d98ac", id="T1-r5-n7"),
+    # K5 membership at order 8, decided only for the leaves the bound order reaches.
+    pytest.param(
+        ("--theorem", "T1", "--r", "5", "--n", "8", "--alpha", "0.5"),
+        "4f23741c76793d9599baaeadc11ed1e75500fa268cd51234b5538f3134d40bd4", id="T1-r5-n8"),
+]
+
+
 class TestReportPins:
     """The report files of `check --out`, byte for byte: the JSON reports
-    plus summary.csv of grid points that the benchmark and earlier
-    comparisons use."""
+    plus summary.csv."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        pytest.param(
-            ("--theorem", "T1", "--r", "4", "--n", "8", "--alpha-grid", "0.25,0.75"),
-            "1a1861c85da4ca3f7c0ec9a65a7ecf96dc40ce3d4d03634f86c29b76358d7351", id="T1-r4-n8"),
-        pytest.param(
-            ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "7", "--alpha", "0.5"),
-            "f8f88ee9bdc234821420e3997101b9062c11a83c4cd5936814adfb5c9d9dcf0b", id="T2-s2t3-n7"),
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "2,2", "--n", "8", "--alpha", "0.5"),
-            "a6521b306b6731882d6cf9562835fedb28400ab42b61ea6e38b38fdee7e7f5de", id="T3-2,2-n8"),
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "2,2", "--n", "9", "--alpha", "0.5"),
-            "61aa69b6ec3a691bf632866eba184b211e53d8fcdbf908279089ce5bb27fef27", id="T3-2,2-n9"),
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "2,2", "--n", "10", "--alpha", "0.5"),
-            "3ab1f691e6776aab2860f7d98bd6fae3a761014d8b4cf0141c79cadda395b5a9", id="T3-2,2-n10"),
-        pytest.param(
-            ("--theorem", "T1", "--r", "3", "--n-range", "4:8", "--alpha-grid", "0.25,0.5,0.75"),
-            "84f6306fa5cc8414d220b82efeab397caf50c5d07eaed8fdee572217f23b12d8", id="T1-r3-n4:8"),
-        # d_k = 1: the complete split graph.
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "1,1", "--n", "6", "--alpha-grid", "0.25,0.75"),
-            "8cbca78875e18153a0e3a186c63a9a6f9ed0e49df47cccf6225cdf36edab2b3c", id="T3-1,1-n6"),
-        # A 2-regular part.
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "3,3", "--n", "7", "--alpha", "0.5"),
-            "1c5b59c2e65badf3b9863e9478f272ea1bfdc0902116c5ff274ece0fa2e082f9", id="T3-3,3-n7"),
-        # No 3-regular graph on 7 vertices: the quadratic's root is predicted.
-        pytest.param(
-            ("--theorem", "T3", "--degrees", "4,4", "--n", "8", "--alpha", "0.5"),
-            "819ed224bb33e7cf2b8b56e458c5c54d2cc1c373500b61dbe6bb253b38fd670d", id="T3-4,4-n8"),
-        # 3 does not divide n-s+1 = 7: the quadratic's root is predicted.
-        pytest.param(
-            ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "8", "--alpha", "0.5"),
-            "bf71c001195eeccf2909da57d89a6ac732d65cd6727fab4bf3cea7ef823d8ee5", id="T2-s2t3-n8"),
-        # K5 membership through the branch-set search.
-        pytest.param(
-            ("--theorem", "T1", "--r", "5", "--n", "7", "--alpha-grid", "0.25,0.5,0.75"),
-            "c694df6f657c00ea3411394981b36196bfa580b787b9d11c410bfb30205d98ac", id="T1-r5-n7"),
-    ])
+    @pytest.mark.parametrize("argv, digest", REPORT_PINS)
     def test_report_bytes(self, capsys, tmp_path, argv, digest):
         code, _, _ = run(capsys, "check", *argv, "--workers", "1", "--out", str(tmp_path))
         assert code == 0
+        assert out_dir_digest(tmp_path) == digest
+
+    # Censuses that descend below the prefix, so each of three shards walks
+    # and decides its own leaves.
+    @pytest.mark.parametrize("argv, digest", [
+        pin for pin in REPORT_PINS if pin.id in ("T1-r4-n8", "T2-s2t3-n7", "T3-2,2-n9")
+    ])
+    def test_report_bytes_at_three_workers(self, capsys, tmp_path, in_process_pool, argv, digest):
+        code, _, _ = run(capsys, "check", *argv, "--workers", "3", "--out", str(tmp_path))
+        assert code == 0
+        assert in_process_pool == [3]
         assert out_dir_digest(tmp_path) == digest
 
 

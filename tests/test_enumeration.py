@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -6,7 +7,13 @@ import pytest
 from alpha_extremal import enumeration
 from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit, stabilizer
-from alpha_extremal.enumeration import EnumerationCapError, enumerate_graphs
+from alpha_extremal.enumeration import (
+    EnumerationCapError,
+    decide,
+    enumerate_graphs,
+    kept_node,
+    leaves,
+)
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph, permute_mask
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
@@ -29,6 +36,10 @@ HEREDITARY = {
     "S2+S2-free": lambda g: is_star_forest_free(g, StarForestSpec((2, 2))),
     "S3+S1-free": lambda g: is_star_forest_free(g, StarForestSpec((3, 1))),
 }
+
+# Their order-8 walks take 18 to 57 s each, so the deferred leaves of these
+# are checked to order 7.
+COSTLY_AT_ORDER_8 = {"K5-minor-free", "K6-minor-free", "K33-minor-free"}
 
 
 def stream_digest(graphs):
@@ -168,6 +179,51 @@ class TestPrunedWalk:
     def test_rejected_root_yields_nothing(self):
         assert list(enumerate_graphs(1, keep=lambda g: False)) == []
         assert list(enumerate_graphs(4, keep=lambda g: False)) == []
+
+
+class TestDeferredLeaves:
+    """The walk leaves its order-n children undecided; deciding them, in any
+    order, gives the graphs it emits."""
+
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in sorted(HEREDITARY) for n in range(1, 9)
+        if n < 8 or name not in COSTLY_AT_ORDER_8
+    ])
+    def test_decided_last_to_first_are_the_walk(self, name, n):
+        # One answer per graph across the three passes below.
+        keep = functools.cache(HEREDITARY[name])
+        found = list(leaves(n, keep=keep))
+        accepted = [decide(leaf, keep) for leaf in reversed(found)][::-1]
+        assert [g for (g, _, _), ok in zip(found, accepted) if ok] == list(
+            enumerate_graphs(n, keep=keep)
+        )
+        assert [kept_node(leaf, keep) is not None for leaf in found] == accepted
+        for g, candidates, gens in found:
+            assert g.n == n
+            if candidates is not None:
+                # An undecided leaf carries its deletion candidates and its parent's group.
+                assert candidates[0] == n - 1
+                parent = Graph(n - 1, tuple(row & ~(1 << n - 1) for row in g.adj[:-1]))
+                assert all(parent.relabel(h) == parent for h in gens)
+
+    @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
+    def test_roots_handed_their_groups_are_not_labeled(self, monkeypatch, name):
+        keep = HEREDITARY.get(name, lambda g: True)
+        want = list(enumerate_graphs(8, keep=keep))
+        prefix = [node for leaf in leaves(6, keep=keep) if (node := kept_node(leaf, keep))]
+        labeled = []
+        label = enumeration.canonical_labeling_masks
+
+        def counted(n, adj):
+            labeled.append(adj)
+            return label(n, adj)
+
+        monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
+        found = list(leaves(8, keep=keep, roots=prefix))
+        assert [leaf[0] for leaf in found if decide(leaf, keep)] == want
+        assert not {g.adj for g, _ in prefix} & set(labeled)
+        for g, gens in prefix:
+            assert generated_group(g.n, gens) == set(brute_force_automorphisms(g))
 
 
 class TestWalkPins:

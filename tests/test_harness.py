@@ -88,18 +88,24 @@ class TestAnchoredMembership:
 
 
 class TestWorkCounts:
-    """The deterministic work of three census checks, so that a change that
-    brings work back shows without timing: walk labelings (a tie settled by
-    twins needs none, nor does a kept node below the top, whose group comes
-    from its parent's) and minor or star-forest searches (a minor-class child
-    that its new vertex settles needs none; the star-forest ones are anchored;
-    one more checks the predicted witness in full)."""
+    """The deterministic work of census checks, so that a change that brings
+    work back shows without timing: walk labelings (a tie settled by twins
+    needs none, nor does a kept node below the top, whose group comes from
+    its parent's, nor a prefix root, which the prefix walk hands its group)
+    and minor or star-forest searches (a minor-class child that its new
+    vertex settles needs none; the star-forest ones are anchored; one more
+    checks the predicted witness in full). An order-n leaf is labeled or
+    tested only when the bound order reaches it, which the K5 and K_{3,3}
+    rows pin: deciding every leaf took 2,369 and 2,257 labelings and 3,556
+    and 3,373 searches there."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 165, 634),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 761, 583),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 209, 139),
-    ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7"])
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 81, 463),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 158, 138),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 44, 60),
+        (CliqueMinorFree(5), 8, [0.5], 276, 347),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 291, 397),
+    ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests):
         counts = collections.Counter()
         for module, name in ((enumeration, "canonical_labeling_masks"),
@@ -203,12 +209,16 @@ class TestExtremalSearch:
         CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
         StarForestFree(StarForestSpec((2, 2))),
     ], ids=lambda cls: cls.label)
-    def test_equals_brute_force_over_all_members(self, graphs_by_order, cls):
+    def test_equals_brute_force_over_all_members(self, graphs_by_order, graphs_order_8, cls):
         # Every member solved at every weight: the bound-ordered solves must
-        # find the same maximum and the same ties.
+        # find the same maximum and the same ties. K4 is taken to order 8,
+        # where the census decides only the leaves its bound order reaches.
         weights = (0.25, 0.75)
-        for n in range(1, 8):
-            members = [g for g in graphs_by_order[n] if class_member(g, cls)]
+        census = dict(graphs_by_order)
+        if cls == CliqueMinorFree(4):
+            census[8] = graphs_order_8
+        for n, graphs in census.items():
+            members = [g for g in graphs if class_member(g, cls)]
             want = []
             for a in weights:
                 values = [alpha_index(g, a).alpha_index for g in members]
@@ -216,6 +226,32 @@ class TestExtremalSearch:
                 ties = {canonical_graph6(g) for g, v in zip(members, values) if v >= best - TIE_TOL}
                 want.append((best, sorted(ties)))
             assert extremal_search(n, weights, cls) == want
+
+    @pytest.mark.parametrize("cls, n", [
+        (CliqueMinorFree(4), 8), (CliqueMinorFree(5), 8), (StarForestFree(StarForestSpec((2, 2))), 9),
+    ], ids=["K4-n8", "K5-n8", "S2+S2-n9"])
+    def test_solves_distinct_members_deciding_each_leaf_once(self, monkeypatch, cls, n):
+        solved = collections.defaultdict(list)
+        decided = []
+        decide = enumeration.decide
+
+        def noted_solve(g, a):
+            solved[a].append(g)
+            return alpha_index(g, a)
+
+        def noted_decide(leaf, keep):
+            decided.append(leaf[0].adj)
+            return decide(leaf, keep)
+
+        monkeypatch.setattr(harness, "alpha_index", noted_solve)
+        monkeypatch.setattr(enumeration, "decide", noted_decide)
+        extremal_search(n, (0.25, 0.75), cls)
+        assert sorted(solved) == [0.25, 0.75]
+        for graphs in solved.values():
+            # Only members, in full, and no isomorphism class twice.
+            assert all(g.n == n and class_member(g, cls) for g in graphs)
+            assert len({canonical_graph6(g) for g in graphs}) == len(graphs)
+        assert decided and len(decided) == len(set(decided))
 
     def test_repeat_runs_identical(self):
         a = extremal_search(6, [0.3], BicliqueMinorFree(2, 2))
