@@ -38,13 +38,14 @@ that is not closed under vertex deletion (connectedness, say) loses members.
 so it may ask only whether the last vertex breaks membership.
 
 At the target order the decision is the caller's. ``leaves`` yields each
-order-n child of a kept node undecided, with its deletion candidates and its
-parent's group; ``decide`` asks the tie test, then ``keep``, of one leaf, and
-``kept_node`` also gives a kept leaf its group, so that a walk continued
-below it needs no labeling. ``enumerate_graphs`` is the walk with every leaf
-decided in turn; a caller that needs only some leaves (the census, visiting
-them in bound order) decides only those, in any order, since a leaf's
-decision depends only on the leaf and ``keep``.
+kept order-(n-1) node with its group and its children's neighbor masks, one
+lazy leaf (parent, generators, mask) per mask, unbuilt; ``decide`` builds
+one leaf and asks the tie test, then ``keep``, and ``kept_node`` also gives
+a kept leaf its group, so that a walk continued below it needs no labeling.
+``enumerate_graphs`` is the walk with every leaf decided in turn; a caller
+that needs only some leaves (the census, visiting them in bound order)
+builds and decides only those, in any order, since a leaf's decision
+depends only on the leaf and ``keep``.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ from .graphs import Graph, iter_bits, mask_of, permute_mask
 ENUMERATION_CAP = 10
 
 
+Gens = list[tuple[int, ...]]
 # A kept node of the walk: the graph and generators of its automorphism group.
-Node = tuple[Graph, list[tuple[int, ...]] | None]
-# An order-n child of a kept node: the graph, its deletion candidates (None
-# once decided) and generators of its parent's group (its own, once decided).
-Leaf = tuple[Graph, list[int] | None, list[tuple[int, ...]] | None]
+Node = tuple[Graph, Gens | None]
+# Lazy leaves: a kept node, its generators and the neighbor masks of its
+# children (or, for a root at the target order, [None]: the root itself).
+Family = tuple[Graph, Gens | None, list[int | None]]
+Leaf = tuple[Graph, Gens | None, int | None]
 
 
 class EnumerationCapError(ValueError):
@@ -96,12 +99,10 @@ def _deletion_candidates(n: int, adj: tuple[int, ...]) -> list[int]:
     return candidates
 
 
-def _children(
-    m: int, adj: tuple[int, ...], gens: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(child, deletion candidates) for the one-vertex extensions of an
-    order-m graph whose new vertex has minimum degree and no vertex beats it,
-    one neighbor set per Aut orbit, in (size, lexicographic) order.
+def _masks(m: int, adj: tuple[int, ...], gens: Gens) -> Iterator[int]:
+    """The neighbor sets, as masks, of the one-vertex extensions of an
+    order-m graph whose new vertex has minimum degree, one per Aut orbit (its
+    minimum), in (size, lexicographic) order.
 
     A vertex of degree below the size must join the neighbor set, or it
     would end below the new vertex; that happens only at min_degree + 1.
@@ -116,14 +117,8 @@ def _children(
         for combo in combinations(free, size - len(forced)):
             mask = base | mask_of(combo)
             # One neighbor set per Aut orbit: the orbit's minimum.
-            if gens and any(m2 < mask for m2 in orbit(mask, gens, permute_mask)):
-                continue
-            child = tuple(
-                row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(adj)
-            ) + (mask,)
-            candidates = _deletion_candidates(m + 1, child)
-            if candidates:
-                yield child, candidates
+            if not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
+                yield mask
 
 
 def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, list[tuple[int, ...]] | None]:
@@ -140,22 +135,35 @@ def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, list[tuple[int, ..
     return min(candidates, key=perm.__getitem__) in orbit(v, gens), gens
 
 
-def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> bool:
-    """Whether the walk emits a leaf: its tie test accepts it, then ``keep``
-    does. A leaf with no candidates was decided before it was yielded."""
-    g, candidates, _ = leaf
-    return candidates is None or _tie_test(g, candidates)[0] and keep(g)
+def _kept(g: Graph, mask: int, keep: Callable[[Graph], bool]):
+    """(child, deletion candidates, generators from its tie test or None)
+    for g plus a vertex on ``mask``, when the walk keeps it, else None. A
+    child that some vertex beats is rejected before it is made."""
+    m = g.n
+    adj = tuple(row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(g.adj)) + (mask,)
+    if not (candidates := _deletion_candidates(m + 1, adj)):
+        return None
+    child = Graph.unchecked(m + 1, adj)  # symmetric and loop-free by construction
+    canonical, gens = _tie_test(child, candidates)
+    return (child, candidates, gens) if canonical and keep(child) else None
+
+
+def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
+    """The lazy leaf's graph, built only now, if the walk emits it, else None:
+    the tie test, then ``keep``, decide (see ``_kept``)."""
+    parent, _, mask = leaf
+    return parent if mask is None else (kept := _kept(parent, mask, keep)) and kept[0]
 
 
 def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
     """The node (graph, generators of its automorphism group) that a leaf
-    becomes when the walk keeps it, or None when the walk rejects it."""
-    g, candidates, gens = leaf
-    if candidates is None:
-        return g, gens
-    canonical, child_gens = _tie_test(g, candidates)
-    if not canonical or not keep(g):
+    becomes when the walk keeps it, built here, or None when it rejects it."""
+    parent, gens, mask = leaf
+    if mask is None:
+        return parent, gens
+    if (kept := _kept(parent, mask, keep)) is None:
         return None
+    g, candidates, child_gens = kept
     if child_gens is None:
         # Every automorphism maps v to v or a tied twin: Aut(parent)'s
         # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(g).
@@ -169,22 +177,22 @@ def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
 
 
 def _descend(
-    g: Graph, target: int, keep: Callable[[Graph], bool], gens: list[tuple[int, ...]] | None
-) -> Iterator[Leaf]:
-    """The order-target leaves below the kept node g; ``gens`` generate
+    g: Graph, target: int, keep: Callable[[Graph], bool], gens: Gens | None
+) -> Iterator[Family]:
+    """The lazy leaves below the kept node g, by parent; ``gens`` generate
     Aut(g), or are None for a root, which is labeled here. Nodes below the
     target are decided here; the leaves are not, save g itself at the target."""
     if g.n == target:
-        yield g, None, gens
+        yield g, gens, [None]
         return
     if gens is None:
         gens = canonical_labeling_masks(g.n, g.adj)[1]
-    for adj, candidates in _children(g.n, g.adj, gens):
-        # _children's tables are symmetric and loop-free by construction.
-        leaf = Graph.unchecked(g.n + 1, adj), candidates, gens
-        if g.n + 1 == target:
-            yield leaf
-        elif (node := kept_node(leaf, keep)) is not None:
+    masks = _masks(g.n, g.adj, gens)
+    if g.n + 1 == target:
+        yield g, gens, list(masks)
+        return
+    for mask in masks:
+        if (node := kept_node((g, gens, mask), keep)) is not None:
             yield from _descend(node[0], target, keep, node[1])
 
 
@@ -202,12 +210,13 @@ def check_order(n: int) -> None:
 
 def leaves(
     n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] | None = None
-) -> Iterator[Leaf]:
-    """The order-n leaves of the walk, in walk order, left undecided: each
-    order-n child of a kept node, as (child, deletion candidates, generators
-    of Aut(parent)). ``decide`` tells which the walk emits; ``kept_node``
-    gives such a leaf's own group. A root already at order n is yielded as
-    (root, None, its generators), decided.
+) -> Iterator[Family]:
+    """The order-n leaves of the walk, in walk order, undecided and unbuilt:
+    (parent, generators of Aut(parent), masks) per kept order-(n-1) node,
+    one neighbor mask per Aut(parent) orbit. ``decide`` builds the lazy leaf
+    (parent, generators, mask) and tells whether the walk emits it;
+    ``kept_node`` also gives its group. A root already at order n is yielded
+    as (root, its generators, [None]), decided.
 
     The walk asks ``keep`` only about the order-1 root and nodes below order
     n. ``roots`` are nodes (graph, generators of its group, or None to label
@@ -242,6 +251,7 @@ def enumerate_graphs(
     order. The default is the order-1 root.
     """
     nodes = None if roots is None else ((g, None) for g in roots)
-    for leaf in leaves(n, keep=keep, roots=nodes):
-        if decide(leaf, keep):
-            yield leaf[0]
+    for parent, gens, masks in leaves(n, keep=keep, roots=nodes):
+        for mask in masks:
+            if (g := decide((parent, gens, mask), keep)) is not None:
+                yield g

@@ -514,6 +514,13 @@ REPORT_PINS = [
     pytest.param(
         ("--theorem", "T1", "--r", "5", "--n", "8", "--alpha", "0.5"),
         "4f23741c76793d9599baaeadc11ed1e75500fa268cd51234b5538f3134d40bd4", id="T1-r5-n8"),
+    # Minor classes at order 9, where the order-n leaves outnumber the nodes above them.
+    pytest.param(
+        ("--theorem", "T1", "--r", "4", "--n", "9", "--alpha-grid", "0.25,0.5,0.75"),
+        "44b7a0c5a43474729b61e3770401b7b8cdf81a6131a0cbf63caba615c34020f9", id="T1-r4-n9"),
+    pytest.param(
+        ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "9", "--alpha-grid", "0.5,0.75"),
+        "fd3255661c19495965dc1dc6c6cf63fa690c2e20f1dca1e588bc8f6109969f99", id="T2-s2t3-n9"),
 ]
 
 

@@ -58,6 +58,11 @@ def untwinned_ties(adj):
             if adj[u] & ~(1 << v) != adj[v] & ~(1 << u)]
 
 
+def lazy_leaves(n, **kwargs):
+    """Every lazy leaf (parent, generators, mask) of the walk, in walk order."""
+    return [(parent, gens, mask) for parent, gens, masks in leaves(n, **kwargs) for mask in masks]
+
+
 def mask_orbit_labels(n, gens):
     """Each vertex mask's orbit under ``gens``, labeled by its minimum."""
     labels = {}
@@ -182,8 +187,8 @@ class TestPrunedWalk:
 
 
 class TestDeferredLeaves:
-    """The walk leaves its order-n children undecided; deciding them, in any
-    order, gives the graphs it emits."""
+    """The walk leaves its order-n children undecided and unbuilt; deciding
+    them, in any order, gives the graphs it emits."""
 
     @pytest.mark.parametrize("name, n", [
         (name, n) for name in sorted(HEREDITARY) for n in range(1, 9)
@@ -192,25 +197,25 @@ class TestDeferredLeaves:
     def test_decided_last_to_first_are_the_walk(self, name, n):
         # One answer per graph across the three passes below.
         keep = functools.cache(HEREDITARY[name])
-        found = list(leaves(n, keep=keep))
-        accepted = [decide(leaf, keep) for leaf in reversed(found)][::-1]
-        assert [g for (g, _, _), ok in zip(found, accepted) if ok] == list(
-            enumerate_graphs(n, keep=keep)
-        )
-        assert [kept_node(leaf, keep) is not None for leaf in found] == accepted
-        for g, candidates, gens in found:
-            assert g.n == n
-            if candidates is not None:
-                # An undecided leaf carries its deletion candidates and its parent's group.
-                assert candidates[0] == n - 1
-                parent = Graph(n - 1, tuple(row & ~(1 << n - 1) for row in g.adj[:-1]))
+        found = lazy_leaves(n, keep=keep)
+        decided = [decide(leaf, keep) for leaf in reversed(found)][::-1]
+        assert [g for g in decided if g is not None] == list(enumerate_graphs(n, keep=keep))
+        assert [(node := kept_node(leaf, keep)) and node[0] for leaf in found] == decided
+        for parent, gens, mask in found:
+            if mask is None:
+                assert parent.n == n  # a root at the target order, decided
+            else:
+                # An undecided leaf is an orbit-minimal neighbor mask under
+                # its parent's group, whose generators are automorphisms.
+                assert parent.n == n - 1
+                assert mask == min(orbit(mask, gens, permute_mask))
                 assert all(parent.relabel(h) == parent for h in gens)
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
     def test_roots_handed_their_groups_are_not_labeled(self, monkeypatch, name):
         keep = HEREDITARY.get(name, lambda g: True)
         want = list(enumerate_graphs(8, keep=keep))
-        prefix = [node for leaf in leaves(6, keep=keep) if (node := kept_node(leaf, keep))]
+        prefix = [node for leaf in lazy_leaves(6, keep=keep) if (node := kept_node(leaf, keep))]
         labeled = []
         label = enumeration.canonical_labeling_masks
 
@@ -219,8 +224,8 @@ class TestDeferredLeaves:
             return label(n, adj)
 
         monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
-        found = list(leaves(8, keep=keep, roots=prefix))
-        assert [leaf[0] for leaf in found if decide(leaf, keep)] == want
+        found = lazy_leaves(8, keep=keep, roots=prefix)
+        assert [g for leaf in found if (g := decide(leaf, keep)) is not None] == want
         assert not {g.adj for g, _ in prefix} & set(labeled)
         for g, gens in prefix:
             assert generated_group(g.n, gens) == set(brute_force_automorphisms(g))

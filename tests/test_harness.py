@@ -24,8 +24,9 @@ from alpha_extremal.harness import (
     reports_to_csv,
     sweep_inequalities,
 )
-from alpha_extremal.spectral import alpha_index, quotient_alpha_index
+from alpha_extremal.spectral import alpha_index, degree_sums, degree_vector_bound, quotient_alpha_index
 from conftest import delete_vertex
+from test_enumeration import COSTLY_AT_ORDER_8, HEREDITARY
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -97,16 +98,18 @@ class TestWorkCounts:
     checks the predicted witness in full). An order-n leaf is labeled or
     tested only when the bound order reaches it, which the K5 and K_{3,3}
     rows pin: deciding every leaf took 2,369 and 2,257 labelings and 3,556
-    and 3,373 searches there."""
+    and 3,373 searches there. Likewise an order-n leaf is built (its graph
+    made) only when reached: building every leaf made 174, 2,138, 363, 9,335
+    and 8,775 order-n graphs in the rows below."""
 
-    @pytest.mark.parametrize("cls, n, weights, labelings, tests", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 81, 463),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 158, 138),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 44, 60),
-        (CliqueMinorFree(5), 8, [0.5], 276, 347),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 291, 397),
+    @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 81, 463, 3),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 158, 138, 151),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 44, 60, 23),
+        (CliqueMinorFree(5), 8, [0.5], 276, 347, 37),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 291, 397, 83),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8"])
-    def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests):
+    def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = collections.Counter()
         for module, name in ((enumeration, "canonical_labeling_masks"),
                              (harness, "is_minor_free"), (harness, "is_star_forest_free")):
@@ -115,9 +118,45 @@ class TestWorkCounts:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        unchecked = Graph.unchecked
+
+        def noted_build(order, adj):
+            counts["built"] += order == n
+            return unchecked(order, adj)
+
+        # The walk makes its graphs through Graph.unchecked and nothing else does.
+        monkeypatch.setattr(Graph, "unchecked", staticmethod(noted_build))
         check_theorem(cls, n, weights, workers=1)
         assert counts["canonical_labeling_masks"] == labelings
         assert counts["is_minor_free"] + counts["is_star_forest_free"] == tests
+        assert counts["built"] == built
+
+
+class TestDerivedLeafSums:
+    """The census bounds each lazy leaf from its parent's degree sums, never
+    building it; the built leaf's own degree_sums must agree exactly."""
+
+    @pytest.mark.parametrize("name, n", [("all", n) for n in range(1, 8)] + [
+        (name, n) for name in sorted(HEREDITARY) for n in range(1, 9)
+        if n < 8 or name not in COSTLY_AT_ORDER_8
+    ])
+    def test_equal_the_built_leaf(self, name, n):
+        keep = HEREDITARY.get(name, lambda g: True)
+        checked = 0
+        for parent, _, masks in enumeration.leaves(n, keep=keep):
+            for mask, sums in zip(masks, harness._leaf_degree_sums(parent, masks), strict=True):
+                if mask is None:
+                    child = parent
+                else:
+                    rows = [row | (mask >> u & 1) << n - 1 for u, row in enumerate(parent.adj)]
+                    child = Graph(n, (*rows, mask))
+                want = degree_sums(child)
+                assert sorted(sums) == sorted(want)
+                for a in (0.25, 0.5, 0.75):
+                    # Bit for bit, so the census visits, breaks and solves as on built leaves.
+                    assert degree_vector_bound(sums, a).hex() == degree_vector_bound(want, a).hex()
+                checked += 1
+        assert checked
 
 
 class TestClassBasics:
@@ -240,7 +279,8 @@ class TestExtremalSearch:
             return alpha_index(g, a)
 
         def noted_decide(leaf, keep):
-            decided.append(leaf[0].adj)
+            parent, _, mask = leaf
+            decided.append((parent.adj, mask))
             return decide(leaf, keep)
 
         monkeypatch.setattr(harness, "alpha_index", noted_solve)
