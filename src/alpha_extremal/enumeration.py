@@ -13,18 +13,18 @@ isomorphism class, deterministically, with no global dedup table.
 
 Since the deletion vertex has minimum degree, neighbor sets have at most
 min_degree(parent) + 1 vertices, and at that size they hold every vertex of
-minimum degree (as in McKay's ``geng``). A child is canonically labeled
-only when some vertex ties with the new one on (degree, sorted neighbor
-degrees) and is not its twin (a twin u of v gives the automorphism (u v),
-so a child whose every tie is a twin is accepted as it stands). That
-labeling also yields the automorphisms its own children are tried under.
-A kept child that was not labeled has its group from its parent's: every
-automorphism maps the new vertex v to v or to a tied twin, so Aut(child) is
-generated by the stabilizer of v's neighbor set in Aut(parent), fixing v,
-and the transpositions (u v) of its tied twins u (Schreier's lemma gives
-the stabilizer). So within one walk only a root handed without its group
-is labeled on descent, no node is labeled twice, and a rejected child whose
-ties are all twins is never labeled.
+minimum degree (as in McKay's ``geng``). The walk starts at the order-0
+graph, whose only child is K1. A child is canonically labeled only when
+some vertex ties with the new one on (degree, sorted neighbor degrees) and
+is not its twin (a twin u of v gives the automorphism (u v), so a child
+whose every tie is a twin is accepted as it stands). That labeling also
+yields the automorphisms its own children are tried under. A kept child
+that was not labeled has its group from its parent's: every automorphism
+maps the new vertex v to v or to a tied twin, so Aut(child) is generated by
+the stabilizer of v's neighbor set in Aut(parent), fixing v, and the
+transpositions (u v) of its tied twins u (Schreier's lemma gives the
+stabilizer). So nothing is labeled on descent, no node is labeled twice,
+and a rejected child whose ties are all twins is never labeled.
 
 Every ancestor of a graph in this tree is a vertex-deleted subgraph of it.
 So for a predicate ``keep`` that is closed under vertex deletion (every
@@ -34,18 +34,20 @@ the walk tests each accepted child and descends only into kept ones. It
 emits the kept graphs in exactly the order the full walk would. A ``keep``
 that is not closed under vertex deletion (connectedness, say) loses members.
 
-``keep`` is called only on the order-1 root and on children of kept nodes,
-so it may ask only whether the last vertex breaks membership.
+``keep`` is called only on children of kept nodes (K1 is the order-0
+graph's child), so it may ask only whether the last vertex breaks
+membership.
 
 At the target order the decision is the caller's. ``leaves`` yields each
 kept order-(n-1) node with its group and its children's neighbor masks, one
 lazy leaf (parent, generators, mask) per mask, unbuilt; ``decide`` builds
 one leaf and asks the tie test, then ``keep``, and ``kept_node`` also gives
 a kept leaf its group, so that a walk continued below it needs no labeling.
-``enumerate_graphs`` is the walk with every leaf decided in turn; a caller
-that needs only some leaves (the census, visiting them in bound order)
-builds and decides only those, in any order, since a leaf's decision
-depends only on the leaf and ``keep``.
+``nodes`` gives the kept nodes of one order, with their groups, from which
+``leaves`` may continue the walk. ``enumerate_graphs`` is the walk with
+every leaf decided in turn; a caller that needs only some leaves (the
+census, visiting them in bound order) builds and decides only those, in
+any order, since a leaf's decision depends only on the leaf and ``keep``.
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ ENUMERATION_CAP = 10
 
 Gens = list[tuple[int, ...]]
 # A kept node of the walk: the graph and generators of its automorphism group.
-Node = tuple[Graph, Gens | None]
-# Lazy leaves: a kept node, its generators and the neighbor masks of its
-# children (or, for a root at the target order, [None]: the root itself).
-Family = tuple[Graph, Gens | None, list[int | None]]
-Leaf = tuple[Graph, Gens | None, int | None]
+Node = tuple[Graph, Gens]
+# Lazy leaves: a kept node, its generators and the neighbor masks of its children.
+Family = tuple[Graph, Gens, list[int]]
+Leaf = tuple[Graph, Gens, int]
+# The walk's root: the order-0 graph, whose only child is K1.
+ROOT: Node = (Graph(0, ()), [])
 
 
 class EnumerationCapError(ValueError):
@@ -108,7 +111,7 @@ def _masks(m: int, adj: tuple[int, ...], gens: Gens) -> Iterator[int]:
     would end below the new vertex; that happens only at min_degree + 1.
     """
     degs = _degrees(adj)
-    for size in range(min(m, min(degs) + 1) + 1):
+    for size in range(min(m, min(degs, default=0) + 1) + 1):
         forced = [u for u in range(m) if degs[u] < size]
         if len(forced) > size:
             break
@@ -121,7 +124,7 @@ def _masks(m: int, adj: tuple[int, ...], gens: Gens) -> Iterator[int]:
                 yield mask
 
 
-def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, list[tuple[int, ...]] | None]:
+def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, Gens | None]:
     """Whether g's new vertex v = g.n - 1 is in the orbit of the deletion
     candidate that the canonical labeling puts first, with Aut(g)'s
     generators when settling that took a labeling (else None)."""
@@ -152,41 +155,32 @@ def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
     """The lazy leaf's graph, built only now, if the walk emits it, else None:
     the tie test, then ``keep``, decide (see ``_kept``)."""
     parent, _, mask = leaf
-    return parent if mask is None else (kept := _kept(parent, mask, keep)) and kept[0]
+    return (kept := _kept(parent, mask, keep)) and kept[0]
 
 
 def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
     """The node (graph, generators of its automorphism group) that a leaf
     becomes when the walk keeps it, built here, or None when it rejects it."""
     parent, gens, mask = leaf
-    if mask is None:
-        return parent, gens
     if (kept := _kept(parent, mask, keep)) is None:
         return None
-    g, candidates, child_gens = kept
-    if child_gens is None:
+    g, candidates, group = kept
+    if group is None:
         # Every automorphism maps v to v or a tied twin: Aut(parent)'s
         # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(g).
         v = g.n - 1
-        child_gens = [h + (v,) for h in stabilizer(g.adj[v], gens, permute_mask)]
+        group = [h + (v,) for h in stabilizer(g.adj[v], gens, permute_mask)]
         for u in candidates[1:]:
             swap = list(range(v + 1))
             swap[u], swap[v] = v, u
-            child_gens.append(tuple(swap))
-    return g, child_gens
+            group.append(tuple(swap))
+    return g, group
 
 
-def _descend(
-    g: Graph, target: int, keep: Callable[[Graph], bool], gens: Gens | None
-) -> Iterator[Family]:
-    """The lazy leaves below the kept node g, by parent; ``gens`` generate
-    Aut(g), or are None for a root, which is labeled here. Nodes below the
-    target are decided here; the leaves are not, save g itself at the target."""
-    if g.n == target:
-        yield g, gens, [None]
-        return
-    if gens is None:
-        gens = canonical_labeling_masks(g.n, g.adj)[1]
+def _descend(g: Graph, target: int, keep: Callable[[Graph], bool], gens: Gens) -> Iterator[Family]:
+    """The lazy leaves below the kept node g (of order below the target),
+    by parent; ``gens`` generate Aut(g). Nodes below the target are decided
+    here; the leaves are not."""
     masks = _masks(g.n, g.adj, gens)
     if g.n + 1 == target:
         yield g, gens, list(masks)
@@ -209,49 +203,45 @@ def check_order(n: int) -> None:
 
 
 def leaves(
-    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] | None = None
+    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] = (ROOT,)
 ) -> Iterator[Family]:
     """The order-n leaves of the walk, in walk order, undecided and unbuilt:
     (parent, generators of Aut(parent), masks) per kept order-(n-1) node,
     one neighbor mask per Aut(parent) orbit. ``decide`` builds the lazy leaf
     (parent, generators, mask) and tells whether the walk emits it;
-    ``kept_node`` also gives its group. A root already at order n is yielded
-    as (root, its generators, [None]), decided.
+    ``kept_node`` also gives its group.
 
-    The walk asks ``keep`` only about the order-1 root and nodes below order
-    n. ``roots`` are nodes (graph, generators of its group, or None to label
-    it) below which the walk runs, the order-1 root by default. See
-    ``enumerate_graphs``.
+    ``roots`` are kept nodes below order n, from ``nodes`` with the same
+    ``keep``, below which the walk runs; ROOT by default. The roots of one
+    order, in walk order, give all the leaves in order. See
+    ``enumerate_graphs`` for ``keep``.
     """
     check_order(n)
-    if roots is None:
-        root = Graph(1, (0,))
-        roots = [(root, None)] if keep(root) else []
     for g, gens in roots:
         yield from _descend(g, n, keep, gens)
 
 
-def enumerate_graphs(
-    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Graph] | None = None
-) -> Iterator[Graph]:
+def nodes(m: int, keep: Callable[[Graph], bool]) -> list[Node]:
+    """The kept order-m nodes of the walk with their groups, in walk order:
+    [ROOT] at order 0."""
+    if m == 0:
+        return [ROOT]
+    return [node for parent, gens, masks in leaves(m, keep=keep) for mask in masks
+            if (node := kept_node((parent, gens, mask), keep)) is not None]
+
+
+def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:
     """One representative per isomorphism class of the order-n graphs that
-    ``keep`` accepts, or of those that descend from ``roots``: the leaves
-    that ``decide`` accepts, in walk order.
+    ``keep`` accepts: the leaves that ``decide`` accepts, in walk order.
 
     ``keep`` must be closed under vertex deletion: it is tested once on every
     node of the augmentation tree (whose last vertex has minimum degree), and
     a rejected node's subtree is never generated, so a kept graph below a
-    rejected ancestor would be lost. It is called only on the order-1 root
-    and on children of kept nodes, so it may assume that its graph minus
-    the last vertex is kept. The default keeps every graph.
-
-    ``roots`` are nodes of order at most n that this walk emitted with the
-    same ``keep``; each root is labeled and its descendants are emitted in
-    turn, so the roots of one order, in walk order, give the whole census in
-    order. The default is the order-1 root.
+    rejected ancestor would be lost. It is called only on children of kept
+    nodes, so it may assume that its graph minus the last vertex is kept.
+    The default keeps every graph.
     """
-    nodes = None if roots is None else ((g, None) for g in roots)
-    for parent, gens, masks in leaves(n, keep=keep, roots=nodes):
+    for parent, gens, masks in leaves(n, keep=keep):
         for mask in masks:
             if (g := decide((parent, gens, mask), keep)) is not None:
                 yield g

@@ -8,9 +8,10 @@ order of a Collatz-Wielandt upper bound, from degree sums derived from the
 parent's, until no remaining bound can reach the maximum; only a leaf so
 reached is built and decided (tie test, then membership), once for all
 weights, and a member is solved only if its bound, tightened by a few power
-steps, still can. The member prefix of the tree, to order PREFIX_ORDER, is
-walked once, its nodes are dealt out round robin with their automorphism
-groups, and each worker walks the leaves below its own.
+steps, still can. The member prefix of the tree, to order
+min(n - 1, PREFIX_ORDER), is walked once, its nodes are dealt out round
+robin with their automorphism groups, and each worker walks the leaves
+below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -81,7 +82,6 @@ from .minors import BicliqueMinor, CliqueMinor, MinorPattern, is_minor_free, set
 from .spectral import (
     alpha_index,
     collatz_wielandt_bound,
-    degree_sums,
     degree_vector_bound,
     quotient_alpha_index,
     require_open_weight,
@@ -92,7 +92,7 @@ TIE_TOL = 1e-9
 MATCH_TOL = 1e-9
 # Power steps that tighten a member's Collatz-Wielandt bound before its eigensolve.
 GATE_POWER_STEPS = 2
-# Workers are dealt the member prefix nodes of order min(n, PREFIX_ORDER).
+# Workers are dealt the member prefix nodes of order min(n - 1, PREFIX_ORDER).
 PREFIX_ORDER = 6
 
 
@@ -217,19 +217,16 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _leaf_degree_sums(parent: Graph, masks: list[int | None]) -> Iterator[list[tuple[int, int]]]:
+def _leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int, int]]]:
     """degree_sums of each lazy leaf of one family, unbuilt, from the
     parent's degrees d_u and neighbor-degree sums S_u. For the new vertex's
     neighbor set M, k = |M| and c_u = |N(u) & M|: u in M has (d_u + 1, S_u +
     c_u + k), u outside M with d_u > 0 has (d_u, S_u + c_u), and the new
     vertex, if k > 0, (k, sum of d_u over M = sum of all c_u, plus k). These
-    are the built leaf's pairs in another order. A mask None is the parent."""
+    are the built leaf's pairs in another order."""
     deg = parent.degrees()
     nbr = [sum(deg[w] for w in iter_bits(row)) for row in parent.adj]
     for mask in masks:
-        if mask is None:
-            yield degree_sums(parent)
-            continue
         k = mask.bit_count()
         cs = [(row & mask).bit_count() for row in parent.adj]
         sums = [(d + 1, s + c + k) if mask >> u & 1 else (d, s + c)
@@ -312,9 +309,7 @@ def extremal_search(
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
     keep = _member_of(cls)
-    families = enumeration.leaves(min(n, PREFIX_ORDER), keep=keep)
-    prefix = [node for parent, gens, masks in families for mask in masks
-              if (node := enumeration.kept_node((parent, gens, mask), keep)) is not None]
+    prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), keep)
     workers = max(1, min(workers, len(prefix)))
     jobs = [(n, weights, cls, prefix[s::workers]) for s in range(workers)]
     if workers == 1:

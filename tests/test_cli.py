@@ -342,29 +342,38 @@ class TestCheckCommand:
         assert "cap" in err
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
-    def test_membership_once_per_class_and_order(self, capsys, monkeypatch):
+    def test_membership_once_per_class_and_order(self, capsys, monkeypatch, in_process_pool):
         from alpha_extremal import harness
 
         calls = []
         original = harness.class_member
 
         def counted(g, cls, new=None):
-            calls.append(g)
+            calls.append((g, new))
             return original(g, cls, new)
 
         monkeypatch.setattr(harness, "class_member", counted)
-        counts = []
+        counts = {}
+        prefix = []
         for grid in ("0.25,0.5,0.75", "0.5"):
-            calls.clear()
-            code, _, _ = run(
-                capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",
-                "--alpha-grid", grid, "--workers", "1",
-            )
-            assert code == 0
-            counts.append(len(calls))
-        # 46 nodes of the forest-pruned tree (every child of a forest of order
-        # <= 5, and the root) plus the predicted witness, whatever the grid.
-        assert counts == [46 + 1, 46 + 1]
+            for workers in ("1", "3"):
+                calls.clear()
+                code, _, _ = run(
+                    capsys, "check", "--theorem", "T1", "--r", "3", "--n", "6",
+                    "--alpha-grid", grid, "--workers", workers,
+                )
+                assert code == 0
+                # The walk tests no graph twice, whatever the grid.
+                walked = [harness.canonical_graph6(g) for g, new in calls if new is not None]
+                assert len(walked) == len(set(walked))
+                counts[grid, workers] = len(calls)
+                prefix.append([g for g, _ in calls if g.n < 6])
+        # The forests to order 5 are tested alike at every grid and worker
+        # count; at one worker, the order-6 forests the bound order reaches
+        # are tested too, plus the predicted witness.
+        assert all(p == prefix[0] for p in prefix)
+        assert counts["0.25,0.5,0.75", "1"] == 35
+        assert counts["0.5", "1"] == 27
 
     def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness
@@ -534,15 +543,33 @@ class TestReportPins:
         assert code == 0
         assert out_dir_digest(tmp_path) == digest
 
-    # Censuses that descend below the prefix, so each of three shards walks
-    # and decides its own leaves.
+    # Censuses whose shards each walk and decide their own leaves: below the
+    # order-6 prefix, or at n <= 6 below the order-(n-1) one.
     @pytest.mark.parametrize("argv, digest", [
-        pin for pin in REPORT_PINS if pin.id in ("T1-r4-n8", "T2-s2t3-n7", "T3-2,2-n9")
+        pin for pin in REPORT_PINS
+        if pin.id in ("T1-r4-n8", "T2-s2t3-n7", "T3-2,2-n9", "T1-r3-n4:8", "T3-1,1-n6")
     ])
     def test_report_bytes_at_three_workers(self, capsys, tmp_path, in_process_pool, argv, digest):
         code, _, _ = run(capsys, "check", *argv, "--workers", "3", "--out", str(tmp_path))
         assert code == 0
-        assert in_process_pool == [3]
+        assert in_process_pool and set(in_process_pool) == {3}
+        assert out_dir_digest(tmp_path) == digest
+
+    # Order 1, walked from the order-0 root, the one prefix node. T2 has no
+    # prediction at n = 1, so its census there is tested in test_harness.
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(("--theorem", "T1", "--r", "3"),
+                     "c03a48e147dfcb125e854bc6022dda314787367b65d97f4d851def14c27c3c50", id="T1-r3"),
+        pytest.param(("--theorem", "T3", "--degrees", "1,1"),
+                     "9dc6de1e203712cc920b991ad88e134b82c16af4e25f69213b115afd7100e283", id="T3-1,1"),
+    ])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_order_one(self, capsys, tmp_path, in_process_pool, argv, digest, workers):
+        code, out, _ = run(capsys, "check", *argv, "--n", "1", "--alpha-grid", "0.25,0.5,0.75",
+                           "--workers", workers, "--out", str(tmp_path))
+        assert code == 0
+        assert out.count("verdict=MATCH witnesses=@\n") == 3
+        assert in_process_pool == []
         assert out_dir_digest(tmp_path) == digest
 
 

@@ -13,6 +13,7 @@ from alpha_extremal.enumeration import (
     enumerate_graphs,
     kept_node,
     leaves,
+    nodes,
 )
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph, permute_mask
@@ -58,9 +59,20 @@ def untwinned_ties(adj):
             if adj[u] & ~(1 << v) != adj[v] & ~(1 << u)]
 
 
+def keep_all(g):
+    return True
+
+
 def lazy_leaves(n, **kwargs):
     """Every lazy leaf (parent, generators, mask) of the walk, in walk order."""
     return [(parent, gens, mask) for parent, gens, masks in leaves(n, **kwargs) for mask in masks]
+
+
+def walk_below(n, roots, keep=keep_all):
+    """graph6 of the order-n graphs the walk emits below ``roots``, in order:
+    their lazy leaves, each decided."""
+    return [encode_graph6(g) for leaf in lazy_leaves(n, keep=keep, roots=roots)
+            if (g := decide(leaf, keep)) is not None]
 
 
 def mask_orbit_labels(n, gens):
@@ -130,31 +142,31 @@ class TestCapAndErrors:
 
 class TestSharding:
     """Splitting a walk by its nodes: round-robin shares of one order's
-    nodes, each descended from as ``roots``, cover the census."""
+    nodes, each walked below as ``roots``, cover the census."""
 
     @pytest.mark.parametrize("nshards", [2, 3, 5])
     def test_union_equals_full_enumeration(self, nshards, graphs_by_order):
         full = [encode_graph6(g) for g in graphs_by_order[7]]
-        prefix = graphs_by_order[6]
-        merged = [
-            encode_graph6(g)
-            for shard in range(nshards)
-            for g in enumerate_graphs(7, roots=prefix[shard::nshards])
-        ]
+        prefix = nodes(6, keep_all)
+        merged = [g6 for shard in range(nshards) for g6 in walk_below(7, prefix[shard::nshards])]
         assert sorted(merged) == sorted(full)
         assert len(merged) == len(set(merged))
 
     def test_single_shard_is_identity(self, graphs_by_order):
-        # The descents from one order's nodes, in node order, are the walk.
-        for n, m in ((5, 5), (7, 6), (7, 3), (6, 1)):
+        # The walks below one order's nodes, in node order, are the walk.
+        for n, m in ((7, 6), (7, 3), (6, 1), (4, 0)):
             full = [encode_graph6(g) for g in graphs_by_order[n]]
-            descents = [encode_graph6(g) for g in enumerate_graphs(n, roots=graphs_by_order[m])]
-            assert descents == full
+            assert walk_below(n, nodes(m, keep_all)) == full
+
+    def test_nodes_are_the_walk(self, graphs_by_order):
+        for m in range(1, 7):
+            assert [g for g, _ in nodes(m, keep_all)] == graphs_by_order[m]
 
     def test_order_one(self):
-        prefix = list(enumerate_graphs(1))
-        assert [g.n for g in enumerate_graphs(1, roots=prefix[0::2])] == [1]
-        assert list(enumerate_graphs(1, roots=prefix[1::2])) == []
+        prefix = nodes(0, keep_all)
+        assert prefix == [enumeration.ROOT]
+        assert walk_below(1, prefix[0::2]) == [encode_graph6(Graph(1, (0,)))]
+        assert walk_below(1, prefix[1::2]) == []
 
 
 class TestPrunedWalk:
@@ -171,14 +183,11 @@ class TestPrunedWalk:
     def test_shard_union_equals_single_shard(self, name):
         keep = HEREDITARY[name]
         whole = [encode_graph6(g) for g in enumerate_graphs(7, keep=keep)]
-        prefix = list(enumerate_graphs(6, keep=keep))
-        assert [encode_graph6(g) for g in enumerate_graphs(7, keep=keep, roots=prefix)] == whole
+        prefix = nodes(6, keep)
+        assert walk_below(7, prefix, keep) == whole
         for nshards in (2, 3, 5):
-            merged = [
-                encode_graph6(g)
-                for shard in range(nshards)
-                for g in enumerate_graphs(7, keep=keep, roots=prefix[shard::nshards])
-            ]
+            merged = [g6 for shard in range(nshards)
+                      for g6 in walk_below(7, prefix[shard::nshards], keep)]
             assert sorted(merged) == sorted(whole)
 
     def test_rejected_root_yields_nothing(self):
@@ -202,20 +211,17 @@ class TestDeferredLeaves:
         assert [g for g in decided if g is not None] == list(enumerate_graphs(n, keep=keep))
         assert [(node := kept_node(leaf, keep)) and node[0] for leaf in found] == decided
         for parent, gens, mask in found:
-            if mask is None:
-                assert parent.n == n  # a root at the target order, decided
-            else:
-                # An undecided leaf is an orbit-minimal neighbor mask under
-                # its parent's group, whose generators are automorphisms.
-                assert parent.n == n - 1
-                assert mask == min(orbit(mask, gens, permute_mask))
-                assert all(parent.relabel(h) == parent for h in gens)
+            # An undecided leaf is an orbit-minimal neighbor mask under its
+            # parent's group, whose generators are automorphisms.
+            assert parent.n == n - 1
+            assert mask == min(orbit(mask, gens, permute_mask))
+            assert all(parent.relabel(h) == parent for h in gens)
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
     def test_roots_handed_their_groups_are_not_labeled(self, monkeypatch, name):
         keep = HEREDITARY.get(name, lambda g: True)
         want = list(enumerate_graphs(8, keep=keep))
-        prefix = [node for leaf in lazy_leaves(6, keep=keep) if (node := kept_node(leaf, keep))]
+        prefix = nodes(6, keep)
         labeled = []
         label = enumeration.canonical_labeling_masks
 
@@ -284,14 +290,13 @@ class TestDerivedGroups:
         descend = enumeration._descend
 
         def noted(g, target, keep, gens):
-            if gens is not None and g.n < target:
-                handed.append((g, gens))
+            handed.append((g, gens))
             return descend(g, target, keep, gens)
 
         monkeypatch.setattr(enumeration, "_descend", noted)
         for _ in enumerate_graphs(8, keep=HEREDITARY.get(name, lambda g: True)):
             pass
-        assert {g.n for g, _ in handed} == set(range(2, 8))
+        assert {g.n for g, _ in handed} == set(range(0, 8))
         for g, gens in handed:
             assert all(g.relabel(h) == g for h in gens)
             labeled = canonical_labeling_masks(g.n, g.adj)[1]
@@ -341,9 +346,9 @@ class TestKeepContract:
             # that is not a twin of the new vertex.
             assert (g.adj in labeled) == bool(untwinned_ties(g.adj))
         for adj in labeled:
-            # Only the root is labeled on descent: a kept child's group comes
-            # from its tie test's labeling or from its parent's group.
-            assert adj == (0,) or untwinned_ties(adj)
+            # Nothing is labeled on descent: a kept child's group comes from
+            # its tie test's labeling or from its parent's group.
+            assert untwinned_ties(adj)
 
     @pytest.mark.parametrize("name", [None] + sorted(HEREDITARY))
     def test_keep_sees_only_children_of_kept_nodes(self, name):

@@ -91,8 +91,8 @@ class TestAnchoredMembership:
 class TestWorkCounts:
     """The deterministic work of census checks, so that a change that brings
     work back shows without timing: walk labelings (a tie settled by twins
-    needs none, nor does a kept node below the top, whose group comes from
-    its parent's, nor a prefix root, which the prefix walk hands its group)
+    needs none, nor does a kept node, whose group comes from its parent's,
+    nor a prefix root, which the prefix walk hands its group)
     and minor or star-forest searches (a minor-class child that its new
     vertex settles needs none; the star-forest ones are anchored; one more
     checks the predicted witness in full). An order-n leaf is labeled or
@@ -103,11 +103,11 @@ class TestWorkCounts:
     and 8,775 order-n graphs in the rows below."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 81, 463, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 158, 138, 151),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 44, 60, 23),
-        (CliqueMinorFree(5), 8, [0.5], 276, 347, 37),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 291, 397, 83),
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 80, 463, 3),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 157, 138, 151),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 43, 60, 23),
+        (CliqueMinorFree(5), 8, [0.5], 275, 347, 37),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 290, 397, 83),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = collections.Counter()
@@ -145,11 +145,8 @@ class TestDerivedLeafSums:
         checked = 0
         for parent, _, masks in enumeration.leaves(n, keep=keep):
             for mask, sums in zip(masks, harness._leaf_degree_sums(parent, masks), strict=True):
-                if mask is None:
-                    child = parent
-                else:
-                    rows = [row | (mask >> u & 1) << n - 1 for u, row in enumerate(parent.adj)]
-                    child = Graph(n, (*rows, mask))
+                rows = [row | (mask >> u & 1) << n - 1 for u, row in enumerate(parent.adj)]
+                child = Graph(n, (*rows, mask))
                 want = degree_sums(child)
                 assert sorted(sums) == sorted(want)
                 for a in (0.25, 0.5, 0.75):
@@ -204,6 +201,16 @@ class TestExtremalSearch:
         assert best == 0.0
         assert witnesses == [canonical_graph6(Graph.empty(1))]
 
+    @pytest.mark.parametrize("cls", [
+        CliqueMinorFree(3), BicliqueMinorFree(2, 3), StarForestFree(StarForestSpec((1, 1))),
+    ], ids=lambda cls: cls.claim)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_order_one_from_the_root(self, in_process_pool, cls, workers):
+        # The order-0 root is the one prefix node, so no pool is opened.
+        found = extremal_search(1, (0.25, 0.75), cls, workers=workers)
+        assert found == [(0.0, [canonical_graph6(Graph.empty(1))])] * 2
+        assert in_process_pool == []
+
     def test_monotone_in_order(self):
         for cls in (CliqueMinorFree(3), StarForestFree(StarForestSpec((1, 1)))):
             prev = -1.0
@@ -219,8 +226,8 @@ class TestExtremalSearch:
 
     @pytest.mark.parametrize("n, cls, workers, size", [
         (7, CliqueMinorFree(3), 10**6, 20),  # the 20 forests of order 6
-        (4, CliqueMinorFree(3), 1000, 6),  # n <= 6 deals out the order-n members
-        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 156),  # every order-6 graph is a member
+        (4, CliqueMinorFree(3), 1000, 3),  # n <= 6 deals out the order-(n-1) members
+        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 34),  # every order-5 graph is a member
         (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
     ])
     def test_pool_clamped_to_prefix_nodes(self, in_process_pool, n, cls, workers, size):
@@ -230,18 +237,27 @@ class TestExtremalSearch:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_prefix_walked_once(self, monkeypatch, in_process_pool, workers):
-        # The prefix walk is shared, not repeated per shard: the forest walk
-        # to order 6 makes 46 class_member calls at any worker count, and one
-        # more checks the predicted witness.
+        # The prefix walk is shared, not repeated per shard: at any worker
+        # count the walk tests no graph twice, and the prefix (the forests to
+        # order 5) is tested as at one worker. There the walk makes 26
+        # class_member calls, and one more checks the predicted witness.
         calls = []
 
         def counted(g, cls, new=None):
-            calls.append(g)
+            calls.append((g, new))
             return class_member(g, cls, new)
 
         monkeypatch.setattr(harness, "class_member", counted)
-        check_theorem(CliqueMinorFree(3), 6, [0.5], workers=workers)
-        assert len(calls) == 47
+        counts, prefix = {}, {}
+        for w in sorted({1, workers}):
+            calls.clear()
+            check_theorem(CliqueMinorFree(3), 6, [0.5], workers=w)
+            walked = [canonical_graph6(g) for g, new in calls if new is not None]
+            assert len(walked) == len(set(walked))
+            counts[w] = len(calls)
+            prefix[w] = [g for g, _ in calls if g.n < 6]
+        assert counts[1] == 27
+        assert prefix[workers] == prefix[1]
         assert in_process_pool == ([3] if workers > 1 else [])
 
     @pytest.mark.parametrize("cls", [
