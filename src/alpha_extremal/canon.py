@@ -228,10 +228,6 @@ def canonical_labeling_masks(
     return tuple(perm), gens
 
 
-def canonical_perm(g: Graph) -> tuple[int, ...]:
-    return canonical_labeling_masks(g.n, g.adj)[0]
-
-
 def canonical_form(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    return g.relabel(canonical_perm(g))
+    return g.relabel(canonical_labeling_masks(g.n, g.adj)[0])

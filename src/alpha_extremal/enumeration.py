@@ -43,6 +43,9 @@ kept order-(n-1) node with its group and its children's neighbor masks, one
 lazy leaf (parent, generators, mask) per mask, unbuilt; ``decide`` builds
 one leaf and asks the tie test, then ``keep``, and ``kept_node`` also gives
 a kept leaf its group, so that a walk continued below it needs no labeling.
+``leaf_degree_sums`` is the other reader of a family's masks: each leaf's
+(degree, neighbor-degree sum) pairs, derived from the parent's, so that a
+caller can bound a leaf's alpha index before building it.
 ``nodes`` gives the kept nodes of one order, with their groups, from which
 ``leaves`` may continue the walk. ``enumerate_graphs`` is the walk with
 every leaf decided in turn; a caller that needs only some leaves (the
@@ -151,6 +154,26 @@ def _kept(g: Graph, mask: int, keep: Callable[[Graph], bool]):
     return (child, candidates, gens) if canonical and keep(child) else None
 
 
+def leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int, int]]]:
+    """The (degree, neighbor-degree sum) pairs of the vertices with an edge
+    in each lazy leaf of one family, unbuilt, from the parent's degrees d_u
+    and neighbor-degree sums S_u, found once for the family. For the new
+    vertex's neighbor set M, k = |M| and c_u = |N(u) & M|: u in M has
+    (d_u + 1, S_u + c_u + k), u outside M with d_u > 0 has (d_u, S_u + c_u),
+    and the new vertex, if k > 0, (k, sum of d_u over M = sum of all c_u,
+    plus k). These are the built leaf's pairs in another order, exact
+    integers, so spectral.degree_vector_bound is the built leaf's bit for
+    bit."""
+    deg = parent.degrees()
+    nbr = [sum(deg[w] for w in iter_bits(row)) for row in parent.adj]
+    for mask in masks:
+        k = mask.bit_count()
+        cs = [(row & mask).bit_count() for row in parent.adj]
+        sums = [(d + 1, s + c + k) if mask >> u & 1 else (d, s + c)
+                for u, (d, s, c) in enumerate(zip(deg, nbr, cs)) if d or mask >> u & 1]
+        yield sums + [(k, sum(cs) + k)] if k else sums
+
+
 def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
     """The lazy leaf's graph, built only now, if the walk emits it, else None:
     the tie test, then ``keep``, decide (see ``_kept``)."""
@@ -212,12 +235,15 @@ def leaves(
     ``kept_node`` also gives its group.
 
     ``roots`` are kept nodes below order n, from ``nodes`` with the same
-    ``keep``, below which the walk runs; ROOT by default. The roots of one
-    order, in walk order, give all the leaves in order. See
+    ``keep``, below which the walk runs; ROOT by default. A root at or above
+    order n raises ValueError before anything is walked below it. The roots
+    of one order, in walk order, give all the leaves in order. See
     ``enumerate_graphs`` for ``keep``.
     """
     check_order(n)
     for g, gens in roots:
+        if g.n >= n:
+            raise ValueError(f"a root of order {g.n} has no order-{n} leaves below it")
         yield from _descend(g, n, keep, gens)
 
 

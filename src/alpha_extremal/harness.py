@@ -4,14 +4,14 @@ extremal_search runs one census per (class, order): the enumeration walk
 extends only class members, testing each child once, through its new vertex,
 and leaves its order-n leaves (a parent and a neighbor mask each) undecided
 and unbuilt. At each weight of the grid the leaves are visited in decreasing
-order of a Collatz-Wielandt upper bound, from degree sums derived from the
-parent's, until no remaining bound can reach the maximum; only a leaf so
-reached is built and decided (tie test, then membership), once for all
-weights, and a member is solved only if its bound, tightened by a few power
-steps, still can. The member prefix of the tree, to order
-min(n - 1, PREFIX_ORDER), is walked once, its nodes are dealt out round
-robin with their automorphism groups, and each worker walks the leaves
-below its own.
+order of a Collatz-Wielandt upper bound, from degree sums that the walk
+derives from the parent's (enumeration.leaf_degree_sums), until no
+remaining bound can reach the maximum; only a leaf so reached is built and
+decided (tie test, then membership), once for all weights, and a member is
+solved only if its bound, tightened by a few power steps, still can. The
+member prefix of the tree, to order min(n - 1, PREFIX_ORDER), is walked
+once, its nodes are dealt out round robin with their automorphism groups,
+and each worker walks the leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -44,7 +44,7 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from .graphs import (
     FeasibilityError,
     Graph,
     construct,
-    iter_bits,
     join,
     regular_circulant,
 )
@@ -217,44 +216,28 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int, int]]]:
-    """degree_sums of each lazy leaf of one family, unbuilt, from the
-    parent's degrees d_u and neighbor-degree sums S_u. For the new vertex's
-    neighbor set M, k = |M| and c_u = |N(u) & M|: u in M has (d_u + 1, S_u +
-    c_u + k), u outside M with d_u > 0 has (d_u, S_u + c_u), and the new
-    vertex, if k > 0, (k, sum of d_u over M = sum of all c_u, plus k). These
-    are the built leaf's pairs in another order."""
-    deg = parent.degrees()
-    nbr = [sum(deg[w] for w in iter_bits(row)) for row in parent.adj]
-    for mask in masks:
-        k = mask.bit_count()
-        cs = [(row & mask).bit_count() for row in parent.adj]
-        sums = [(d + 1, s + c + k) if mask >> u & 1 else (d, s + c)
-                for u, (d, s, c) in enumerate(zip(deg, nbr, cs)) if d or mask >> u & 1]
-        yield sums + [(k, sum(cs) + k)] if k else sums
-
-
 def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     """One list per weight of (member, alpha index) pairs for the order-n
     class members below one shard's prefix nodes that can reach the shard's
     maximum.
 
     The walk's order-n leaves come undecided and unbuilt. They are visited
-    in decreasing degree_vector_bound order (their degree sums derived from
-    their parent's once for all weights, exact integers equal to the built
-    leaf's), ties by walk index, and the visit stops at the first bound
-    below the shard's best minus 2*TIE_TOL. Only a leaf the visit reaches is
-    built and decided, once across weights, and a rejected one is passed
-    over. Accepted leaves keep their walk order, a rejected one never changes
-    the best, and the bounds fall along the visit, so the members break,
-    skip and solve exactly as in a visit over the members alone. Before its
-    eigensolve, each member's bound is tightened by GATE_POWER_STEPS power
-    steps, and the member is skipped when that bound is below the same
-    margin. Both bounds are valid for the member's index (every power
-    iterate is a positive Collatz-Wielandt vector), so a skipped member
-    falls short of the shard's best, and hence of the global maximum, by
-    more than 2*TIE_TOL minus the float error of the bound and of the solve
-    (about 1e-15): it is neither a maximizer nor a tie.
+    in decreasing degree_vector_bound order (their degree sums from
+    enumeration.leaf_degree_sums, once for all weights, exact integers equal
+    to the built leaf's), ties by walk index, and the visit stops at the
+    first bound below the shard's best minus 2*TIE_TOL. Only a leaf the
+    visit reaches is built and decided, once across weights, and a rejected
+    one is passed over. Accepted leaves keep their walk order, a rejected
+    one never changes the best, and the bounds fall along the visit, so the
+    members break, skip and solve exactly as in a visit over the members
+    alone. Before its eigensolve, each member's collatz_wielandt_bound is
+    taken over the degree vector and GATE_POWER_STEPS power steps, and the
+    member is skipped when that bound is below the same margin. Both bounds
+    are valid for the member's index (every power iterate is a positive
+    Collatz-Wielandt vector), so a skipped member falls short of the shard's
+    best, and hence of the global maximum, by more than 2*TIE_TOL minus the
+    float error of the bound and of the solve (about 1e-15): it is neither a
+    maximizer nor a tie.
     """
     n, alphas, cls, roots = args
     keep = _member_of(cls)
@@ -262,7 +245,7 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     table = [[] for _ in alphas]  # per weight, each leaf's degree-vector bound
     for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots):
         leaves += [(parent, gens, mask) for mask in masks]
-        for sums in _leaf_degree_sums(parent, masks):
+        for sums in enumeration.leaf_degree_sums(parent, masks):
             for bounds, a in zip(table, alphas):
                 bounds.append(degree_vector_bound(sums, a))
     built = {}  # leaf index -> its graph, or None if rejected; decided when first reached

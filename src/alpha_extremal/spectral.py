@@ -17,9 +17,11 @@ that is constant on each cell (Godsil and Royle, *Algebraic Graph Theory*
 alpha_matrix itself, so its result is the dense solve's, bit for bit.
 
 degree_vector_bound and collatz_wielandt_bound are cheap upper bounds on that
-eigenvalue, from the degree vector (via degree_sums, which does not depend on
-the weight) and from a few power iterates of it, which let a census order its
-members and skip those that cannot reach its maximum.
+eigenvalue, from the degree vector and from a few power iterates of it, which
+let a census order its members and skip those that cannot reach its maximum.
+degree_vector_bound reads (degree, neighbour-degree sum) pairs, which do not
+depend on the weight; the census derives them for its unbuilt leaves
+(enumeration.leaf_degree_sums).
 
 Every join construction has a tiny equitable quotient (one class per
 regular block). quotient_alpha_index builds its symmetrized form in closed
@@ -98,17 +100,11 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return mat
 
 
-def degree_sums(g: Graph) -> list[tuple[int, int]]:
-    """(d(v), sum of the degrees of v's neighbours) for each vertex v with an
-    edge: all that degree_vector_bound needs, at every weight."""
-    deg = g.degrees()
-    return [(d, sum(deg[u] for u in iter_bits(row))) for d, row in zip(deg, g.adj) if d]
-
-
 def degree_vector_bound(sums: list[tuple[int, int]], a: float) -> float:
-    """max over v of (M d)_v / d(v) = (a*d*d + (1-a)*S)/d from degree_sums(g),
-    with M = a*D + (1-a)*A: collatz_wielandt_bound at steps = 0 (0 when g has
-    no edge). The weight is not validated."""
+    """max over v of (M d)_v / d(v) = (a*d*d + (1-a)*S)/d from the pairs
+    (d(v), S = sum of the degrees of v's neighbours) of the vertices v with
+    an edge, with M = a*D + (1-a)*A: collatz_wielandt_bound at steps = 0, bit
+    for bit (0 when g has no edge). The weight is not validated."""
     return max([(a * d * d + (1.0 - a) * s) / d for d, s in sums], default=0.0)
 
 
@@ -118,28 +114,23 @@ def collatz_wielandt_bound(g: Graph, alpha: float, steps: int) -> float:
     max over v of (M x)_v / x_v, with M = a*D + (1-a)*A and isolated
     vertices skipped (0 when every vertex is isolated).
 
-    Step 0 is degree_vector_bound. Every iterate is positive on the vertices
+    Each pass computes y = M x once, for its term and for the next iterate,
+    y rescaled by its maximum. Every iterate is positive on the vertices
     with an edge, so each maximum bounds rho(M) from above (Collatz-Wielandt
     for nonnegative M and positive x; an isolated vertex is a component with
-    eigenvalue 0), and further steps only tighten it. Each iterate is
-    rescaled by its maximum.
+    eigenvalue 0), and further steps only tighten it.
     """
     a = require_weight(alpha)
-    bound = degree_vector_bound(degree_sums(g), a)
     deg = g.degrees()
-
-    def times_m(x):
-        return [a * d * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
-                for d, row, xv in zip(deg, g.adj, x)]
-
-    y = times_m(deg) if steps else []
-    for _ in range(steps):
+    x, bound = deg, math.inf
+    for step in range(steps + 1):
+        y = [a * d * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
+             for d, row, xv in zip(deg, g.adj, x)]
+        bound = min(bound, max([yv / xv for yv, xv in zip(y, x) if xv], default=0.0))
         top = max(y, default=0.0)
-        if not top:  # no edges: every later iterate is 0 too
+        if step == steps or not top:  # no edges: every later iterate is 0 too
             break
         x = [yv / top for yv in y]
-        y = times_m(x)
-        bound = min(bound, max([yv / xv for yv, xv in zip(y, x) if xv]))
     return bound
 
 

@@ -6,10 +6,18 @@ import pytest
 
 from alpha_extremal.canon import orbit
 from alpha_extremal.enumeration import enumerate_graphs
-from alpha_extremal.graphs import Graph, mask_of
+from alpha_extremal.graphs import Graph, iter_bits, mask_of
 
 # Published census of simple graphs on 1..9 unlabeled vertices.
 GRAPH_CENSUS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
+
+
+def degree_sums(g: Graph) -> list[tuple[int, int]]:
+    """(d(v), sum of the degrees of v's neighbours) for each vertex v with an
+    edge, from the built graph: the reference for the pairs that
+    ``enumeration.leaf_degree_sums`` derives from a leaf's parent."""
+    deg = g.degrees()
+    return [(d, sum(deg[u] for u in iter_bits(row))) for d, row in zip(deg, g.adj) if d]
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

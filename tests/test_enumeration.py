@@ -139,6 +139,24 @@ class TestCapAndErrors:
         with pytest.raises(ValueError):
             next(enumerate_graphs(0))
 
+    def test_root_not_below_the_order_refused_before_walking(self):
+        calls = []
+
+        def keep(g):
+            calls.append(g)
+            return g.n < 6
+
+        roots = nodes(3, keep)
+        calls.clear()
+        walk = leaves(3, keep=keep, roots=roots)
+        with pytest.raises(ValueError, match="order 3"):
+            next(walk)
+        assert calls == []
+        # Roots below the order still give the order-3 families.
+        families = list(leaves(3, keep=keep, roots=nodes(2, keep)))
+        assert [(g, masks) for g, _, masks in families] == [
+            (g, masks) for g, _, masks in leaves(3, keep=keep)]
+
 
 class TestSharding:
     """Splitting a walk by its nodes: round-robin shares of one order's

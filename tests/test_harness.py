@@ -24,8 +24,8 @@ from alpha_extremal.harness import (
     reports_to_csv,
     sweep_inequalities,
 )
-from alpha_extremal.spectral import alpha_index, degree_sums, degree_vector_bound, quotient_alpha_index
-from conftest import delete_vertex
+from alpha_extremal.spectral import alpha_index, degree_vector_bound, quotient_alpha_index
+from conftest import degree_sums, delete_vertex
 from test_enumeration import COSTLY_AT_ORDER_8, HEREDITARY
 
 REPORT_SCHEMA = {
@@ -144,7 +144,7 @@ class TestDerivedLeafSums:
         keep = HEREDITARY.get(name, lambda g: True)
         checked = 0
         for parent, _, masks in enumeration.leaves(n, keep=keep):
-            for mask, sums in zip(masks, harness._leaf_degree_sums(parent, masks), strict=True):
+            for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks), strict=True):
                 rows = [row | (mask >> u & 1) << n - 1 for u, row in enumerate(parent.adj)]
                 child = Graph(n, (*rows, mask))
                 want = degree_sums(child)

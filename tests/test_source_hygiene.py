@@ -1,9 +1,11 @@
-"""Static checks on the package source: no import goes unused, and no
-module-level private name is left without a reader.
+"""Static checks on the package source: no import goes unused, no
+module-level private name is left without a reader, and no public function
+or class is left without a reader or an export.
 
-Deleting a duplicate helper tends to leave its import or a private sibling
-behind; these tests name what was left. ``__init__.py`` re-exports by
-design, so it is exempt."""
+Deleting a duplicate helper tends to leave its import, a private sibling or
+the public slow path it replaced behind; these tests name what was left.
+``__init__.py`` re-exports by design, so it is exempt, and what it exports
+counts as read."""
 
 import ast
 from pathlib import Path
@@ -57,9 +59,10 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in reads]
 
 
-def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
-    """``module:name`` for each module-level ``_private`` name that nothing
-    reads outside its own definition, in any of ``trees``."""
+def _unread(trees: dict[str, ast.Module], candidates) -> list[str]:
+    """``module:name`` for each name ``candidates(stmt)`` gives for a
+    module-level statement that nothing reads outside that statement, in any
+    of ``trees``."""
     reads_of = {
         name: [_names_read(stmt) for stmt in tree.body] for name, tree in trees.items()
     }
@@ -68,12 +71,28 @@ def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
         elsewhere = set().union(*(r for m, rs in reads_of.items() if m != module for r in rs))
         for i, stmt in enumerate(tree.body):
             reads = elsewhere.union(*(r for j, r in enumerate(reads_of[module]) if j != i))
-            out += [
-                f"{module}:{name}"
-                for name in _defined_names(stmt)
-                if name.startswith("_") and not name.startswith("__") and name not in reads
-            ]
+            out += [f"{module}:{name}" for name in candidates(stmt) if name not in reads]
     return out
+
+
+def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:name`` for each module-level ``_private`` name that nothing
+    reads outside its own definition, in any of ``trees``."""
+    return _unread(trees, lambda stmt: [
+        name for name in _defined_names(stmt) if name.startswith("_") and not name.startswith("__")
+    ])
+
+
+def unread_publics(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """``module:name`` for each public module-level function or class that
+    nothing reads outside its own definition, in any of ``trees``, and that
+    ``exported`` does not hold."""
+    def candidates(stmt):
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return []
+        return [] if stmt.name.startswith("_") or stmt.name in exported else [stmt.name]
+
+    return _unread(trees, candidates)
 
 
 def _package_trees() -> dict[str, ast.Module]:
@@ -82,6 +101,11 @@ def _package_trees() -> dict[str, ast.Module]:
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def _exported() -> set[str]:
+    """The names ``__init__.py`` reads, its re-exports among them."""
+    return _names_read(ast.parse((PACKAGE / "__init__.py").read_text()))
 
 
 def test_no_unused_import():
@@ -93,6 +117,10 @@ def test_every_private_name_is_read():
     assert unread_privates(_package_trees()) == []
 
 
+def test_every_public_definition_is_read_or_exported():
+    assert unread_publics(_package_trees(), _exported()) == []
+
+
 def test_checks_catch_planted_leftovers():
     a = ast.parse(
         "import math\nfrom .b import Graph, _used\n\n"
@@ -101,3 +129,11 @@ def test_checks_catch_planted_leftovers():
     b = ast.parse("def _used():\n    pass\n\ndef _idle():\n    pass\n")
     assert unused_imports(a) == ["math", "_used"]
     assert unread_privates({"a.py": a, "b.py": b}) == ["a.py:_gone", "a.py:_LIMIT", "b.py:_idle"]
+    c = ast.parse(
+        "from . import d\n\ndef lonely():\n    return lonely()\n\n"
+        "def entry():\n    return d.helper()\n\nclass Unused:\n    pass\n\nLIMIT = 3\n"
+    )
+    d = ast.parse("def helper():\n    pass\n\ndef _private():\n    pass\n")
+    assert unread_publics({"c.py": c, "d.py": d}, {"entry"}) == ["c.py:lonely", "c.py:Unused"]
+    assert unread_publics({"c.py": c, "d.py": d}, set()) == [
+        "c.py:lonely", "c.py:entry", "c.py:Unused"]
