@@ -77,7 +77,9 @@ def _creating_out():
 
 
 def _parse_decimal(text: str) -> str:
-    """``text``, refused unless it is a decimal whose float is finite."""
+    """``text`` without surrounding space, refused unless it is a decimal
+    whose float is finite."""
+    text = text.strip()
     try:
         value = Decimal(text)
     except InvalidOperation as exc:
@@ -118,7 +120,7 @@ def parse_alpha_grid(spec: str) -> list[str]:
             out.append(_parse_decimal(str(cur.normalize())))
             cur += step
     else:
-        out = [_parse_decimal(p.strip()) for p in spec.split(",") if p.strip()]
+        out = [_parse_decimal(p) for p in spec.split(",") if p.strip()]
     if not out:
         raise CliParseError(f"grid {spec!r} is empty")
     if len({float(Decimal(p)) for p in out}) < len(out):  # as the floats handed on

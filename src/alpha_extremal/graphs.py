@@ -165,13 +165,8 @@ class Graph:
             out.extend((u, v) for v in iter_bits(row >> (u + 1) << (u + 1)))
         return out
 
-    def is_regular(self, d: int | None = None) -> bool:
-        degs = set(self.degrees())
-        if len(degs) > 1:
-            return False
-        if d is None:
-            return True
-        return not degs if self.n == 0 else degs == {d}
+    def is_regular(self, d: int) -> bool:
+        return set(self.degrees()) <= {d}
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1

@@ -1,21 +1,21 @@
-"""Minor containment: exact deciders for three patterns, branch-set search for the rest.
+"""Minor containment: exact deciders for four patterns, branch-set search for the rest.
 
 A pattern H is a minor of a host G when G holds disjoint connected branch
 sets, one per pattern vertex, with a host edge between every pair of sets
 whose pattern vertices are adjacent.
 
-has_minor dispatches on the pattern. Triangle and smaller clique patterns
-have direct certificates at any order. K4, K_{2,2} and K_{2,3} absence is
-decided exactly in linear time: K4-minor-free graphs are the
-series-parallel ones, which a degree <= 2 reduction empties (Duffin 1965);
-C4-minor-free graphs are those whose every block has at most three vertices
-(a 2-connected block on four or more holds a cycle that long); and
-K_{2,3}-minor-free graphs are those whose every block is outerplanar or K4
-(Ellingham, Marshall, Ozeki and Tsuchiya 2016), with outerplanarity tested
-by Mitchell's 1979 degree-2 reduction. In has_minor a present minor of
-these, and every other pattern, goes to the branch-set search, so every
-positive answer carries a certificate; is_minor_free, which only needs the
-yes/no answer, stops at the decider, at any host order.
+K3, K4, K_{2,2} and K_{2,3} absence is decided exactly in linear time, each
+by its entry in one table: K3-minor-free graphs are the forests;
+K4-minor-free graphs are the series-parallel ones, which a degree <= 2
+reduction empties (Duffin 1965); C4-minor-free graphs are those whose every
+block has at most three vertices (a 2-connected block on four or more holds
+a cycle that long); and K_{2,3}-minor-free graphs are those whose every
+block is outerplanar or K4 (Ellingham, Marshall, Ozeki and Tsuchiya 2016),
+with outerplanarity tested by Mitchell's 1979 degree-2 reduction. In
+has_minor a present minor of these, and every other pattern, goes to the
+branch-set search, so every positive answer carries a certificate;
+is_minor_free, which only needs the yes/no answer, stops at the decider, at
+any host order.
 
 settled_by_new_vertex answers from one vertex's attachment alone, for a
 host whose other vertices are known to span no minor, as in the census.
@@ -27,8 +27,8 @@ counts, aggregate-degree needs, and pending cross-adjacency feasibility.
 Interchangeable pattern vertices (clique vertices, the two sides of a
 complete bipartite pattern) are symmetry-broken by forcing (size, min
 vertex) to increase. Its absence answers are exhaustive, which is
-exponential in the worst case, so hosts above order HOST_CAP = 12 are
-refused for every pattern without a direct certificate. Certificates are
+exponential in the worst case, so has_minor refuses hosts above order
+HOST_CAP = 12 for every pattern that fits in them. Certificates are
 re-validated before being returned.
 """
 
@@ -67,16 +67,7 @@ class BicliqueMinor:
             raise ValueError(f"biclique pattern needs t >= s >= 1, got s={self.s}, t={self.t}")
 
 
-@dataclass(frozen=True)
-class GraphMinor:
-    pattern: Graph
-
-    def __post_init__(self):
-        if self.pattern.n < 1:
-            raise ValueError("minor pattern needs at least one vertex")
-
-
-MinorPattern = Union[CliqueMinor, BicliqueMinor, GraphMinor]
+MinorPattern = Union[CliqueMinor, BicliqueMinor]
 
 
 @dataclass(frozen=True)
@@ -85,18 +76,9 @@ class MinorEmbedding:
 
     branch_sets: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"branch_sets": [list(b) for b in self.branch_sets]}
-
-
-def pattern_graph(p: MinorPattern) -> Graph:
-    if isinstance(p, GraphMinor):
-        return p.pattern
-    return _built_pattern(p)
-
 
 @functools.cache
-def _built_pattern(p: CliqueMinor | BicliqueMinor) -> Graph:
+def pattern_graph(p: MinorPattern) -> Graph:
     """K_r or K_{s,t}, built once per pattern."""
     if isinstance(p, CliqueMinor):
         return Graph.complete(p.r)
@@ -108,9 +90,7 @@ def _tie_groups(p: MinorPattern) -> list[int]:
     interchangeable vertices eligible for symmetry breaking."""
     if isinstance(p, CliqueMinor):
         return [0] * p.r
-    if isinstance(p, BicliqueMinor):
-        return [0] * p.s + [1] * p.t
-    return list(range(p.pattern.n))
+    return [0] * p.s + [1] * p.t
 
 
 def verify_minor_embedding(g: Graph, p: MinorPattern, emb: MinorEmbedding) -> bool:
@@ -131,37 +111,6 @@ def verify_minor_embedding(g: Graph, p: MinorPattern, emb: MinorEmbedding) -> bo
         if not any(g.has_edge(u, v) for u in sets[i] for v in sets[j]):
             return False
     return True
-
-
-def _cycle_certificate(g: Graph) -> MinorEmbedding:
-    """Branch sets contracting any cycle to a triangle."""
-    # Walk inside the 2-core until the path closes on itself; every 2-core
-    # vertex has two core neighbors, so the walk always progresses and
-    # closes within n steps.
-    core = g.two_core()
-    assert core, "cycle requested from an acyclic graph"
-    start = (core & -core).bit_length() - 1
-    path = [start]
-    position = {start: 0}
-    while True:
-        v = path[-1]
-        prev = path[-2] if len(path) > 1 else -1
-        fresh = None
-        closing = None
-        for u in iter_bits(g.adj[v] & core):
-            if u == prev:
-                continue
-            if u in position:
-                closing = u
-                break
-            fresh = u
-        if closing is not None:
-            cycle = path[position[closing]:]
-            break
-        path.append(fresh)
-        position[fresh] = len(path) - 1
-    first, second, rest = cycle[0], cycle[1], cycle[2:]
-    return MinorEmbedding(((first,), (second,), tuple(sorted(rest))))
 
 
 def _series_parallel(g: Graph) -> bool:
@@ -268,6 +217,7 @@ def _k23_minor_free(g: Graph) -> bool:
 
 # Patterns whose absence is decided exactly without search.
 _ABSENCE_DECIDERS = {
+    CliqueMinor(3): Graph.is_forest,
     CliqueMinor(4): _series_parallel,
     BicliqueMinor(2, 2): lambda g: all(b.bit_count() <= 3 for b in _blocks(g)),
     BicliqueMinor(2, 3): _k23_minor_free,
@@ -282,48 +232,33 @@ def _outsized(g: Graph, pat: Graph) -> bool:
 def has_minor(g: Graph, p: MinorPattern) -> MinorEmbedding | None:
     """Branch-set certificate when the pattern is a minor of g, else None.
 
-    A pattern with more vertices or edges than g is absent at any order, and
-    clique patterns of order <= 3 have direct certificates at any order.
-    Otherwise hosts above the cap are refused. K4, K_{2,2} and K_{2,3}
-    absence is decided exactly by the series-parallel, block-size and
-    block-outerplanarity tests, which return None at once; a present minor,
-    and every other pattern, goes to the branch-set search for its
-    certificate.
+    A pattern with more vertices or edges than g is absent at any order;
+    otherwise hosts above the cap are refused. K3, K4, K_{2,2} and K_{2,3}
+    absence is decided exactly by the acyclicity, series-parallel,
+    block-size and block-outerplanarity tests, which return None at once; a
+    present minor, and every other pattern, goes to the branch-set search
+    for its certificate.
     """
     pat = pattern_graph(p)
     if _outsized(g, pat):
         return None
-    searched = False
-    if isinstance(p, CliqueMinor) and p.r <= 3:
-        if p.r == 1:
-            emb = MinorEmbedding(((0,),))
-        elif p.r == 2:
-            u, v = g.edges()[0]
-            emb = MinorEmbedding(((u,), (v,)))
-        else:
-            if g.is_forest():
-                return None
-            emb = _cycle_certificate(g)
-    else:
-        if g.n > HOST_CAP:
-            raise MinorSearchCapError(f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}")
-        decide = _ABSENCE_DECIDERS.get(p)
-        if decide is not None and decide(g):
-            return None
-        emb = _branch_set_search(g, pat, _tie_groups(p))
-        searched = True
-        if emb is None and decide is not None:
-            raise RuntimeError(f"{p} decider and branch-set search disagree on {g}")
+    if g.n > HOST_CAP:
+        raise MinorSearchCapError(f"host order {g.n} exceeds the branch-set search cap {HOST_CAP}")
+    decide = _ABSENCE_DECIDERS.get(p)
+    if decide is not None and decide(g):
+        return None
+    emb = _branch_set_search(g, pat, _tie_groups(p))
+    if emb is None and decide is not None:
+        raise RuntimeError(f"{p} decider and branch-set search disagree on {g}")
     if emb is not None and not verify_minor_embedding(g, p, emb):
-        origin = "search" if searched else "fast path"
-        raise RuntimeError(f"minor {origin} produced an invalid certificate: {emb}")
+        raise RuntimeError(f"minor search produced an invalid certificate: {emb}")
     return emb
 
 
 def is_minor_free(g: Graph, p: MinorPattern) -> bool:
     """Whether the pattern is not a minor of g.
 
-    K4, K_{2,2} and K_{2,3} stop at their exact decider, at any host order,
+    K3, K4, K_{2,2} and K_{2,3} stop at their exact decider, at any host order,
     and build no certificate; every other pattern asks has_minor.
     """
     decide = _ABSENCE_DECIDERS.get(p)

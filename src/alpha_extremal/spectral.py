@@ -14,7 +14,9 @@ same largest eigenvalue, and its eigenvector lifts to one of the full matrix
 that is constant on each cell (Godsil and Royle, *Algebraic Graph Theory*
 9.3; Brouwer and Haemers, *Spectra of Graphs* 2.3). The paper's joins are
 2- or 3-class solves; a graph whose partition is discrete is solved on
-alpha_matrix itself, so its result is the dense solve's, bit for bit.
+the dense matrix itself, so its result is the dense solve's, bit for bit.
+The residual is measured with one product M x over the adjacency masks, so
+no n x n matrix is built for a graph with a small quotient.
 
 degree_vector_bound and collatz_wielandt_bound are cheap upper bounds on that
 eigenvalue, from the degree vector and from a few power iterates of it, which
@@ -86,18 +88,11 @@ class SpectralResult:
         }
 
 
-def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """Dense symmetric matrix a*D + (1-a)*A."""
-    a = require_weight(alpha)
-    n = g.n
-    mat = np.zeros((n, n))
-    off = 1.0 - a
-    for u, v in g.edges():
-        mat[u, v] = off
-        mat[v, u] = off
-    for v in range(n):
-        mat[v, v] = a * g.degree(v)
-    return mat
+def _times_m(g: Graph, a: float, x) -> list[float]:
+    """M x for M = a*D + (1-a)*A, over the adjacency masks: no n x n matrix
+    is built."""
+    return [a * row.bit_count() * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
+            for row, xv in zip(g.adj, x)]
 
 
 def degree_vector_bound(sums: list[tuple[int, int]], a: float) -> float:
@@ -121,11 +116,9 @@ def collatz_wielandt_bound(g: Graph, alpha: float, steps: int) -> float:
     eigenvalue 0), and further steps only tighten it.
     """
     a = require_weight(alpha)
-    deg = g.degrees()
-    x, bound = deg, math.inf
+    x, bound = g.degrees(), math.inf
     for step in range(steps + 1):
-        y = [a * d * xv + (1.0 - a) * sum(x[u] for u in iter_bits(row))
-             for d, row, xv in zip(deg, g.adj, x)]
+        y = _times_m(g, a, x)
         bound = min(bound, max([yv / xv for yv, xv in zip(y, x) if xv], default=0.0))
         top = max(y, default=0.0)
         if step == steps or not top:  # no edges: every later iterate is 0 too
@@ -212,7 +205,7 @@ def equitable_quotient(g: Graph, alpha: float) -> tuple[list[list[int]], np.ndar
     degree and within-cell degree its vertices share; entry (i, j) is
     (1-a)*cnt*sqrt(|i|/|j|), with cnt the neighbors a vertex of cell i has
     in cell j, written once into both triangles, so the quotient is exactly
-    symmetric. On a discrete partition it is alpha_matrix(g, alpha) itself.
+    symmetric. On a discrete partition it is the dense a*D + (1-a)*A itself.
     """
     a = require_weight(alpha)
     off = 1.0 - a
@@ -236,13 +229,14 @@ def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     Solved on the equitable quotient, whose largest eigenvalue is the full
     matrix's; the quotient eigenvector y lifts to x_v = y_i / sqrt(|i|) on
     each cell i. The sweep count is the quotient's, and the residual is
-    measured on the full matrix. The eigenvector sign is fixed by making the
-    largest-magnitude entry positive; for connected graphs it is the
-    positive Perron vector.
+    measured on the full matrix M, as M x over the adjacency masks. The
+    eigenvector sign is fixed by making the largest-magnitude entry
+    positive; for connected graphs it is the positive Perron vector.
     """
     if g.n < 1:
         raise ValueError("alpha_index needs a graph of order >= 1")
-    cells, quotient = equitable_quotient(g, alpha)
+    a = require_weight(alpha)
+    cells, quotient = equitable_quotient(g, a)
     values, vectors, sweeps = jacobi_eigensystem(quotient)
     k = int(np.argmax(values))
     rho = float(values[k])
@@ -252,11 +246,10 @@ def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     top = int(np.argmax(np.abs(x)))
     if x[top] < 0.0:
         x = -x
-    x = x / np.sqrt(np.sum(x * x))
-    mat = alpha_matrix(g, alpha)
-    residual_vec = np.sum(mat * x, axis=1) - rho * x
-    residual = float(np.sqrt(np.sum(residual_vec * residual_vec)))
-    return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)
+    x = (x / np.sqrt(np.sum(x * x))).tolist()
+    y = _times_m(g, a, x)
+    residual = math.sqrt(sum((yv - rho * xv) ** 2 for yv, xv in zip(y, x)))
+    return SpectralResult(rho, tuple(x), residual, sweeps)
 
 
 def quotient_alpha_index(spec: ConstructionSpec, alpha: float) -> float:

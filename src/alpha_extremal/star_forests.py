@@ -31,9 +31,6 @@ class StarForestEmbedding:
     centers: tuple[int, ...]
     leaves: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"centers": list(self.centers), "leaves": [list(l) for l in self.leaves]}
-
 
 def verify_star_forest_embedding(
     g: Graph, spec: StarForestSpec, emb: StarForestEmbedding

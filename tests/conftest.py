@@ -2,14 +2,31 @@ import itertools
 import multiprocessing
 from collections import deque
 
+import numpy as np
 import pytest
 
 from alpha_extremal.canon import orbit
 from alpha_extremal.enumeration import enumerate_graphs
 from alpha_extremal.graphs import Graph, iter_bits, mask_of
+from alpha_extremal.spectral import require_weight
 
 # Published census of simple graphs on 1..9 unlabeled vertices.
 GRAPH_CENSUS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
+
+
+def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
+    """Dense symmetric matrix a*D + (1-a)*A: the oracle that
+    ``spectral.alpha_index`` solves without building."""
+    a = require_weight(alpha)
+    n = g.n
+    mat = np.zeros((n, n))
+    off = 1.0 - a
+    for u, v in g.edges():
+        mat[u, v] = off
+        mat[v, u] = off
+    for v in range(n):
+        mat[v, v] = a * g.degree(v)
+    return mat
 
 
 def degree_sums(g: Graph) -> list[tuple[int, int]]:

@@ -37,8 +37,9 @@ from alpha_extremal.harness import (
     extremal_search,
     predicted_witness_spec,
 )
-from alpha_extremal.spectral import alpha_index, alpha_matrix
+from alpha_extremal.spectral import alpha_index
 from alpha_extremal.star_forests import is_star_forest_free
+from conftest import alpha_matrix
 
 
 def report(criterion, text):

@@ -285,6 +285,22 @@ class TestCheckCommand:
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert len(summary) == 5  # header + 4 grid points
 
+    def test_weight_is_stripped_once_for_both_inputs(self, capsys, tmp_path):
+        # --alpha and an --alpha-grid item name the same report file, whatever
+        # space surrounds them.
+        reports = []
+        for flag in ("--alpha", "--alpha-grid"):
+            out_dir = tmp_path / flag.strip("-")
+            code, _, _ = run(
+                capsys, "check", "--theorem", "T1", "--r", "3", "--n", "4",
+                flag, " 0.5", "--workers", "1", "--out", str(out_dir),
+            )
+            assert code == 0
+            assert sorted(p.name for p in out_dir.iterdir()) == [
+                "report_T1_r3_n4_a0.5.json", "summary.csv"]
+            reports.append((out_dir / "report_T1_r3_n4_a0.5.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_worker_counts_byte_identical(self, capsys, tmp_path):
         dirs = []
         for workers in ("1", "2"):

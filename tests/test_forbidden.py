@@ -17,7 +17,6 @@ from alpha_extremal.graphs import (
 from alpha_extremal.minors import (
     BicliqueMinor,
     CliqueMinor,
-    GraphMinor,
     MinorEmbedding,
     MinorSearchCapError,
     has_minor,
@@ -54,22 +53,17 @@ class TestMinorBasics:
         assert verify_minor_embedding(Graph.cycle(5), CliqueMinor(3), emb)
 
     def test_forests_are_exactly_triangle_minor_free(self, graphs_by_order, graphs_order_8):
-        # Dual route: the generic branch-set engine (no acyclicity fast path)
-        # must agree with leaf stripping on every graph of order <= 8.
+        # Dual route: the branch-set search, with three distinct groups and so
+        # no symmetry breaking, must agree with leaf stripping on every graph
+        # of order <= 8.
+        def triangle_free(g):
+            return minors._branch_set_search(g, Graph.complete(3), [0, 1, 2]) is None
+
         for n in range(1, 8):
             for g in graphs_by_order[n]:
-                generic = has_minor(g, GraphMinor(Graph.complete(3))) is None
-                assert generic == g.is_forest()
+                assert triangle_free(g) == g.is_forest()
         for g in graphs_order_8:
-            assert (has_minor(g, GraphMinor(Graph.complete(3))) is None) == g.is_forest()
-
-    def test_fast_path_matches_generic(self, graphs_by_order):
-        for g in graphs_by_order[6]:
-            fast = has_minor(g, CliqueMinor(3))
-            generic = has_minor(g, GraphMinor(Graph.complete(3)))
-            assert (fast is None) == (generic is None)
-            if fast is not None:
-                assert verify_minor_embedding(g, CliqueMinor(3), fast)
+            assert triangle_free(g) == g.is_forest()
 
     def test_split_graph_is_k4_minor_free(self):
         g = construct(CompleteSplit(6, 2))
@@ -107,8 +101,11 @@ class TestMinorBasics:
             has_minor(Graph.path(13), CliqueMinor(4))
 
     def test_fast_path_ignores_cap(self):
-        assert has_minor(Graph.cycle(20), CliqueMinor(3)) is not None
+        # is_minor_free stops at the acyclicity decider at any order; a
+        # certificate needs the search, which the cap bounds.
         assert is_minor_free(Graph.path(30), CliqueMinor(3))
+        with pytest.raises(MinorSearchCapError):
+            has_minor(Graph.cycle(13), CliqueMinor(3))
 
     def test_deciders_ignore_cap(self):
         # No search is needed, so no host order is refused: a 13-vertex
@@ -147,15 +144,9 @@ class TestMinorInvariance:
         disconnected = MinorEmbedding(((0,), (2,), (1, 3)))
         assert not verify_minor_embedding(Graph.cycle(5), CliqueMinor(3), disconnected)
 
-    def test_certificate_json(self):
-        emb = has_minor(Graph.cycle(5), CliqueMinor(3))
-        data = emb.to_json_dict()
-        assert set(data) == {"branch_sets"}
-        assert len(data["branch_sets"]) == 3
 
-
-DECIDED = (CliqueMinor(4), BicliqueMinor(2, 2), BicliqueMinor(2, 3))
-DECIDED_IDS = ("K4", "K22", "K23")
+DECIDED = (CliqueMinor(3), CliqueMinor(4), BicliqueMinor(2, 2), BicliqueMinor(2, 3))
+DECIDED_IDS = ("K3", "K4", "K22", "K23")
 
 
 def branch_set_free(g, pattern):
@@ -184,7 +175,7 @@ class TestExactDeciders:
             if emb is not None:
                 present += 1
                 assert verify_minor_embedding(g, pattern, emb)
-        free = {CliqueMinor(4): 360, BicliqueMinor(2, 2): 96, BicliqueMinor(2, 3): 302}[pattern]
+        free = {CliqueMinor(3): 37, CliqueMinor(4): 360, BicliqueMinor(2, 2): 96, BicliqueMinor(2, 3): 302}[pattern]
         assert present == 1044 - free
 
     @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
@@ -194,6 +185,8 @@ class TestExactDeciders:
 
         monkeypatch.setattr(minors, "_branch_set_search", never)
         hosts = {
+            CliqueMinor(3): [Graph.path(12), Graph.star(11),
+                             disjoint_union(Graph.star(5), Graph.path(6))],
             CliqueMinor(4): [construct(CompleteSplit(12, 2)), Graph.cycle(12), Graph.star(11)],
             BicliqueMinor(2, 2): [construct(CliqueJoinMatching(11, 2)), Graph.path(12),
                                   union_of_copies(4, Graph.complete(3))],
@@ -206,6 +199,7 @@ class TestExactDeciders:
     @pytest.mark.parametrize("pattern", DECIDED, ids=DECIDED_IDS)
     def test_presence_needs_no_search(self, monkeypatch, pattern):
         hosts = {
+            CliqueMinor(3): [Graph.complete(3), Graph.cycle(12)],
             CliqueMinor(4): [Graph.complete(5), Graph.complete(4)],
             BicliqueMinor(2, 2): [Graph.cycle(4), Graph.complete(4)],
             BicliqueMinor(2, 3): [Graph.complete(5), Graph.complete_bipartite(2, 3)],
@@ -274,11 +268,6 @@ class TestStarForests:
         emb = contains_star_forest(Graph.complete(4), spec)
         shared = StarForestEmbedding(emb.centers, (emb.leaves[0], emb.leaves[0]))
         assert not verify_star_forest_embedding(Graph.complete(4), spec, shared)
-
-    def test_certificate_json(self):
-        emb = contains_star_forest(Graph.complete(6), StarForestSpec((2, 2)))
-        data = emb.to_json_dict()
-        assert set(data) == {"centers", "leaves"}
 
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 1), (2, 2), (2, 1, 1)])
     def test_anchored_certificates_use_the_anchor(self, graphs_by_order, degrees):
@@ -363,5 +352,4 @@ class TestConstructionMembership:
     def test_pattern_graph_shapes(self):
         assert pattern_graph(CliqueMinor(4)) == Graph.complete(4)
         assert pattern_graph(BicliqueMinor(2, 3)) == Graph.complete_bipartite(2, 3)
-        assert pattern_graph(GraphMinor(PETERSEN)) is PETERSEN
         assert pattern_graph(CliqueMinor(4)) is pattern_graph(CliqueMinor(4))  # built once

@@ -1,18 +1,21 @@
 """Static checks on the package source: no import goes unused, no
-module-level private name is left without a reader, and no public function
-or class is left without a reader or an export.
+module-level private name is left without a reader, no public function or
+class is left without a reader or an export, and no ``module.name`` in the
+README or a docstring names what its module does not define.
 
-Deleting a duplicate helper tends to leave its import, a private sibling or
-the public slow path it replaced behind; these tests name what was left.
-``__init__.py`` re-exports by design, so it is exempt, and what it exports
-counts as read."""
+Deleting a duplicate helper tends to leave its import, a private sibling,
+the public slow path it replaced or a sentence about it behind; these tests
+name what was left. ``__init__.py`` re-exports by design, so it is exempt,
+and what it exports counts as read."""
 
 import ast
+import re
 from pathlib import Path
 
 import alpha_extremal
 
 PACKAGE = Path(alpha_extremal.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -95,6 +98,29 @@ def unread_publics(trees: dict[str, ast.Module], exported: set[str]) -> list[str
     return _unread(trees, candidates)
 
 
+def docstrings(tree: ast.Module) -> list[str]:
+    """The module, class and function docstrings of ``tree``."""
+    nodes = [tree] + [n for n in ast.walk(tree) if isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [doc for n in nodes if (doc := ast.get_docstring(n)) is not None]
+
+
+def unresolved_references(texts: list[str], trees: dict[str, ast.Module]) -> list[str]:
+    """Each ``module.name`` in ``texts``, ``module`` one of ``trees``, whose
+    module defines no ``name`` at module level. ``module.py`` names a file."""
+    defined = {
+        path.removesuffix(".py"): {name for stmt in tree.body for name in _defined_names(stmt)}
+        for path, tree in trees.items()
+    }
+    reference = re.compile(rf"\b({'|'.join(map(re.escape, defined))})\.(?!py\b)([A-Za-z_]\w*)")
+    return [
+        match.group(0)
+        for text in texts
+        for match in reference.finditer(text)
+        if match.group(2) not in defined[match.group(1)]
+    ]
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(), filename=str(path))
@@ -121,6 +147,13 @@ def test_every_public_definition_is_read_or_exported():
     assert unread_publics(_package_trees(), _exported()) == []
 
 
+def test_every_doc_reference_resolves():
+    texts = [README.read_text()] + [
+        doc for path in sorted(PACKAGE.glob("*.py")) for doc in docstrings(ast.parse(path.read_text()))
+    ]
+    assert unresolved_references(texts, _package_trees()) == []
+
+
 def test_checks_catch_planted_leftovers():
     a = ast.parse(
         "import math\nfrom .b import Graph, _used\n\n"
@@ -137,3 +170,9 @@ def test_checks_catch_planted_leftovers():
     assert unread_publics({"c.py": c, "d.py": d}, {"entry"}) == ["c.py:lonely", "c.py:Unused"]
     assert unread_publics({"c.py": c, "d.py": d}, set()) == [
         "c.py:lonely", "c.py:entry", "c.py:Unused"]
+    e = ast.parse(
+        '"""Reads d.helper, not d.gone; see d.py."""\n\n'
+        'def f():\n    """Calls c.entry after c.absent."""\n    d.unchecked = 1\n'
+    )
+    assert unresolved_references(docstrings(e) + ["d._private and c.LIMIT"],
+                                 {"c.py": c, "d.py": d}) == ["d.gone", "c.absent"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from alpha_extremal.spectral import (
     MAX_SWEEPS,
     SpectralResult,
     alpha_index,
-    alpha_matrix,
     collatz_wielandt_bound,
     degree_vector_bound,
     equitable_quotient,
@@ -29,7 +29,7 @@ from alpha_extremal.spectral import (
     quotient_alpha_index,
     require_weight,
 )
-from conftest import degree_sums, delete_edge
+from conftest import alpha_matrix, degree_sums, delete_edge
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -60,7 +60,8 @@ def eigh_oracle(g, a):
 
 def dense_alpha_index(g, a):
     """alpha_index solved on the full matrix a*D + (1-a)*A, as it was before
-    the equitable quotient: the reference a discrete partition must match."""
+    the equitable quotient, with the residual from alpha_index's own product:
+    the reference a discrete partition must match."""
     mat = alpha_matrix(g, a)
     values, vectors, sweeps = jacobi_eigensystem(mat)
     k = int(np.argmax(values))
@@ -69,10 +70,10 @@ def dense_alpha_index(g, a):
     top = int(np.argmax(np.abs(x)))
     if x[top] < 0.0:
         x = -x
-    x = x / np.sqrt(np.sum(x * x))
-    residual_vec = np.sum(mat * x, axis=1) - rho * x
-    residual = float(np.sqrt(np.sum(residual_vec * residual_vec)))
-    return SpectralResult(rho, tuple(float(t) for t in x), residual, sweeps)
+    x = (x / np.sqrt(np.sum(x * x))).tolist()
+    y = spectral._times_m(g, a, x)
+    residual = math.sqrt(sum((yv - rho * xv) ** 2 for yv, xv in zip(y, x)))
+    return SpectralResult(rho, tuple(x), residual, sweeps)
 
 
 def gnp(n, p, seed):
@@ -382,6 +383,19 @@ class TestEquitableQuotient:
         assert result.sweeps <= 3
         assert result.residual <= 1e-10
         assert result.alpha_index == pytest.approx(quotient_alpha_index(spec, 0.5), abs=1e-12)
+
+    def test_small_quotient_builds_no_dense_matrix(self):
+        # The residual is one product M x over the adjacency masks; the dense
+        # 3000 x 3000 matrix alone would take 72 MB.
+        g = construct(CompleteSplit(3000, 2))
+        tracemalloc.start()
+        try:
+            result = alpha_index(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.residual <= 1e-10
+        assert peak < 10 * 2**20
 
     def test_discrete_partition_is_the_dense_solve(self, graphs_by_order):
         graphs = [g for g in graphs_by_order[7] if len(equitable_quotient(g, 0.5)[0]) == 7]
