@@ -40,22 +40,30 @@ membership.
 
 At the target order the decision is the caller's. ``leaves`` yields each
 kept order-(n-1) node with its group and its children's neighbor masks, one
-lazy leaf (parent, generators, mask) per mask, unbuilt; ``decide`` builds
-one leaf and asks the tie test, then ``keep``, and ``kept_node`` also gives
-a kept leaf its group, so that a walk continued below it needs no labeling.
-``leaf_degree_sums`` is the other reader of a family's masks: each leaf's
-(degree, neighbor-degree sum) pairs, derived from the parent's, so that a
-caller can bound a leaf's alpha index before building it.
-``nodes`` gives the kept nodes of one order, with their groups, from which
-``leaves`` may continue the walk. ``enumerate_graphs`` is the walk with
-every leaf decided in turn; a caller that needs only some leaves (the
-census, visiting them in bound order) builds and decides only those, in
-any order, since a leaf's decision depends only on the leaf and ``keep``.
+lazy leaf (parent, generators, mask) per mask, unbuilt; ``build`` makes one
+leaf's graph (None if some vertex beats its new vertex), ``emits`` asks a
+built leaf the tie test, then ``keep``, ``decide`` does both, and
+``kept_node`` also gives a kept leaf its group, so that a walk continued
+below it needs no labeling. ``leaf_degree_sums`` is the other reader of a
+family's masks: each child's (degree, neighbor-degree sum) pairs, derived
+from the parent's, so that a caller can bound a child's alpha index before
+building it, and ``descendant_sums`` grows them into pairs that bound every
+order-n descendant of the child.
+A caller's ``reach`` may drop children below order n before they are
+decided: ``reach(parent, masks)`` keeps the masks of those it needs (the
+census, those whose descendants can reach its floor), and the walk neither
+decides nor descends into the rest. By default it reaches every child.
+``nodes`` gives the reached, kept nodes of one order, with their groups,
+from which ``leaves`` may continue the walk. ``enumerate_graphs`` is the
+walk with every leaf decided in turn; a caller that needs only some leaves
+(the census, visiting them in bound order) builds and decides only those,
+in any order, since a leaf's decision depends only on the leaf and
+``keep``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_labeling_masks, orbit, stabilizer
@@ -70,6 +78,8 @@ Node = tuple[Graph, Gens]
 # Lazy leaves: a kept node, its generators and the neighbor masks of its children.
 Family = tuple[Graph, Gens, list[int]]
 Leaf = tuple[Graph, Gens, int]
+# Which children of a kept node the walk decides: (node, masks) -> masks.
+Reach = Callable[[Graph, list[int]], list[int]]
 # The walk's root: the order-0 graph, whose only child is K1.
 ROOT: Node = (Graph(0, ()), [])
 
@@ -141,23 +151,21 @@ def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, Gens | None]:
     return min(candidates, key=perm.__getitem__) in orbit(v, gens), gens
 
 
-def _kept(g: Graph, mask: int, keep: Callable[[Graph], bool]):
-    """(child, deletion candidates, generators from its tie test or None)
-    for g plus a vertex on ``mask``, when the walk keeps it, else None. A
-    child that some vertex beats is rejected before it is made."""
+def _child(g: Graph, mask: int):
+    """(child, deletion candidates) for g plus a vertex on ``mask``, or None
+    when some vertex beats the new one: that child is rejected unmade."""
     m = g.n
     adj = tuple(row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(g.adj)) + (mask,)
     if not (candidates := _deletion_candidates(m + 1, adj)):
         return None
-    child = Graph.unchecked(m + 1, adj)  # symmetric and loop-free by construction
-    canonical, gens = _tie_test(child, candidates)
-    return (child, candidates, gens) if canonical and keep(child) else None
+    return Graph.unchecked(m + 1, adj), candidates  # symmetric and loop-free by construction
 
 
 def leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int, int]]]:
     """The (degree, neighbor-degree sum) pairs of the vertices with an edge
-    in each lazy leaf of one family, unbuilt, from the parent's degrees d_u
-    and neighbor-degree sums S_u, found once for the family. For the new
+    in each child of ``parent`` on ``masks`` (a family of lazy leaves, say),
+    unbuilt, from the parent's degrees d_u and neighbor-degree sums S_u,
+    found once for the family. For the new
     vertex's neighbor set M, k = |M| and c_u = |N(u) & M|: u in M has
     (d_u + 1, S_u + c_u + k), u outside M with d_u > 0 has (d_u, S_u + c_u),
     and the new vertex, if k > 0, (k, sum of d_u over M = sum of all c_u,
@@ -174,20 +182,35 @@ def leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int
         yield sums + [(k, sum(cs) + k)] if k else sums
 
 
-def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
-    """The lazy leaf's graph, built only now, if the walk emits it, else None:
-    the tie test, then ``keep``, decide (see ``_kept``)."""
+def build(leaf: Leaf) -> Graph | None:
+    """The lazy leaf's graph, made now, or None when some vertex beats its
+    new vertex (the walk rejects it unmade). Undecided: see ``emits``."""
     parent, _, mask = leaf
-    return (kept := _kept(parent, mask, keep)) and kept[0]
+    return (made := _child(parent, mask)) and made[0]
+
+
+def emits(g: Graph, keep: Callable[[Graph], bool]) -> bool:
+    """Whether the walk emits the built leaf g (its new vertex last): the tie
+    test, then ``keep``."""
+    return _tie_test(g, _deletion_candidates(g.n, g.adj))[0] and keep(g)
+
+
+def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
+    """The lazy leaf's graph, built only now, if the walk emits it, else None."""
+    g = build(leaf)
+    return g if g is not None and emits(g, keep) else None
 
 
 def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
     """The node (graph, generators of its automorphism group) that a leaf
     becomes when the walk keeps it, built here, or None when it rejects it."""
     parent, gens, mask = leaf
-    if (kept := _kept(parent, mask, keep)) is None:
+    if (made := _child(parent, mask)) is None:
         return None
-    g, candidates, group = kept
+    g, candidates = made
+    canonical, group = _tie_test(g, candidates)
+    if not (canonical and keep(g)):
+        return None
     if group is None:
         # Every automorphism maps v to v or a tied twin: Aut(parent)'s
         # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(g).
@@ -200,21 +223,65 @@ def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
     return g, group
 
 
-def _descend(g: Graph, target: int, keep: Callable[[Graph], bool], gens: Gens) -> Iterator[Family]:
-    """The lazy leaves below the kept node g (of order below the target),
-    by parent; ``gens`` generate Aut(g). Nodes below the target are decided
-    here; the leaves are not."""
-    masks = _masks(g.n, g.adj, gens)
-    if g.n + 1 == target:
-        yield g, gens, list(masks)
-        return
-    for mask in masks:
-        if (node := kept_node((g, gens, mask), keep)) is not None:
-            yield from _descend(node[0], target, keep, node[1])
+def descendant_sums(sums: list[tuple[int, int]], order: int, j: int) -> list[tuple[int, int]]:
+    """(degree, neighbor-degree sum) pairs that dominate, pair for pair in
+    spectral.degree_vector_bound, every vertex of every order-(order + j)
+    descendant of a node with the derived ``sums`` (``leaf_degree_sums``; a
+    vertex with no edge has no pair): ``sums`` itself at j = 0.
+
+    The walk adds a vertex of minimum degree, so with delta the node's
+    minimum degree, step i adds a vertex with at most K_i = delta + i
+    neighbors (delta <= order - 1, so K_i never exceeds the order + i - 1
+    vertices there), whose final degree is at most D = K_i + j - i =
+    delta + j. An old vertex (d, S) that gains e new neighbors ends at
+    (d + e, at most S + sum_i min(d, K_i) + e*D): step i adds at most
+    min(d, K_i) to its old neighbors' degrees. Its term is a(d + e) plus
+    (1 - a) times a Moebius function of e, so convex or increasing in e, and
+    largest at e = 0 or e = j. A new vertex of final degree t <= D has
+    neighbor-degree sum at most the t largest caps among the others: d + j
+    for an old vertex, D for a new one."""
+    if not j:
+        return sums
+    isolated = order - len(sums)
+    delta = 0 if isolated else min(d for d, _ in sums)
+    top = delta + j
+    pairs = [(j, j * top)] if isolated else []
+    for d, s in sums:
+        q = min(j, d - delta)  # the steps i with delta + i <= d
+        s += q * delta + q * (q + 1) // 2 + (j - q) * d
+        pairs += [(d, s), (d + j, s + j * top)]
+    caps = sorted([d + j for d, _ in sums] + [j] * isolated + [top] * (j - 1), reverse=True)
+    return pairs + list(enumerate(accumulate(caps[:top]), start=1))
 
 
 def _keep_all(g: Graph) -> bool:
     return True
+
+
+def _reach_all(parent: Graph, masks: list[int]) -> list[int]:
+    return masks
+
+
+def _children(g: Graph, gens: Gens, masks: list[int], keep: Callable[[Graph], bool],
+              reach: Reach) -> Iterator[Node]:
+    """The kept children of node g, in walk order, among those ``reach``
+    lets the walk decide."""
+    for mask in reach(g, masks):
+        if (node := kept_node((g, gens, mask), keep)) is not None:
+            yield node
+
+
+def _descend(g: Graph, gens: Gens, target: int, keep: Callable[[Graph], bool],
+             reach: Reach) -> Iterator[Family]:
+    """The lazy leaves below the kept node g (of order below the target),
+    by parent; ``gens`` generate Aut(g). Nodes below the target are decided
+    here; the leaves are not."""
+    masks = list(_masks(g.n, g.adj, gens))
+    if g.n + 1 == target:
+        yield g, gens, masks
+        return
+    for node in _children(g, gens, masks, keep, reach):
+        yield from _descend(*node, target, keep, reach)
 
 
 def check_order(n: int) -> None:
@@ -226,7 +293,8 @@ def check_order(n: int) -> None:
 
 
 def leaves(
-    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] = (ROOT,)
+    n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] = (ROOT,),
+    reach: Reach = _reach_all,
 ) -> Iterator[Family]:
     """The order-n leaves of the walk, in walk order, undecided and unbuilt:
     (parent, generators of Aut(parent), masks) per kept order-(n-1) node,
@@ -235,25 +303,30 @@ def leaves(
     ``kept_node`` also gives its group.
 
     ``roots`` are kept nodes below order n, from ``nodes`` with the same
-    ``keep``, below which the walk runs; ROOT by default. A root at or above
-    order n raises ValueError before anything is walked below it. The roots
-    of one order, in walk order, give all the leaves in order. See
-    ``enumerate_graphs`` for ``keep``.
+    ``keep`` and ``reach``, below which the walk runs; ROOT by default. A
+    root at or above order n raises ValueError before anything is walked
+    below it. The roots of one order, in walk order, give all the leaves in
+    order. See ``enumerate_graphs`` for ``keep``.
+
+    ``reach(parent, masks)`` gives, in order, the masks of the children of a
+    kept node below order n - 1 that the walk decides and descends into; a
+    caller drops those with no order-n descendant it needs. The default
+    reaches every child. Every family at order n is whole.
     """
     check_order(n)
     for g, gens in roots:
         if g.n >= n:
             raise ValueError(f"a root of order {g.n} has no order-{n} leaves below it")
-        yield from _descend(g, n, keep, gens)
+        yield from _descend(g, gens, n, keep, reach)
 
 
-def nodes(m: int, keep: Callable[[Graph], bool]) -> list[Node]:
-    """The kept order-m nodes of the walk with their groups, in walk order:
-    [ROOT] at order 0."""
+def nodes(m: int, keep: Callable[[Graph], bool], reach: Reach = _reach_all) -> list[Node]:
+    """The kept order-m nodes of the walk that ``reach`` lets it decide (see
+    ``leaves``), with their groups, in walk order: [ROOT] at order 0."""
     if m == 0:
         return [ROOT]
-    return [node for parent, gens, masks in leaves(m, keep=keep) for mask in masks
-            if (node := kept_node((parent, gens, mask), keep)) is not None]
+    return [node for parent, gens, masks in leaves(m, keep=keep, reach=reach)
+            for node in _children(parent, gens, masks, keep, reach)]
 
 
 def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:

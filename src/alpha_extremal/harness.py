@@ -1,22 +1,27 @@
 """Exhaustive small-order verification of the extremal claims.
 
-extremal_search runs one census per (class, order): the enumeration walk
-extends only class members, testing each child once, through its new vertex,
-and leaves its order-n leaves (a parent and a neighbor mask each) undecided
-and unbuilt. At each weight of the grid the leaves are visited in decreasing
-order of a Collatz-Wielandt upper bound, from degree sums that the walk
-derives from the parent's (enumeration.leaf_degree_sums), until no
-remaining bound can reach the maximum; only a leaf so reached is built and
-decided (tie test, then membership), once for all weights, and a member is
-solved only if its bound, tightened by a few power steps, still can. The
+extremal_search runs one census per (class, order), floored at each weight
+by the alpha index of a known order-n member (floor_witness): every
+maximizer and every tie lies within TIE_TOL of that floor or above it. The
+enumeration walk extends only class members, testing each child once,
+through its new vertex, and decides a child below order n only when the
+degree sums derived from its parent's (enumeration.leaf_degree_sums), grown
+to bound its order-n descendants (enumeration.descendant_sums), can reach a
+floor at some weight. It leaves its order-n leaves (a parent and a neighbor
+mask each) undecided and unbuilt. At each weight of the grid the leaves are
+visited in decreasing order of a Collatz-Wielandt upper bound on their
+derived degree sums, from the floor, until no remaining bound can reach the
+maximum; a leaf so reached is built, its bound tightened by a few power
+steps, and only if that still can is it decided (tie test, then
+membership), once for all weights, and solved if it is a member. The
 member prefix of the tree, to order min(n - 1, PREFIX_ORDER), is walked
-once, its nodes are dealt out round robin with their automorphism groups,
-and each worker walks the leaves below its own.
+once under the same floor, its nodes are dealt out round robin with their
+automorphism groups, and each worker walks the leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
 feasible construction at the order is the clique-join quadratic's root, an
-upper bound for the class, predicted instead.
+upper bound for the class, predicted instead; it never floors a census.
 sweep_inequalities evaluates every closed-form inequality in the bounds
 module over fixed grids: one generator per check family yields rows
 (check, params, lhs, relation, rhs, witness graph or None), or SKIP for an
@@ -74,8 +79,10 @@ from .graphs import (
     FeasibilityError,
     Graph,
     construct,
+    disjoint_union,
     join,
     regular_circulant,
+    union_of_copies,
 )
 from .minors import BicliqueMinor, CliqueMinor, MinorPattern, is_minor_free, settled_by_new_vertex
 from .spectral import (
@@ -216,57 +223,115 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
+def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeration.Reach:
+    """The census's ``reach``: the children of a node whose order-n
+    descendants' degree-vector bounds (enumeration.descendant_sums) can
+    reach some weight's floor, within 2*TIE_TOL."""
+    def reach(parent: Graph, masks: list[int]) -> list[int]:
+        order = parent.n + 1
+        reached = []
+        for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks)):
+            pairs = enumeration.descendant_sums(sums, order, n - order)
+            if any(degree_vector_bound(pairs, a) >= floor - 2 * TIE_TOL
+                   for a, floor in zip(alphas, floors)):
+                reached.append(mask)
+        return reached
+    return reach
+
+
 def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     """One list per weight of (member, alpha index) pairs for the order-n
-    class members below one shard's prefix nodes that can reach the shard's
+    class members below one shard's prefix nodes that can reach the
     maximum.
 
-    The walk's order-n leaves come undecided and unbuilt. They are visited
-    in decreasing degree_vector_bound order (their degree sums from
-    enumeration.leaf_degree_sums, once for all weights, exact integers equal
-    to the built leaf's), ties by walk index, and the visit stops at the
-    first bound below the shard's best minus 2*TIE_TOL. Only a leaf the
-    visit reaches is built and decided, once across weights, and a rejected
-    one is passed over. Accepted leaves keep their walk order, a rejected
-    one never changes the best, and the bounds fall along the visit, so the
-    members break, skip and solve exactly as in a visit over the members
-    alone. Before its eigensolve, each member's collatz_wielandt_bound is
-    taken over the degree vector and GATE_POWER_STEPS power steps, and the
-    member is skipped when that bound is below the same margin. Both bounds
-    are valid for the member's index (every power iterate is a positive
-    Collatz-Wielandt vector), so a skipped member falls short of the shard's
-    best, and hence of the global maximum, by more than 2*TIE_TOL minus the
-    float error of the bound and of the solve (about 1e-15): it is neither a
-    maximizer nor a tie.
+    Each weight's ``floor`` is the alpha index of an order-n member (see
+    ``floor_witness``), so the maximum and its ties lie within TIE_TOL of it
+    or above. The walk decides only the nodes whose descendants' bounds can
+    reach a floor (``_reach``), and leaves its order-n leaves undecided and
+    unbuilt. They are visited in decreasing degree_vector_bound order (their
+    degree sums from enumeration.leaf_degree_sums, once for all weights,
+    exact integers equal to the built leaf's), ties by walk index, from a
+    best of floor - TIE_TOL, and the visit stops at the first bound below
+    the best minus 2*TIE_TOL. A leaf the visit reaches is built, and its
+    collatz_wielandt_bound, over the degree vector and GATE_POWER_STEPS
+    power steps, is taken; only a leaf whose bound is not below the same
+    margin is decided (tie test, then membership), once across weights, and
+    only an emitted one is solved. Both bounds are valid for the leaf's
+    index (every power iterate is a positive Collatz-Wielandt vector), and
+    the best never exceeds the maximum, so a leaf that is skipped, pruned
+    or gated out falls short of the maximum by more than 2*TIE_TOL minus the
+    float error of the bounds and of the solves (about 1e-15): whatever its
+    membership, it is neither a maximizer nor a tie. Every maximizer and
+    tie is solved, as in a visit over all the members.
     """
-    n, alphas, cls, roots = args
+    n, alphas, floors, cls, roots = args
     keep = _member_of(cls)
     leaves = []  # lazy leaves, in walk order
     table = [[] for _ in alphas]  # per weight, each leaf's degree-vector bound
-    for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots):
+    for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots,
+                                                  reach=_reach(n, alphas, floors)):
         leaves += [(parent, gens, mask) for mask in masks]
         for sums in enumeration.leaf_degree_sums(parent, masks):
             for bounds, a in zip(table, alphas):
                 bounds.append(degree_vector_bound(sums, a))
-    built = {}  # leaf index -> its graph, or None if rejected; decided when first reached
+    built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
+    emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
-    for a, bounds in zip(alphas, table):
+    for a, floor, bounds in zip(alphas, floors, table):
         pairs = []
-        best = -math.inf
+        best = floor - TIE_TOL
         # A stable sort, reversed, keeps ties in walk order.
         for i in sorted(range(len(leaves)), key=bounds.__getitem__, reverse=True):
             if bounds[i] < best - 2 * TIE_TOL:
                 break
             if i not in built:
-                built[i] = enumeration.decide(leaves[i], keep)
+                built[i] = enumeration.build(leaves[i])
             g = built[i]
             if g is None or collatz_wielandt_bound(g, a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
+                continue
+            if i not in emitted:
+                emitted[i] = enumeration.emits(g, keep)
+            if not emitted[i]:
                 continue
             value = alpha_index(g, a).alpha_index
             best = max(best, value)
             pairs.append((g, value))
         solved.append(pairs)
     return solved
+
+
+def floor_witness(cls: ForbiddenClass, n: int) -> Graph:
+    """An order-n member of the class, known before any census, whose alpha
+    index floors it: the claim's construction (``predicted_witness_spec``)
+    when it is feasible. Otherwise the nearest larger feasible one, with
+    part vertices deleted down to order n (the class is closed under vertex
+    deletion): K_c joined to floor(m/d) K_d plus K_(m mod d), for
+    (k, d) = cls.clique_join, c = min(k - 1, n) and m = n - c, or, for T3
+    at an odd m > d with d even, the (d-1)-regular part on m + 1 vertices
+    minus one. The clique-join quadratic's root bounds the class from above
+    and never serves here. Raises RuntimeError if the witness is not a
+    member, which would falsify the construction side of the claim."""
+    k, d = cls.clique_join
+    try:
+        spec = predicted_witness_spec(cls, n)
+    except FeasibilityError:  # d = 1 below order k - 1
+        spec = None
+    if spec is not None:
+        g = construct(spec)
+    else:
+        c = min(k - 1, n)
+        m = n - c
+        if isinstance(cls, BicliqueMinorFree) or m < d:
+            part = disjoint_union(union_of_copies(m // d, Graph.complete(d)),
+                                  Graph.complete(m % d))
+        else:
+            part = Graph.from_edges(m, [e for e in regular_circulant(m + 1, d - 1).edges()
+                                        if m not in e])
+        g = join(Graph.complete(c), part)
+    if not class_member(g, cls):
+        raise RuntimeError(f"floor witness {canonical_graph6(g)} is not {cls.label}: "
+                           "construction claim falsified")
+    return g
 
 
 def extremal_search(
@@ -280,32 +345,36 @@ def extremal_search(
     weight, with every maximizer (within the tie tolerance) as a sorted
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Membership is decided once per tested graph, and at order n only for
-    the leaves whose degree-vector bounds the visit reaches; at each weight,
-    only the members whose Collatz-Wielandt bounds, from the degree vector
-    and tightened by power steps, can reach their shard's maximum are
-    solved. The member prefix is walked once; shard s descends from prefix
-    nodes s, s + workers, ..., each handed its group, and at most one
-    process per node is started.
+    Each weight's floor is the alpha index of ``floor_witness``, validated
+    before the walk. Membership is decided once per tested graph: below
+    order n only for the nodes whose descendants' bounds can reach a floor,
+    and at order n only for the leaves that the visit reaches and the
+    Collatz-Wielandt gate lets through; only those members are solved (see
+    ``_census_shard``). The member prefix is walked once; shard s descends
+    from prefix nodes s, s + workers, ..., each handed its group, and at
+    most one process per node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
-    keep = _member_of(cls)
-    prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), keep)
+    witness = floor_witness(cls, n)
+    floors = [alpha_index(witness, a).alpha_index for a in weights]
+    prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), _member_of(cls),
+                               _reach(n, weights, floors))
     workers = max(1, min(workers, len(prefix)))
-    jobs = [(n, weights, cls, prefix[s::workers]) for s in range(workers)]
+    jobs = [(n, weights, floors, cls, prefix[s::workers]) for s in range(workers)]
     if workers == 1:
         shards = [_census_shard(jobs[0])]
     else:
         with multiprocessing.Pool(workers) as pool:
             shards = pool.map(_census_shard, jobs)
     results = []
-    for j in range(len(weights)):
+    for j, floor in enumerate(floors):
         solved = [pair for shard in shards for pair in shard[j]]
-        if not solved:
-            raise ValueError(f"class {cls.label} has no members at order {n}")
-        best = max(value for _, value in solved)
+        best = max((value for _, value in solved), default=-math.inf)
+        if best < floor - TIE_TOL:
+            raise RuntimeError(f"the census of {cls.label} at order {n} fell below its floor "
+                               f"witness's alpha index {floor!r}")
         ties = {canonical_graph6(g) for g, value in solved if value >= best - TIE_TOL}
         results.append((best, sorted(ties)))
     return results
@@ -428,21 +497,15 @@ def check_theorem(
     Each weight is predicted from the claim's construction, found once. An
     order above the enumeration cap is refused before any work, and every
     predicted value is computed before the census, so a weight that the
-    quadratic fallback refuses fails before any search. The predicted
-    construction is independently validated for class membership; a
-    failure there would falsify the construction side of the claim and
-    raises instead of reporting.
+    quadratic fallback refuses fails before any search. The census
+    validates its floor witness, the predicted construction when there is
+    one, for class membership before it walks; a failure there would
+    falsify the construction side of the claim and raises instead of
+    reporting.
     """
     weights = [require_open_weight(a) for a in alphas]
     spec, values = predictions(cls, n, weights)
-    witness_g6 = None
-    if spec is not None:
-        witness_graph = construct(spec)
-        if not class_member(witness_graph, cls):
-            raise RuntimeError(
-                f"predicted witness {spec} is not {cls.label}: construction claim falsified"
-            )
-        witness_g6 = canonical_graph6(witness_graph)
+    witness_g6 = None if spec is None else canonical_graph6(construct(spec))
     found = extremal_search(n, weights, cls, workers=workers)
     reports = []
     for a, value, (best, witnesses) in zip(weights, values, found):

@@ -23,7 +23,8 @@ eigenvalue, from the degree vector and from a few power iterates of it, which
 let a census order its members and skip those that cannot reach its maximum.
 degree_vector_bound reads (degree, neighbour-degree sum) pairs, which do not
 depend on the weight; the census derives them for its unbuilt leaves
-(enumeration.leaf_degree_sums).
+(enumeration.leaf_degree_sums), and grows those of a node above them into
+pairs that bound all its leaves (enumeration.descendant_sums).
 
 Every join construction has a tiny equitable quotient (one class per
 regular block). quotient_alpha_index builds its symmetrized form in closed

@@ -370,7 +370,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(harness, "class_member", counted)
         counts = {}
-        prefix = []
+        prefix = {}
         for grid in ("0.25,0.5,0.75", "0.5"):
             for workers in ("1", "3"):
                 calls.clear()
@@ -383,13 +383,15 @@ class TestCheckCommand:
                 walked = [harness.canonical_graph6(g) for g, new in calls if new is not None]
                 assert len(walked) == len(set(walked))
                 counts[grid, workers] = len(calls)
-                prefix.append([g for g, _ in calls if g.n < 6])
-        # The forests to order 5 are tested alike at every grid and worker
-        # count; at one worker, the order-6 forests the bound order reaches
-        # are tested too, plus the predicted witness.
-        assert all(p == prefix[0] for p in prefix)
-        assert counts["0.25,0.5,0.75", "1"] == 35
-        assert counts["0.5", "1"] == 27
+                prefix[grid, workers] = [g for g, _ in calls if g.n < 6]
+        # The forests to order 5 whose descendants can reach a weight's
+        # floor are tested alike at every worker count; at one worker, the
+        # order-6 forests the bound order reaches and the gate lets through
+        # are tested too, plus the floor witness.
+        for grid in ("0.25,0.5,0.75", "0.5"):
+            assert prefix[grid, "1"] == prefix[grid, "3"]
+        assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (21, 23)
+        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (15, 17)
 
     def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness
@@ -415,8 +417,9 @@ class TestCheckCommand:
             if workers == "1":
                 # 1,715 members at two weights; solving them all takes 3,430.
                 # The degree-vector bound alone leaves 165 solves; tightened
-                # by two power steps it leaves only each weight's maximizer.
-                assert len(calls) == 2
+                # by two power steps it leaves only each weight's maximizer,
+                # after each weight's floor witness.
+                assert len(calls) == 4
         assert outputs[0] == outputs[1]
 
     def test_infeasible_weight_fails_before_any_report(self, capsys, tmp_path):
@@ -546,6 +549,15 @@ REPORT_PINS = [
     pytest.param(
         ("--theorem", "T2", "--s", "2", "--t", "3", "--n", "9", "--alpha-grid", "0.5,0.75"),
         "fd3255661c19495965dc1dc6c6cf63fa690c2e20f1dca1e588bc8f6109969f99", id="T2-s2t3-n9"),
+    # Branch-set searches at order 9, where the floor prunes most of the walk
+    # (digests taken from a census that walked and decided every member node).
+    pytest.param(
+        ("--theorem", "T1", "--r", "5", "--n", "9", "--alpha", "0.5"),
+        "3671c8553b74e6e4daa068f0ae470e16fd7f84cc7d5092246ea74732885c18e9", id="T1-r5-n9"),
+    # No construction at n = 9: the floor is K2 joined to 3K3 less two part vertices.
+    pytest.param(
+        ("--theorem", "T2", "--s", "3", "--t", "3", "--n", "9", "--alpha", "0.5"),
+        "17364df62353f2b4b97bb9cc5d71c87693389d56024ba613f3f80af5eacc1f5d", id="T2-s3t3-n9"),
 ]
 
 

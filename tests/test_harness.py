@@ -8,7 +8,16 @@ import pytest
 
 from alpha_extremal import enumeration, harness
 from alpha_extremal.bounds import StarForestSpec, clique_join_quadratic, complete_split_quadratic
-from alpha_extremal.graphs import CliqueJoinMatching, Graph, construct, disjoint_union
+from alpha_extremal.graphs import (
+    CliqueJoinMatching,
+    FeasibilityError,
+    Graph,
+    construct,
+    disjoint_union,
+    join,
+    regular_circulant,
+    union_of_copies,
+)
 from alpha_extremal.harness import (
     TIE_TOL,
     BicliqueMinorFree,
@@ -95,20 +104,22 @@ class TestWorkCounts:
     nor a prefix root, which the prefix walk hands its group)
     and minor or star-forest searches (a minor-class child that its new
     vertex settles needs none; the star-forest ones are anchored; one more
-    checks the predicted witness in full). An order-n leaf is labeled or
-    tested only when the bound order reaches it, which the K5 and K_{3,3}
-    rows pin: deciding every leaf took 2,369 and 2,257 labelings and 3,556
-    and 3,373 searches there. Likewise an order-n leaf is built (its graph
-    made) only when reached: building every leaf made 174, 2,138, 363, 9,335
-    and 8,775 order-n graphs in the rows below."""
+    checks the floor witness in full). A node below order n is decided only
+    when its descendants' bounds can reach the floor: walking and deciding
+    every member node took 80, 157, 43, 275, 290 and 2,357 labelings and
+    463, 138, 60, 347, 397 and 3,809 searches in the rows below. An order-n
+    leaf is built (its graph made) only when the bound order reaches it, and
+    decided only when its gate lets it through: building every leaf made
+    174, 2,138, 363, 9,335 and 8,775 order-n graphs in the first five rows."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 80, 463, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 157, 138, 151),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 43, 60, 23),
-        (CliqueMinorFree(5), 8, [0.5], 275, 347, 37),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 290, 397, 83),
-    ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8"])
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 52, 221, 3),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 51, 62, 151),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 21, 34, 23),
+        (CliqueMinorFree(5), 8, [0.5], 38, 48, 37),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 48, 78, 83),
+        (CliqueMinorFree(5), 9, [0.5], 151, 254, 442),
+    ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = collections.Counter()
         for module, name in ((enumeration, "canonical_labeling_masks"),
@@ -154,6 +165,83 @@ class TestDerivedLeafSums:
                     assert degree_vector_bound(sums, a).hex() == degree_vector_bound(want, a).hex()
                 checked += 1
         assert checked
+
+
+FLOOR_CLASSES = [CliqueMinorFree(r) for r in range(3, 7)] + [
+    BicliqueMinorFree(s, t) for s, t in ((2, 2), (2, 3), (3, 3))
+] + [StarForestFree(StarForestSpec((d, d))) for d in (1, 2, 3, 4)]
+
+
+class TestFloorWitness:
+    """Each census starts from the alpha index of a known order-n member.
+    extremal_search raises if its maximum falls below that floor, so every
+    census run here also checks the witness against the census maximum."""
+
+    @pytest.mark.parametrize("cls", FLOOR_CLASSES, ids=lambda cls: cls.label)
+    def test_an_order_n_member_and_the_construction_when_feasible(self, cls):
+        for n in range(1, enumeration.ENUMERATION_CAP + 1):
+            g = harness.floor_witness(cls, n)
+            assert g.n == n and class_member(g, cls), n
+            try:
+                spec = predicted_witness_spec(cls, n)
+            except FeasibilityError:
+                spec = None
+            if spec is not None:
+                assert g == construct(spec)
+
+    @pytest.mark.parametrize("cls, n, part, census_max", [
+        # K1 joined to 3K3, one part vertex deleted: the census maximizer.
+        (BicliqueMinorFree(2, 3), 9, disjoint_union(union_of_copies(2, Graph.complete(3)),
+                                                    Graph.complete(2)), True),
+        # K2 joined to 3K3, two part vertices deleted: the census maximizer,
+        # whose 5 s census test_cli's TestReportPins pins.
+        (BicliqueMinorFree(3, 3), 9, disjoint_union(union_of_copies(2, Graph.complete(3)),
+                                                    Graph.empty(1)), None),
+        # K1 joined to the 3-regular circulant on 8 vertices, one deleted;
+        # at order 8 every graph is a member, and K8 is the maximum.
+        (StarForestFree(StarForestSpec((4, 4))), 8, delete_vertex(regular_circulant(8, 3), 7),
+         False),
+    ], ids=["T2-s2t3-n9", "T2-s3t3-n9", "T3-4,4-n8"])
+    def test_fallback_deletes_part_vertices(self, cls, n, part, census_max):
+        assert predicted_witness_spec(cls, n) is None
+        g = harness.floor_witness(cls, n)
+        clique = cls.clique_join[0] - 1
+        assert canonical_graph6(g) == canonical_graph6(join(Graph.complete(clique), part))
+        if census_max is not None:
+            best, witnesses = extremal_search(n, [0.5], cls)[0]
+            assert alpha_index(g, 0.5).alpha_index <= best
+            assert (canonical_graph6(g) in witnesses) == census_max
+
+    def test_maximum_below_the_floor_is_refused(self, monkeypatch):
+        # A floor above the class maximum (here K5, not a forest) would prune
+        # every node; the census refuses instead of reporting a maximum.
+        monkeypatch.setattr(harness, "floor_witness", lambda cls, n: Graph.complete(n))
+        with pytest.raises(RuntimeError, match="fell below its floor"):
+            extremal_search(5, [0.5], CliqueMinorFree(3))
+
+    def test_quadratic_root_never_reaches_the_census(self, monkeypatch):
+        # T2 (2,3) has no construction at n = 8 (3 does not divide 7), so
+        # check_theorem predicts the quadratic's root, an upper bound. The
+        # census floors at its witness's index, strictly below the root.
+        cls, n, weights = BicliqueMinorFree(2, 3), 8, (0.5, 0.75)
+        roots = [clique_join_quadratic(n, 2, 3, a).largest_root for a in weights]
+        floors = []
+        shard = harness._census_shard
+
+        def noted(args):
+            floors.append(args[2])
+            return shard(args)
+
+        def never(*args):
+            raise AssertionError("the census asked for the clique-join quadratic")
+
+        monkeypatch.setattr(harness, "_census_shard", noted)
+        monkeypatch.setattr(harness, "clique_join_quadratic", never)
+        found = extremal_search(n, weights, cls)
+        witness = harness.floor_witness(cls, n)
+        assert floors == [[alpha_index(witness, a).alpha_index for a in weights]]
+        for floor, root, (best, _) in zip(floors[0], roots, found):
+            assert floor <= best < root
 
 
 class TestClassBasics:
@@ -225,22 +313,25 @@ class TestExtremalSearch:
         assert serial == parallel
 
     @pytest.mark.parametrize("n, cls, workers, size", [
-        (7, CliqueMinorFree(3), 10**6, 20),  # the 20 forests of order 6
-        (4, CliqueMinorFree(3), 1000, 3),  # n <= 6 deals out the order-(n-1) members
-        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 34),  # every order-5 graph is a member
+        (8, CliqueMinorFree(3), 10**6, 5),  # the floor keeps 5 of the 20 forests of order 6
+        (5, StarForestFree(StarForestSpec((2, 2))), 1000, 5),  # n <= 6: order-(n-1) nodes, 5 of 11
+        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 11),  # 11 of the 34 order-5 graphs
         (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
+        (7, CliqueMinorFree(3), 10**6, 1),  # only the star of order 6: no pool
     ])
     def test_pool_clamped_to_prefix_nodes(self, in_process_pool, n, cls, workers, size):
         clamped = extremal_search(n, [0.5], cls, workers=workers)
-        assert in_process_pool == [size]
+        assert in_process_pool == ([size] if size > 1 else [])
         assert clamped == extremal_search(n, [0.5], cls, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_prefix_walked_once(self, monkeypatch, in_process_pool, workers):
         # The prefix walk is shared, not repeated per shard: at any worker
         # count the walk tests no graph twice, and the prefix (the forests to
-        # order 5) is tested as at one worker. There the walk makes 26
-        # class_member calls, and one more checks the predicted witness.
+        # order 5 whose descendants can reach the floor) is tested as at one
+        # worker. There the walk makes 16 class_member calls, 15 of them
+        # below order 6, and one more checks the floor witness. The floor
+        # keeps two order-5 forests, so three workers are clamped to two.
         calls = []
 
         def counted(g, cls, new=None):
@@ -256,9 +347,9 @@ class TestExtremalSearch:
             assert len(walked) == len(set(walked))
             counts[w] = len(calls)
             prefix[w] = [g for g, _ in calls if g.n < 6]
-        assert counts[1] == 27
+        assert counts[1] == 17 and len(prefix[1]) == 15
         assert prefix[workers] == prefix[1]
-        assert in_process_pool == ([3] if workers > 1 else [])
+        assert in_process_pool == ([2] if workers > 1 else [])
 
     @pytest.mark.parametrize("cls", [
         CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
@@ -288,25 +379,28 @@ class TestExtremalSearch:
     def test_solves_distinct_members_deciding_each_leaf_once(self, monkeypatch, cls, n):
         solved = collections.defaultdict(list)
         decided = []
-        decide = enumeration.decide
+        emits = enumeration.emits
 
         def noted_solve(g, a):
             solved[a].append(g)
             return alpha_index(g, a)
 
-        def noted_decide(leaf, keep):
-            parent, _, mask = leaf
-            decided.append((parent.adj, mask))
-            return decide(leaf, keep)
+        def noted_emits(g, keep):
+            decided.append(g.adj)
+            return emits(g, keep)
 
         monkeypatch.setattr(harness, "alpha_index", noted_solve)
-        monkeypatch.setattr(enumeration, "decide", noted_decide)
+        monkeypatch.setattr(enumeration, "emits", noted_emits)
         extremal_search(n, (0.25, 0.75), cls)
         assert sorted(solved) == [0.25, 0.75]
+        witness = harness.floor_witness(cls, n)
         for graphs in solved.values():
-            # Only members, in full, and no isomorphism class twice.
-            assert all(g.n == n and class_member(g, cls) for g in graphs)
-            assert len({canonical_graph6(g) for g in graphs}) == len(graphs)
+            # The floor witness first, then only members, in full, and no
+            # isomorphism class twice.
+            assert graphs[0] == witness
+            census = graphs[1:]
+            assert all(g.n == n and class_member(g, cls) for g in census)
+            assert len({canonical_graph6(g) for g in census}) == len(census)
         assert decided and len(decided) == len(set(decided))
 
     def test_repeat_runs_identical(self):

@@ -1,7 +1,8 @@
 """Static checks on the package source: no import goes unused, no
 module-level private name is left without a reader, no public function or
-class is left without a reader or an export, and no ``module.name`` in the
-README or a docstring names what its module does not define.
+class is left without a reader or an export, no module-level import leaves
+a pinned allowlist, and no ``module.name`` in the README or a docstring
+names what its module does not define.
 
 Deleting a duplicate helper tends to leave its import, a private sibling,
 the public slow path it replaced or a sentence about it behind; these tests
@@ -121,6 +122,34 @@ def unresolved_references(texts: list[str], trees: dict[str, ast.Module]) -> lis
     ]
 
 
+# What the package may import at module level: today's standard-library
+# modules and numpy. A new import adds to every command's start-up time, so
+# widening this set is a decision, not a side effect.
+ALLOWED_IMPORTS = {
+    "__future__", "argparse", "collections", "contextlib", "csv", "dataclasses", "decimal",
+    "functools", "io", "itertools", "json", "math", "multiprocessing", "numpy", "os",
+    "pathlib", "sys", "typing",
+}
+
+
+def foreign_imports(trees: dict[str, ast.Module], allowed: set[str]) -> list[str]:
+    """``module:name`` for each top-level package that a module-level import
+    of ``trees`` names and ``allowed`` does not hold; the package's own
+    (relative) imports are always allowed."""
+    out = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                names = [alias.name for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
+                names = [stmt.module]
+            else:
+                continue
+            out += [f"{module}:{top}" for name in names
+                    if (top := name.split(".")[0]) not in allowed]
+    return out
+
+
 def _package_trees() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(), filename=str(path))
@@ -145,6 +174,12 @@ def test_every_private_name_is_read():
 
 def test_every_public_definition_is_read_or_exported():
     assert unread_publics(_package_trees(), _exported()) == []
+
+
+def test_imports_within_the_allowlist():
+    trees = _package_trees()
+    trees["__init__.py"] = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert foreign_imports(trees, ALLOWED_IMPORTS) == []
 
 
 def test_every_doc_reference_resolves():
@@ -176,3 +211,9 @@ def test_checks_catch_planted_leftovers():
     )
     assert unresolved_references(docstrings(e) + ["d._private and c.LIMIT"],
                                  {"c.py": c, "d.py": d}) == ["d.gone", "c.absent"]
+    f = ast.parse(
+        "import math, scipy.sparse\nfrom . import d\nfrom .d import helper\n"
+        "from networkx.algorithms import planarity\nfrom collections import abc\n\n"
+        "def g():\n    import pandas\n"
+    )
+    assert foreign_imports({"f.py": f}, ALLOWED_IMPORTS) == ["f.py:scipy", "f.py:networkx"]
