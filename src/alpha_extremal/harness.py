@@ -4,19 +4,26 @@ extremal_search runs one census per (class, order), floored at each weight
 by the alpha index of a known order-n member (floor_witness): every
 maximizer and every tie lies within TIE_TOL of that floor or above it. The
 enumeration walk extends only class members, testing each child once,
-through its new vertex, and decides a child below order n only when the
-degree sums derived from its parent's (enumeration.leaf_degree_sums), grown
-to bound its order-n descendants (enumeration.descendant_sums), can reach a
-floor at some weight. It leaves its order-n leaves (a parent and a neighbor
-mask each) undecided and unbuilt. At each weight of the grid the leaves are
-visited in decreasing order of a Collatz-Wielandt upper bound on their
-derived degree sums, from the floor, until no remaining bound can reach the
+through its new vertex. Each node carries an upper bound on its alpha index
+at each weight, 0 at the order-0 root: the smaller of spectral.bordered_bound
+on its parent's and the degree-vector bound of degree sums derived from its
+parent's (enumeration.leaf_degree_sums), and for a node whose children are
+of order n - 1 or n its Collatz-Wielandt bound too. A child below order n
+is decided only when its order-n descendants can reach a floor at some
+weight, by the bordered bound carried down to order n (once per child size)
+and then by its degree sums grown to bound them
+(enumeration.descendant_sums). The order-n leaves (a parent and a neighbor
+mask each) are left undecided and unbuilt, each keyed by its bordered
+bound, lowered to its derived degree-vector bound where the former can
+reach a floor. At each weight of the grid the leaves are visited in
+decreasing key order, from the floor, until no remaining key can reach the
 maximum; a leaf so reached is built, its bound tightened by a few power
 steps, and only if that still can is it decided (tie test, then
 membership), once for all weights, and solved if it is a member. The
 member prefix of the tree, to order min(n - 1, PREFIX_ORDER), is walked
 once under the same floor, its nodes are dealt out round robin with their
-automorphism groups, and each worker walks the leaves below its own.
+automorphism groups and bounds, and each worker walks the leaves below its
+own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -87,6 +94,7 @@ from .graphs import (
 from .minors import BicliqueMinor, CliqueMinor, MinorPattern, is_minor_free, settled_by_new_vertex
 from .spectral import (
     alpha_index,
+    bordered_bound,
     collatz_wielandt_bound,
     degree_vector_bound,
     quotient_alpha_index,
@@ -223,18 +231,73 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeration.Reach:
+def _bound_key(g: Graph):
+    """The key under which a census notes the bound of the walk node g before
+    g is built: its parent's adjacency and its new vertex's neighbour mask
+    (None for the order-0 root)."""
+    if not g.n:
+        return None
+    low = (1 << g.n - 1) - 1
+    return tuple(row & low for row in g.adj[:-1]), g.adj[-1]
+
+
+def _descendant_bound(top: float, a: float, k: int, order: int, j: int) -> float:
+    """bordered_bound carried from ``top``, a bound on a child on k
+    neighbours of order ``order``, to every order-(order + j) descendant:
+    the walk adds a vertex of minimum degree, and the child's is k, so step
+    i adds at most min(k + i, order + i - 1) neighbours."""
+    for i in range(1, j + 1):
+        top = bordered_bound(top, a, min(k + i, order + i - 1))
+    return top
+
+
+def _bounded_children(bounds: dict, g: Graph, masks: list[int], n: int,
+                      alphas: tuple[float, ...], margins: list[float]) -> list[tuple[int, list[float]]]:
+    """(mask, bordered_bound at each weight) of the children of node g whose
+    order-n descendants can reach some weight's margin, from g's bound, taken
+    out of ``bounds``. Masks come in size order, and the descendant bound
+    grows with the size, so the kept size classes are the largest ones.
+    When g's children are of order n - 1 or n, g's bound is first tightened
+    by its collatz_wielandt_bound at each weight where the largest class
+    reaches the margin; elsewhere no class can."""
+    order, j = g.n + 1, n - g.n - 1
+    noted, sums = bounds.pop(_bound_key(g))
+    rho = [min(top, degree_vector_bound(sums, a)) for top, a in zip(noted, alphas)]
+    if j <= 1:
+        k = masks[-1].bit_count()
+        rho = [min(r, collatz_wielandt_bound(g, a, GATE_POWER_STEPS))
+               if _descendant_bound(bordered_bound(r, a, k), a, k, order, j) >= m else r
+               for r, a, m in zip(rho, alphas, margins)]
+    classes, reached = [], False
+    for k, group in itertools.groupby(masks, int.bit_count):
+        tops = [bordered_bound(r, a, k) for r, a in zip(rho, alphas)]
+        reached = reached or any(_descendant_bound(top, a, k, order, j) >= m
+                                 for top, a, m in zip(tops, alphas, margins))
+        if reached:
+            classes += [(mask, tops) for mask in group]
+    return classes
+
+
+def _reach(n: int, alphas: tuple[float, ...], floors: list[float],
+           bounds: dict) -> enumeration.Reach:
     """The census's ``reach``: the children of a node whose order-n
-    descendants' degree-vector bounds (enumeration.descendant_sums) can
-    reach some weight's floor, within 2*TIE_TOL."""
+    descendants can reach some weight's floor, within 2*TIE_TOL, first by
+    size class (_bounded_children), then each by its degree sums grown to
+    bound its descendants (enumeration.descendant_sums). A reached child's
+    bordered_bound and degree sums are noted in the census's ``bounds``, to
+    bound it if the walk keeps it."""
+    margins = [floor - 2 * TIE_TOL for floor in floors]
+
     def reach(parent: Graph, masks: list[int]) -> list[int]:
         order = parent.n + 1
+        classes = _bounded_children(bounds, parent, masks, n, alphas, margins)
         reached = []
-        for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks)):
+        for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
+                parent, [mask for mask, _ in classes])):
             pairs = enumeration.descendant_sums(sums, order, n - order)
-            if any(degree_vector_bound(pairs, a) >= floor - 2 * TIE_TOL
-                   for a, floor in zip(alphas, floors)):
+            if any(degree_vector_bound(pairs, a) >= m for a, m in zip(alphas, margins)):
                 reached.append(mask)
+                bounds[parent.adj, mask] = tops, sums
         return reached
     return reach
 
@@ -246,43 +309,51 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
 
     Each weight's ``floor`` is the alpha index of an order-n member (see
     ``floor_witness``), so the maximum and its ties lie within TIE_TOL of it
-    or above. The walk decides only the nodes whose descendants' bounds can
-    reach a floor (``_reach``), and leaves its order-n leaves undecided and
-    unbuilt. They are visited in decreasing degree_vector_bound order (their
-    degree sums from enumeration.leaf_degree_sums, once for all weights,
-    exact integers equal to the built leaf's), ties by walk index, from a
-    best of floor - TIE_TOL, and the visit stops at the first bound below
-    the best minus 2*TIE_TOL. A leaf the visit reaches is built, and its
-    collatz_wielandt_bound, over the degree vector and GATE_POWER_STEPS
-    power steps, is taken; only a leaf whose bound is not below the same
-    margin is decided (tie test, then membership), once across weights, and
-    only an emitted one is solved. Both bounds are valid for the leaf's
-    index (every power iterate is a positive Collatz-Wielandt vector), and
-    the best never exceeds the maximum, so a leaf that is skipped, pruned
-    or gated out falls short of the maximum by more than 2*TIE_TOL minus the
-    float error of the bounds and of the solves (about 1e-15): whatever its
-    membership, it is neither a maximizer nor a tie. Every maximizer and
-    tie is solved, as in a visit over all the members.
+    or above. ``bounds`` holds the prefix walk's bound for each of ``roots``,
+    so the shard's work does not depend on the deal. The walk decides only
+    the nodes whose descendants' bounds can reach a floor (``_reach``), and
+    leaves its order-n leaves undecided and unbuilt. A leaf's key is its
+    bordered_bound from its parent's bound, and, where that reaches
+    floor - 3*TIE_TOL, the smaller of it and its degree_vector_bound (on
+    degree sums from enumeration.leaf_degree_sums, exact integers equal to
+    the built leaf's, derived once for all weights); a size class whose key
+    falls short of that at every weight is not listed. The leaves are
+    visited in decreasing key order, ties by walk index, from a best of
+    floor - TIE_TOL, and the visit stops at the first key below the best
+    minus 2*TIE_TOL, which no unlisted leaf reaches. A leaf the visit
+    reaches is built, and its collatz_wielandt_bound, over the degree vector
+    and GATE_POWER_STEPS power steps, is taken; only a leaf whose bound is
+    not below the same margin is decided (tie test, then membership), once
+    across weights, and only an emitted one is solved. Every bound is valid
+    for the leaf's index, and the best never exceeds the maximum, so a leaf
+    that is skipped, pruned or gated out falls short of the maximum by more
+    than 2*TIE_TOL minus the float error of the bounds and of the solves
+    (about 1e-15): whatever its membership, it is neither a maximizer nor a
+    tie. Every maximizer and tie is solved, as in a visit over all the
+    members.
     """
-    n, alphas, floors, cls, roots = args
+    n, alphas, floors, cls, roots, bounds = args
     keep = _member_of(cls)
+    visible = [floor - 3 * TIE_TOL for floor in floors]
     leaves = []  # lazy leaves, in walk order
-    table = [[] for _ in alphas]  # per weight, each leaf's degree-vector bound
+    table = [[] for _ in alphas]  # per weight, each leaf's key
     for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots,
-                                                  reach=_reach(n, alphas, floors)):
-        leaves += [(parent, gens, mask) for mask in masks]
-        for sums in enumeration.leaf_degree_sums(parent, masks):
-            for bounds, a in zip(table, alphas):
-                bounds.append(degree_vector_bound(sums, a))
+                                                  reach=_reach(n, alphas, floors, bounds)):
+        classes = _bounded_children(bounds, parent, masks, n, alphas, visible)
+        listed = [mask for mask, _ in classes]
+        leaves += [(parent, gens, mask) for mask in listed]
+        for (_, tops), sums in zip(classes, enumeration.leaf_degree_sums(parent, listed)):
+            for keys, a, top, v in zip(table, alphas, tops, visible):
+                keys.append(min(top, degree_vector_bound(sums, a)) if top >= v else top)
     built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
     emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
-    for a, floor, bounds in zip(alphas, floors, table):
+    for a, floor, keys in zip(alphas, floors, table):
         pairs = []
         best = floor - TIE_TOL
         # A stable sort, reversed, keeps ties in walk order.
-        for i in sorted(range(len(leaves)), key=bounds.__getitem__, reverse=True):
-            if bounds[i] < best - 2 * TIE_TOL:
+        for i in sorted(range(len(leaves)), key=keys.__getitem__, reverse=True):
+            if keys[i] < best - 2 * TIE_TOL:
                 break
             if i not in built:
                 built[i] = enumeration.build(leaves[i])
@@ -351,18 +422,24 @@ def extremal_search(
     and at order n only for the leaves that the visit reaches and the
     Collatz-Wielandt gate lets through; only those members are solved (see
     ``_census_shard``). The member prefix is walked once; shard s descends
-    from prefix nodes s, s + workers, ..., each handed its group, and at
-    most one process per node is started.
+    from prefix nodes s, s + workers, ..., each handed its group and its
+    bound from the census's one bound table, and at most one process per
+    node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
     witness = floor_witness(cls, n)
     floors = [alpha_index(witness, a).alpha_index for a in weights]
+    bounds = {_bound_key(enumeration.ROOT[0]): ([0.0] * len(weights), [])}
     prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), _member_of(cls),
-                               _reach(n, weights, floors))
+                               _reach(n, weights, floors, bounds))
     workers = max(1, min(workers, len(prefix)))
-    jobs = [(n, weights, floors, cls, prefix[s::workers]) for s in range(workers)]
+    jobs = []
+    for s in range(workers):
+        roots = prefix[s::workers]
+        jobs.append((n, weights, floors, cls, roots,
+                     {_bound_key(g): bounds[_bound_key(g)] for g, _ in roots}))
     if workers == 1:
         shards = [_census_shard(jobs[0])]
     else:

@@ -24,7 +24,11 @@ let a census order its members and skip those that cannot reach its maximum.
 degree_vector_bound reads (degree, neighbour-degree sum) pairs, which do not
 depend on the weight; the census derives them for its unbuilt leaves
 (enumeration.leaf_degree_sums), and grows those of a node above them into
-pairs that bound all its leaves (enumeration.descendant_sums).
+pairs that bound all its leaves (enumeration.descendant_sums). bordered_bound
+needs no graph at all: it bounds a graph with one vertex added on k
+neighbours from any upper bound on the graph's own index, so a census can
+carry a bound from each node down to its children and drop a whole size
+class of them at once.
 
 Every join construction has a tiny equitable quotient (one class per
 regular block). quotient_alpha_index builds its symmetrized form in closed
@@ -102,6 +106,26 @@ def degree_vector_bound(sums: list[tuple[int, int]], a: float) -> float:
     an edge, with M = a*D + (1-a)*A: collatz_wielandt_bound at steps = 0, bit
     for bit (0 when g has no edge). The weight is not validated."""
     return max([(a * d * d + (1.0 - a) * s) / d for d, s in sums], default=0.0)
+
+
+def bordered_bound(rho: float, a: float, k: int) -> float:
+    """Upper bound on the alpha index of a graph P plus one vertex on k
+    neighbours, from an upper bound ``rho`` on P's alpha index: rho itself at
+    k = 0 (an isolated vertex adds the eigenvalue 0), else the larger
+    eigenvalue of [[rho + a, (1-a)*sqrt(k)], [(1-a)*sqrt(k), a*k]]
+    (the classical 2 x 2 bordered-matrix estimate; Horn and Johnson, *Matrix
+    Analysis*, 4.3). Increasing in rho and in k. The weight is not validated.
+
+    The new matrix is [[M + a*D_N, (1-a)*1_N], [(1-a)*1_N^T, a*k]], with M
+    P's matrix and D_N the 0/1 diagonal of the neighbour set N. For a unit
+    vector (x, y) its quadratic form is at most (rho + a)|x|^2 +
+    2(1-a)sqrt(k)|x||y| + a*k*y^2, since x^T M x <= rho|x|^2, x^T D_N x <=
+    |x|^2 and 1_N^T x <= sqrt(k)|x| (Cauchy-Schwarz); that is the 2 x 2
+    form above at (|x|, |y|)."""
+    if not k:
+        return rho
+    p, q = rho + a, a * k
+    return (p + q) / 2 + math.sqrt(((p - q) / 2) ** 2 + (1.0 - a) ** 2 * k)
 
 
 def collatz_wielandt_bound(g: Graph, alpha: float, steps: int) -> float:

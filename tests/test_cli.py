@@ -387,11 +387,12 @@ class TestCheckCommand:
         # The forests to order 5 whose descendants can reach a weight's
         # floor are tested alike at every worker count; at one worker, the
         # order-6 forests the bound order reaches and the gate lets through
-        # are tested too, plus the floor witness.
+        # are tested too, plus the floor witness. (Before each node carried a
+        # bordered bound to its children: (21, 23) and (15, 17).)
         for grid in ("0.25,0.5,0.75", "0.5"):
             assert prefix[grid, "1"] == prefix[grid, "3"]
-        assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (21, 23)
-        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (15, 17)
+        assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (17, 19)
+        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (14, 16)
 
     def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness
@@ -572,15 +573,22 @@ class TestReportPins:
         assert out_dir_digest(tmp_path) == digest
 
     # Censuses whose shards each walk and decide their own leaves: below the
-    # order-6 prefix, or at n <= 6 below the order-(n-1) one.
-    @pytest.mark.parametrize("argv, digest", [
-        pin for pin in REPORT_PINS
-        if pin.id in ("T1-r4-n8", "T2-s2t3-n7", "T3-2,2-n9", "T1-r3-n4:8", "T3-1,1-n6")
+    # order-6 prefix, or at n <= 6 below the order-(n-1) one. Each order
+    # with more than one prefix node opens a pool of min(3, prefix nodes):
+    # the floor leaves two order-4 prefix nodes at T1 r=3 n=5 and two order-5
+    # ones at T3 (1,1) n=6, where every such pool was of 3 before each node
+    # carried a bordered bound to its children.
+    @pytest.mark.parametrize("argv, digest, pools", [
+        pytest.param(*pin.values, pools, id=pin.id) for pin in REPORT_PINS
+        for pin_id, pools in (("T1-r4-n8", [3]), ("T2-s2t3-n7", [3]), ("T3-2,2-n9", [3]),
+                              ("T1-r3-n4:8", [2, 3, 3, 3]), ("T3-1,1-n6", [2]))
+        if pin.id == pin_id
     ])
-    def test_report_bytes_at_three_workers(self, capsys, tmp_path, in_process_pool, argv, digest):
+    def test_report_bytes_at_three_workers(self, capsys, tmp_path, in_process_pool, argv, digest,
+                                           pools):
         code, _, _ = run(capsys, "check", *argv, "--workers", "3", "--out", str(tmp_path))
         assert code == 0
-        assert in_process_pool and set(in_process_pool) == {3}
+        assert in_process_pool == pools
         assert out_dir_digest(tmp_path) == digest
 
     # Order 1, walked from the order-0 root, the one prefix node. T2 has no

@@ -1,9 +1,11 @@
 import collections
 import functools
 import json
+import math
 import re
 
 import jsonschema
+import numpy as np
 import pytest
 
 from alpha_extremal import enumeration, harness
@@ -33,8 +35,13 @@ from alpha_extremal.harness import (
     reports_to_csv,
     sweep_inequalities,
 )
-from alpha_extremal.spectral import alpha_index, degree_vector_bound, quotient_alpha_index
-from conftest import degree_sums, delete_vertex
+from alpha_extremal.spectral import (
+    alpha_index,
+    bordered_bound,
+    degree_vector_bound,
+    quotient_alpha_index,
+)
+from conftest import alpha_matrix, degree_sums, delete_vertex
 from test_enumeration import COSTLY_AT_ORDER_8, HEREDITARY
 
 REPORT_SCHEMA = {
@@ -97,6 +104,29 @@ class TestAnchoredMembership:
         assert asked
 
 
+def counted_work(monkeypatch, n):
+    """A Counter, filled as the census runs, of its walk labelings, minor or
+    star-forest searches, Collatz-Wielandt bounds and order-n builds."""
+    counts = collections.Counter()
+    for module, name in ((enumeration, "canonical_labeling_masks"),
+                         (harness, "is_minor_free"), (harness, "is_star_forest_free"),
+                         (harness, "collatz_wielandt_bound")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    unchecked = Graph.unchecked
+
+    def noted_build(order, adj):
+        counts["built"] += order == n
+        return unchecked(order, adj)
+
+    # The walk makes its graphs through Graph.unchecked and nothing else does.
+    monkeypatch.setattr(Graph, "unchecked", staticmethod(noted_build))
+    return counts
+
+
 class TestWorkCounts:
     """The deterministic work of census checks, so that a change that brings
     work back shows without timing: walk labelings (a tie settled by twins
@@ -110,37 +140,40 @@ class TestWorkCounts:
     463, 138, 60, 347, 397 and 3,809 searches in the rows below. An order-n
     leaf is built (its graph made) only when the bound order reaches it, and
     decided only when its gate lets it through: building every leaf made
-    174, 2,138, 363, 9,335 and 8,775 order-n graphs in the first five rows."""
+    174, 2,138, 363, 9,335 and 8,775 order-n graphs in the first five rows.
+    Before each node carried a bordered bound to its children, the rows took
+    52, 51, 21, 38, 48 and 151 labelings, 221, 62, 34, 48, 78 and 254
+    searches, and built 3, 151, 23, 37, 83 and 442 order-n graphs."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 52, 221, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 51, 62, 151),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 21, 34, 23),
-        (CliqueMinorFree(5), 8, [0.5], 38, 48, 37),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 48, 78, 83),
-        (CliqueMinorFree(5), 9, [0.5], 151, 254, 442),
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 52, 213, 3),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 44, 59, 15),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 21, 34, 21),
+        (CliqueMinorFree(5), 8, [0.5], 34, 44, 19),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 43, 73, 49),
+        (CliqueMinorFree(5), 9, [0.5], 104, 202, 17),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
-        counts = collections.Counter()
-        for module, name in ((enumeration, "canonical_labeling_masks"),
-                             (harness, "is_minor_free"), (harness, "is_star_forest_free")):
-            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-        unchecked = Graph.unchecked
-
-        def noted_build(order, adj):
-            counts["built"] += order == n
-            return unchecked(order, adj)
-
-        # The walk makes its graphs through Graph.unchecked and nothing else does.
-        monkeypatch.setattr(Graph, "unchecked", staticmethod(noted_build))
+        counts = counted_work(monkeypatch, n)
         check_theorem(cls, n, weights, workers=1)
         assert counts["canonical_labeling_masks"] == labelings
         assert counts["is_minor_free"] + counts["is_star_forest_free"] == tests
         assert counts["built"] == built
+
+    def test_no_state_outlives_a_census(self, monkeypatch, in_process_pool):
+        # The T1-r4-n8 row twice in one process, then dealt to two shards
+        # (run in process here): a bound kept from one census, or shared
+        # between shards, would change the work of the next, and one kept
+        # from an earlier test would change the first from its pins.
+        cls, n, weights = CliqueMinorFree(4), 8, [0.25, 0.75]
+        pinned = {"canonical_labeling_masks": 44, "is_minor_free": 59,
+                  "collatz_wielandt_bound": 88, "built": 15}
+        counts = counted_work(monkeypatch, n)
+        for workers in (1, 1, 2):
+            counts.clear()
+            check_theorem(cls, n, weights, workers=workers)
+            assert counts == pinned, workers
+        assert in_process_pool == [2]
 
 
 class TestDerivedLeafSums:
@@ -165,6 +198,100 @@ class TestDerivedLeafSums:
                     assert degree_vector_bound(sums, a).hex() == degree_vector_bound(want, a).hex()
                 checked += 1
         assert checked
+
+
+BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+def without_shift(rho, a, k):
+    """A planted defect: bordered_bound without the a that the new edges add
+    to the old neighbours' diagonal."""
+    if not k:
+        return rho
+    p, q = rho, a * k
+    return (p + q) / 2 + math.sqrt(((p - q) / 2) ** 2 + (1.0 - a) ** 2 * k)
+
+
+def dense_indices(adjacency, a):
+    """The alpha index of each 0/1 adjacency matrix in a stack, by eigvalsh."""
+    m = adjacency.shape[-1]
+    matrices = a * adjacency.sum(axis=-1)[..., None] * np.eye(m) + (1.0 - a) * adjacency
+    return np.linalg.eigvalsh(matrices)[..., -1]
+
+
+def bordered_failures(graphs_by_order, bound):
+    """(checked, failures) of ``bound`` over every graph of order 1..6, every
+    neighbour mask of a new vertex and every weight of BORDERED_WEIGHTS:
+    bound(parent's index, a, k) must not fall below the child's index."""
+    checked = failures = 0
+    for n in range(1, 7):
+        masks = np.arange(1 << n)
+        bits = (masks[:, None] >> np.arange(n) & 1).astype(float)
+        for g in graphs_by_order[n]:
+            children = np.zeros((len(masks), n + 1, n + 1))
+            children[:, :n, :n] = alpha_matrix(g, 0.0)  # the adjacency matrix
+            children[:, :n, n] = children[:, n, :n] = bits
+            for a in BORDERED_WEIGHTS:
+                rho = float(dense_indices(children[0, :n, :n], a))
+                for k, want in zip(bits.sum(axis=1).astype(int), dense_indices(children, a)):
+                    checked += 1
+                    failures += bool(bound(rho, a, int(k)) < want - 1e-12)
+    return checked, failures
+
+
+def nested_bordered_failures(keep, order):
+    """(checked, failures) of the census's carried bound over the walk to
+    ``order``: from each kept node A of exact index rho, bordered_bound on
+    the child on k neighbours, carried on by harness._descendant_bound,
+    must bound every kept descendant 1, 2 or 3 levels below A through that
+    child, at every weight of BORDERED_WEIGHTS."""
+    checked = failures = 0
+
+    def walk(g, gens, above):
+        nonlocal checked, failures
+        # The order-0 root's index is taken as 0, as the census takes it.
+        rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
+               for a in BORDERED_WEIGHTS]
+        for parent, _, masks in enumeration.leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
+            for mask in masks:
+                if (node := enumeration.kept_node((parent, gens, mask), keep)) is None:
+                    continue
+                m = g.n + 1
+                path = above + [(rho, mask.bit_count())]
+                want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
+                for j, (ancestor, k) in enumerate(reversed(path[-3:]), start=1):
+                    for a, r, w in zip(BORDERED_WEIGHTS, ancestor, want):
+                        top = harness.bordered_bound(r, a, k)
+                        checked += 1
+                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
+                if m < order:
+                    walk(*node, path)
+
+    walk(*enumeration.ROOT, [])
+    return checked, failures
+
+
+class TestBorderedBound:
+    """bordered_bound bounds a graph with one vertex added from a bound on
+    the graph's own index, for every graph of order <= 6 and every mask; and
+    carried down the walk, as the census carries it, it bounds every kept
+    descendant 1 to 3 levels down."""
+
+    def test_bounds_every_one_vertex_extension(self, graphs_by_order):
+        assert bordered_failures(graphs_by_order, bordered_bound) == (56450, 0)
+
+    @pytest.mark.parametrize("name, order", [(None, 7)] + [
+        (name, 8) for name in ("K4-minor-free", "K23-minor-free", "S2+S2-free")])
+    def test_carried_bound_covers_every_kept_descendant(self, name, order):
+        checked, failures = nested_bordered_failures(HEREDITARY.get(name, lambda g: True), order)
+        assert checked and failures == 0
+
+    def test_catches_a_planted_defect(self, monkeypatch, graphs_by_order):
+        checked, failures = bordered_failures(graphs_by_order, without_shift)
+        assert checked and failures
+        monkeypatch.setattr(harness, "bordered_bound", without_shift)
+        checked, failures = nested_bordered_failures(lambda g: True, 6)
+        assert checked and failures
 
 
 FLOOR_CLASSES = [CliqueMinorFree(r) for r in range(3, 7)] + [
@@ -329,9 +456,10 @@ class TestExtremalSearch:
         # The prefix walk is shared, not repeated per shard: at any worker
         # count the walk tests no graph twice, and the prefix (the forests to
         # order 5 whose descendants can reach the floor) is tested as at one
-        # worker. There the walk makes 16 class_member calls, 15 of them
-        # below order 6, and one more checks the floor witness. The floor
-        # keeps two order-5 forests, so three workers are clamped to two.
+        # worker. There the walk makes 15 class_member calls, 14 of them
+        # below order 6, and one more checks the floor witness (16 and 15
+        # before each node carried a bordered bound to its children). The
+        # floor keeps two order-5 forests, so three workers are clamped to two.
         calls = []
 
         def counted(g, cls, new=None):
@@ -347,7 +475,7 @@ class TestExtremalSearch:
             assert len(walked) == len(set(walked))
             counts[w] = len(calls)
             prefix[w] = [g for g, _ in calls if g.n < 6]
-        assert counts[1] == 17 and len(prefix[1]) == 15
+        assert counts[1] == 16 and len(prefix[1]) == 14
         assert prefix[workers] == prefix[1]
         assert in_process_pool == ([2] if workers > 1 else [])
 
