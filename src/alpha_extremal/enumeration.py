@@ -47,12 +47,13 @@ built leaf the tie test, then ``keep``, ``decide`` does both, and
 below it needs no labeling. ``leaf_degree_sums`` is the other reader of a
 family's masks: each child's (degree, neighbor-degree sum) pairs, derived
 from the parent's, so that a caller can bound a child's alpha index before
-building it, and ``descendant_sums`` grows them into pairs that bound every
-order-n descendant of the child.
-A caller's ``reach`` may drop children below order n before they are
-decided: ``reach(parent, masks)`` keeps the masks of those it needs (the
-census, those whose descendants can reach its floor), and the walk neither
-decides nor descends into the rest. By default it reaches every child.
+building it.
+A caller's ``reach`` may drop children before they are decided, at every
+order: ``reach(parent, masks)``, asked once per kept node below order n,
+keeps the masks of those it needs (the census, those whose order-n
+descendants can reach its floor). The walk neither decides nor descends
+into the rest, and a family of order-n leaves holds only the masks it kept.
+By default it reaches every child.
 ``nodes`` gives the reached, kept nodes of one order, with their groups,
 from which ``leaves`` may continue the walk. ``enumerate_graphs`` is the
 walk with every leaf decided in turn; a caller that needs only some leaves
@@ -63,7 +64,7 @@ in any order, since a leaf's decision depends only on the leaf and
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_labeling_masks, orbit, stabilizer
@@ -78,7 +79,7 @@ Node = tuple[Graph, Gens]
 # Lazy leaves: a kept node, its generators and the neighbor masks of its children.
 Family = tuple[Graph, Gens, list[int]]
 Leaf = tuple[Graph, Gens, int]
-# Which children of a kept node the walk decides: (node, masks) -> masks.
+# Which children of a kept node the walk goes on with: (node, masks) -> masks.
 Reach = Callable[[Graph, list[int]], list[int]]
 # The walk's root: the order-0 graph, whose only child is K1.
 ROOT: Node = (Graph(0, ()), [])
@@ -223,37 +224,6 @@ def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
     return g, group
 
 
-def descendant_sums(sums: list[tuple[int, int]], order: int, j: int) -> list[tuple[int, int]]:
-    """(degree, neighbor-degree sum) pairs that dominate, pair for pair in
-    spectral.degree_vector_bound, every vertex of every order-(order + j)
-    descendant of a node with the derived ``sums`` (``leaf_degree_sums``; a
-    vertex with no edge has no pair): ``sums`` itself at j = 0.
-
-    The walk adds a vertex of minimum degree, so with delta the node's
-    minimum degree, step i adds a vertex with at most K_i = delta + i
-    neighbors (delta <= order - 1, so K_i never exceeds the order + i - 1
-    vertices there), whose final degree is at most D = K_i + j - i =
-    delta + j. An old vertex (d, S) that gains e new neighbors ends at
-    (d + e, at most S + sum_i min(d, K_i) + e*D): step i adds at most
-    min(d, K_i) to its old neighbors' degrees. Its term is a(d + e) plus
-    (1 - a) times a Moebius function of e, so convex or increasing in e, and
-    largest at e = 0 or e = j. A new vertex of final degree t <= D has
-    neighbor-degree sum at most the t largest caps among the others: d + j
-    for an old vertex, D for a new one."""
-    if not j:
-        return sums
-    isolated = order - len(sums)
-    delta = 0 if isolated else min(d for d, _ in sums)
-    top = delta + j
-    pairs = [(j, j * top)] if isolated else []
-    for d, s in sums:
-        q = min(j, d - delta)  # the steps i with delta + i <= d
-        s += q * delta + q * (q + 1) // 2 + (j - q) * d
-        pairs += [(d, s), (d + j, s + j * top)]
-    caps = sorted([d + j for d, _ in sums] + [j] * isolated + [top] * (j - 1), reverse=True)
-    return pairs + list(enumerate(accumulate(caps[:top]), start=1))
-
-
 def _keep_all(g: Graph) -> bool:
     return True
 
@@ -262,11 +232,9 @@ def _reach_all(parent: Graph, masks: list[int]) -> list[int]:
     return masks
 
 
-def _children(g: Graph, gens: Gens, masks: list[int], keep: Callable[[Graph], bool],
-              reach: Reach) -> Iterator[Node]:
-    """The kept children of node g, in walk order, among those ``reach``
-    lets the walk decide."""
-    for mask in reach(g, masks):
+def _children(g: Graph, gens: Gens, masks: list[int], keep: Callable[[Graph], bool]) -> Iterator[Node]:
+    """The kept children of node g on ``masks``, in walk order."""
+    for mask in masks:
         if (node := kept_node((g, gens, mask), keep)) is not None:
             yield node
 
@@ -274,13 +242,14 @@ def _children(g: Graph, gens: Gens, masks: list[int], keep: Callable[[Graph], bo
 def _descend(g: Graph, gens: Gens, target: int, keep: Callable[[Graph], bool],
              reach: Reach) -> Iterator[Family]:
     """The lazy leaves below the kept node g (of order below the target),
-    by parent; ``gens`` generate Aut(g). Nodes below the target are decided
-    here; the leaves are not."""
-    masks = list(_masks(g.n, g.adj, gens))
+    by parent, among the children ``reach`` keeps at each node; ``gens``
+    generate Aut(g). Nodes below the target are decided here; the leaves
+    are not."""
+    masks = reach(g, list(_masks(g.n, g.adj, gens)))
     if g.n + 1 == target:
         yield g, gens, masks
         return
-    for node in _children(g, gens, masks, keep, reach):
+    for node in _children(g, gens, masks, keep):
         yield from _descend(*node, target, keep, reach)
 
 
@@ -309,9 +278,11 @@ def leaves(
     order. See ``enumerate_graphs`` for ``keep``.
 
     ``reach(parent, masks)`` gives, in order, the masks of the children of a
-    kept node below order n - 1 that the walk decides and descends into; a
-    caller drops those with no order-n descendant it needs. The default
-    reaches every child. Every family at order n is whole.
+    kept node that the walk goes on with: below order n - 1 it decides them
+    and descends into the kept ones, and at order n - 1 they are the node's
+    family. It is asked once per kept node below order n; a caller drops the
+    children with no order-n descendant it needs. The default reaches every
+    child, so that every family is whole.
     """
     check_order(n)
     for g, gens in roots:
@@ -326,7 +297,7 @@ def nodes(m: int, keep: Callable[[Graph], bool], reach: Reach = _reach_all) -> l
     if m == 0:
         return [ROOT]
     return [node for parent, gens, masks in leaves(m, keep=keep, reach=reach)
-            for node in _children(parent, gens, masks, keep, reach)]
+            for node in _children(parent, gens, masks, keep)]
 
 
 def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:

@@ -4,26 +4,24 @@ extremal_search runs one census per (class, order), floored at each weight
 by the alpha index of a known order-n member (floor_witness): every
 maximizer and every tie lies within TIE_TOL of that floor or above it. The
 enumeration walk extends only class members, testing each child once,
-through its new vertex. Each node carries an upper bound on its alpha index
-at each weight, 0 at the order-0 root: the smaller of spectral.bordered_bound
-on its parent's and the degree-vector bound of degree sums derived from its
-parent's (enumeration.leaf_degree_sums), and for a node whose children are
-of order n - 1 or n its Collatz-Wielandt bound too. A child below order n
-is decided only when its order-n descendants can reach a floor at some
-weight, by the bordered bound carried down to order n (once per child size)
-and then by its degree sums grown to bound them
-(enumeration.descendant_sums). The order-n leaves (a parent and a neighbor
-mask each) are left undecided and unbuilt, each keyed by its bordered
-bound, lowered to its derived degree-vector bound where the former can
-reach a floor. At each weight of the grid the leaves are visited in
-decreasing key order, from the floor, until no remaining key can reach the
-maximum; a leaf so reached is built, its bound tightened by a few power
-steps, and only if that still can is it decided (tie test, then
-membership), once for all weights, and solved if it is a member. The
-member prefix of the tree, to order min(n - 1, PREFIX_ORDER), is walked
-once under the same floor, its nodes are dealt out round robin with their
-automorphism groups and bounds, and each worker walks the leaves below its
-own.
+through its new vertex. Each child carries one upper bound on its alpha
+index at each weight, 0 at the order-0 root: the smaller of
+spectral.bordered_bound on its parent's and the degree-vector bound of
+degree sums derived from its parent's (enumeration.leaf_degree_sums), and
+for a node whose children are of order n - 1 or n its Collatz-Wielandt
+bound too. A child is kept only when that bound, carried down to order n
+by bordered_bound (first once per child size, then per child), can reach
+a floor at some weight within 2*TIE_TOL; a kept child below order n is
+decided, and the kept order-n leaves (a parent and a neighbor mask each)
+are left undecided and unbuilt, each keyed by its bound. At each weight of
+the grid the leaves are visited in decreasing key order, from the floor,
+until no remaining key can reach the maximum; a leaf so reached is built,
+its bound tightened by a few power steps, and only if that still can is it
+decided (tie test, then membership), once for all weights, and solved if
+it is a member. The member prefix of the tree, to order
+min(n - 1, PREFIX_ORDER), is walked once under the same floor, its nodes
+are dealt out round robin with their automorphism groups and bounds, and
+each worker walks the leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -261,8 +259,7 @@ def _bounded_children(bounds: dict, g: Graph, masks: list[int], n: int,
     by its collatz_wielandt_bound at each weight where the largest class
     reaches the margin; elsewhere no class can."""
     order, j = g.n + 1, n - g.n - 1
-    noted, sums = bounds.pop(_bound_key(g))
-    rho = [min(top, degree_vector_bound(sums, a)) for top, a in zip(noted, alphas)]
+    rho = bounds.pop(_bound_key(g))
     if j <= 1:
         k = masks[-1].bit_count()
         rho = [min(r, collatz_wielandt_bound(g, a, GATE_POWER_STEPS))
@@ -282,10 +279,12 @@ def _reach(n: int, alphas: tuple[float, ...], floors: list[float],
            bounds: dict) -> enumeration.Reach:
     """The census's ``reach``: the children of a node whose order-n
     descendants can reach some weight's floor, within 2*TIE_TOL, first by
-    size class (_bounded_children), then each by its degree sums grown to
-    bound its descendants (enumeration.descendant_sums). A reached child's
-    bordered_bound and degree sums are noted in the census's ``bounds``, to
-    bound it if the walk keeps it."""
+    size class (_bounded_children), then each by its own bound, the smaller
+    of its bordered_bound and the degree_vector_bound of its degree sums
+    (enumeration.leaf_degree_sums), carried down to order n by
+    _descendant_bound. A reached child's own bound at each weight is noted
+    in the census's ``bounds``: to bound it if the walk keeps it, or, at
+    order n, to key it."""
     margins = [floor - 2 * TIE_TOL for floor in floors]
 
     def reach(parent: Graph, masks: list[int]) -> list[int]:
@@ -294,10 +293,11 @@ def _reach(n: int, alphas: tuple[float, ...], floors: list[float],
         reached = []
         for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
                 parent, [mask for mask, _ in classes])):
-            pairs = enumeration.descendant_sums(sums, order, n - order)
-            if any(degree_vector_bound(pairs, a) >= m for a, m in zip(alphas, margins)):
+            own = [min(top, degree_vector_bound(sums, a)) for top, a in zip(tops, alphas)]
+            if any(_descendant_bound(r, a, mask.bit_count(), order, n - order) >= m
+                   for r, a, m in zip(own, alphas, margins)):
                 reached.append(mask)
-                bounds[parent.adj, mask] = tops, sums
+                bounds[parent.adj, mask] = own
         return reached
     return reach
 
@@ -311,49 +311,38 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     ``floor_witness``), so the maximum and its ties lie within TIE_TOL of it
     or above. ``bounds`` holds the prefix walk's bound for each of ``roots``,
     so the shard's work does not depend on the deal. The walk decides only
-    the nodes whose descendants' bounds can reach a floor (``_reach``), and
-    leaves its order-n leaves undecided and unbuilt. A leaf's key is its
-    bordered_bound from its parent's bound, and, where that reaches
-    floor - 3*TIE_TOL, the smaller of it and its degree_vector_bound (on
-    degree sums from enumeration.leaf_degree_sums, exact integers equal to
-    the built leaf's, derived once for all weights); a size class whose key
-    falls short of that at every weight is not listed. The leaves are
-    visited in decreasing key order, ties by walk index, from a best of
-    floor - TIE_TOL, and the visit stops at the first key below the best
-    minus 2*TIE_TOL, which no unlisted leaf reaches. A leaf the visit
-    reaches is built, and its collatz_wielandt_bound, over the degree vector
-    and GATE_POWER_STEPS power steps, is taken; only a leaf whose bound is
-    not below the same margin is decided (tie test, then membership), once
-    across weights, and only an emitted one is solved. Every bound is valid
-    for the leaf's index, and the best never exceeds the maximum, so a leaf
-    that is skipped, pruned or gated out falls short of the maximum by more
-    than 2*TIE_TOL minus the float error of the bounds and of the solves
-    (about 1e-15): whatever its membership, it is neither a maximizer nor a
-    tie. Every maximizer and tie is solved, as in a visit over all the
-    members.
+    the nodes whose descendants' bounds can reach a floor, and lists only
+    the order-n leaves whose own bounds can (``_reach``), undecided and
+    unbuilt, each keyed by that bound. The leaves are visited in decreasing
+    key order, ties by walk index, from a best of floor - TIE_TOL, and the
+    visit stops at the first key below the best minus 2*TIE_TOL, which no
+    unlisted leaf reaches. A leaf the visit reaches is built, and its
+    collatz_wielandt_bound, over the degree vector and GATE_POWER_STEPS
+    power steps, is taken; only a leaf whose bound is not below the same
+    margin is decided (tie test, then membership), once across weights, and
+    only an emitted one is solved. Every bound is valid for the leaf's
+    index, and the best never exceeds the maximum, so a leaf that is
+    skipped, pruned or gated out falls short of the maximum by more than
+    2*TIE_TOL minus the float error of the bounds and of the solves (about
+    1e-15): whatever its membership, it is neither a maximizer nor a tie.
+    Every maximizer and tie is solved, as in a visit over all the members.
     """
     n, alphas, floors, cls, roots, bounds = args
     keep = _member_of(cls)
-    visible = [floor - 3 * TIE_TOL for floor in floors]
-    leaves = []  # lazy leaves, in walk order
-    table = [[] for _ in alphas]  # per weight, each leaf's key
+    leaves, keys = [], []  # lazy leaves, in walk order, and each one's key at each weight
     for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots,
                                                   reach=_reach(n, alphas, floors, bounds)):
-        classes = _bounded_children(bounds, parent, masks, n, alphas, visible)
-        listed = [mask for mask, _ in classes]
-        leaves += [(parent, gens, mask) for mask in listed]
-        for (_, tops), sums in zip(classes, enumeration.leaf_degree_sums(parent, listed)):
-            for keys, a, top, v in zip(table, alphas, tops, visible):
-                keys.append(min(top, degree_vector_bound(sums, a)) if top >= v else top)
+        leaves += [(parent, gens, mask) for mask in masks]
+        keys += [bounds.pop((parent.adj, mask)) for mask in masks]
     built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
     emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
-    for a, floor, keys in zip(alphas, floors, table):
+    for w, (a, floor) in enumerate(zip(alphas, floors)):
         pairs = []
         best = floor - TIE_TOL
         # A stable sort, reversed, keeps ties in walk order.
-        for i in sorted(range(len(leaves)), key=keys.__getitem__, reverse=True):
-            if keys[i] < best - 2 * TIE_TOL:
+        for i in sorted(range(len(leaves)), key=lambda i: keys[i][w], reverse=True):
+            if keys[i][w] < best - 2 * TIE_TOL:
                 break
             if i not in built:
                 built[i] = enumeration.build(leaves[i])
@@ -431,7 +420,7 @@ def extremal_search(
     weights = tuple(require_open_weight(a) for a in alphas)
     witness = floor_witness(cls, n)
     floors = [alpha_index(witness, a).alpha_index for a in weights]
-    bounds = {_bound_key(enumeration.ROOT[0]): ([0.0] * len(weights), [])}
+    bounds = {_bound_key(enumeration.ROOT[0]): [0.0] * len(weights)}
     prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), _member_of(cls),
                                _reach(n, weights, floors, bounds))
     workers = max(1, min(workers, len(prefix)))

@@ -22,13 +22,12 @@ degree_vector_bound and collatz_wielandt_bound are cheap upper bounds on that
 eigenvalue, from the degree vector and from a few power iterates of it, which
 let a census order its members and skip those that cannot reach its maximum.
 degree_vector_bound reads (degree, neighbour-degree sum) pairs, which do not
-depend on the weight; the census derives them for its unbuilt leaves
-(enumeration.leaf_degree_sums), and grows those of a node above them into
-pairs that bound all its leaves (enumeration.descendant_sums). bordered_bound
-needs no graph at all: it bounds a graph with one vertex added on k
-neighbours from any upper bound on the graph's own index, so a census can
-carry a bound from each node down to its children and drop a whole size
-class of them at once.
+depend on the weight; the census derives them for each unbuilt child
+(enumeration.leaf_degree_sums). bordered_bound needs no graph at all: it
+bounds a graph with one vertex added on k neighbours from any upper bound
+on the graph's own index, so a census can carry a bound from each node down
+to its children, and on to their descendants, and drop a whole size class
+of them at once.
 
 Every join construction has a tiny equitable quotient (one class per
 regular block). quotient_alpha_index builds its symmetrized form in closed

@@ -388,11 +388,15 @@ class TestCheckCommand:
         # floor are tested alike at every worker count; at one worker, the
         # order-6 forests the bound order reaches and the gate lets through
         # are tested too, plus the floor witness. (Before each node carried a
-        # bordered bound to its children: (21, 23) and (15, 17).)
+        # bordered bound to its children: (21, 23) and (15, 17); while degree
+        # sums were grown down: (17, 19) and (14, 16).) The three-weight
+        # prefix ends in four order-5 forests, dealt to three shards; the
+        # one-weight prefix ends in one, so no pool is opened for it.
         for grid in ("0.25,0.5,0.75", "0.5"):
             assert prefix[grid, "1"] == prefix[grid, "3"]
+        assert in_process_pool == [3]
         assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (17, 19)
-        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (14, 16)
+        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (13, 15)
 
     def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness

@@ -10,17 +10,14 @@ from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit
 from alpha_extremal.enumeration import (
     EnumerationCapError,
     decide,
-    descendant_sums,
     enumerate_graphs,
     kept_node,
-    leaf_degree_sums,
     leaves,
     nodes,
 )
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph, permute_mask
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
-from alpha_extremal.spectral import degree_vector_bound
 from alpha_extremal.star_forests import is_star_forest_free
 from conftest import GRAPH_CENSUS, brute_force_automorphisms, generated_group, unpruned_labeling
 
@@ -324,71 +321,55 @@ class TestDerivedGroups:
             assert mask_orbit_labels(g.n, gens) == mask_orbit_labels(g.n, labeled)
 
 
-def without_neighbor_gain(sums, order, j):
-    """A planted defect: descendant_sums without the degree its old
-    vertices' old neighbors gain, sum_i min(d, K_i)."""
-    if not j:
-        return sums
-    isolated = order - len(sums)
-    delta = 0 if isolated else min(d for d, _ in sums)
-    top = delta + j
-    pairs = [(j, j * top)] if isolated else []
-    for d, s in sums:
-        pairs += [(d, s), (d + j, s + j * top)]
-    caps = sorted([d + j for d, _ in sums] + [j] * isolated + [top] * (j - 1), reverse=True)
-    return pairs + [(t, sum(caps[:t])) for t in range(1, top + 1)]
+def every_third_dropped(asked):
+    """A ``reach`` that drops every third child of each node (keeping the
+    first) and notes, per node asked, the node and the masks it kept."""
+    def reach(parent, masks):
+        assert parent.adj not in asked
+        kept = [mask for i, mask in enumerate(masks) if (i + 1) % 3]
+        asked[parent.adj] = parent, kept
+        return kept
+    return reach
 
 
-BOUND_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
+def kept_children(parent, masks, keep):
+    """The adjacencies of the children of ``parent`` on ``masks`` that the
+    walk keeps."""
+    return [g.adj for mask in masks
+            if (g := enumeration.build((parent, [], mask))) is not None
+            and enumeration.emits(g, keep)]
 
 
-def descendant_bound_failures(keep, order, bound=descendant_sums):
-    """(checked, failures) of the node bound ``bound`` over the walk to
-    ``order``: every kept node of order m is an order-m descendant of each of
-    its ancestors 1, 2 and 3 levels up, whose derived pairs (from
-    leaf_degree_sums, as the census derives them) must bound its
-    degree_vector_bound at every weight of BOUND_WEIGHTS."""
-    checked = failures = 0
+class TestReachContract:
+    """A caller's ``reach`` filters the children of every kept node below
+    the target order, the parents of the order-n families included."""
 
-    def walk(g, gens, above):
-        nonlocal checked, failures
-        for parent, _, masks in leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
-            for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
-                if (node := kept_node((parent, gens, mask), keep)) is None:
-                    continue
-                m = g.n + 1
-                for j, ancestor in enumerate(reversed(above[-3:]), start=1):
-                    pairs = bound(ancestor, m - j, j)
-                    for a in BOUND_WEIGHTS:
-                        checked += 1
-                        failures += degree_vector_bound(pairs, a) < degree_vector_bound(sums, a)
-                if m < order:
-                    walk(*node, above + [sums])
+    @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
+    def test_asked_once_per_kept_node_and_families_hold_its_masks(self, name):
+        keep = HEREDITARY.get(name, keep_all)
+        asked = {}
+        families = list(leaves(7, keep=keep, reach=every_third_dropped(asked)))
+        # Each family holds exactly the masks reach kept for its parent, and
+        # the order-6 nodes asked are the families' parents.
+        assert [masks for _, _, masks in families] == [asked[g.adj][1] for g, _, _ in families]
+        assert [adj for adj, (g, _) in asked.items() if g.n == 6] == [g.adj for g, _, _ in families]
+        assert any(len(masks) < len(list(enumeration._masks(g.n, g.adj, gens)))
+                   for g, gens, masks in families)
+        # The nodes asked are the root and the kept children of the nodes
+        # asked below order 6, each once.
+        children = [adj for g, kept in asked.values() if g.n < 6 for adj in kept_children(g, kept, keep)]
+        assert sorted(asked) == sorted([enumeration.ROOT[0].adj] + children)
 
-    walk(*enumeration.ROOT, [])
-    return checked, failures
-
-
-class TestDescendantBound:
-    """A node's derived pairs, grown by descendant_sums, bound the
-    degree-vector bound of every node that the walk keeps 1, 2 or 3 levels
-    below it, so a census may skip a node whose bound falls short of its
-    floor at every weight."""
-
-    @pytest.mark.parametrize("name, order", [(None, 7)] + [
-        (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
-    def test_bounds_every_kept_descendant(self, name, order):
-        checked, failures = descendant_bound_failures(HEREDITARY.get(name, keep_all), order)
-        assert checked and failures == 0
-
-    def test_catches_a_planted_defect(self):
-        checked, failures = descendant_bound_failures(keep_all, 7, without_neighbor_gain)
-        assert checked and failures
-
-    def test_is_the_pairs_themselves_at_zero_steps(self):
-        for parent, _, masks in leaves(6):
-            for sums in leaf_degree_sums(parent, masks):
-                assert descendant_sums(sums, 6, 0) is sums
+    @pytest.mark.parametrize("name", [None, "K4-minor-free"])
+    def test_nodes_ask_once_per_node_below_their_order(self, name):
+        keep = HEREDITARY.get(name, keep_all)
+        asked = {}
+        found = nodes(5, keep, every_third_dropped(asked))
+        children = [adj for g, kept in asked.values() for adj in kept_children(g, kept, keep)]
+        assert max(g.n for g, _ in asked.values()) == 4
+        assert sorted(asked) == sorted([enumeration.ROOT[0].adj]
+                                       + [adj for adj in children if len(adj) < 5])
+        assert [g.adj for g, _ in found] == [adj for adj in children if len(adj) == 5]
 
 
 class TestKeepContract:

@@ -143,15 +143,19 @@ class TestWorkCounts:
     174, 2,138, 363, 9,335 and 8,775 order-n graphs in the first five rows.
     Before each node carried a bordered bound to its children, the rows took
     52, 51, 21, 38, 48 and 151 labelings, 221, 62, 34, 48, 78 and 254
-    searches, and built 3, 151, 23, 37, 83 and 442 order-n graphs."""
+    searches, and built 3, 151, 23, 37, 83 and 442 order-n graphs. While a
+    child's degree sums were grown to bound its descendants, in place of
+    carrying its own bound down, the rows took 52, 44, 21, 34, 43 and 104
+    labelings and 213, 59, 34, 44, 73 and 202 searches, and built as many
+    order-n graphs as now."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 52, 213, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 44, 59, 15),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 21, 34, 21),
-        (CliqueMinorFree(5), 8, [0.5], 34, 44, 19),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 43, 73, 49),
-        (CliqueMinorFree(5), 9, [0.5], 104, 202, 17),
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 211, 3),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 41, 53, 15),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 20, 33, 21),
+        (CliqueMinorFree(5), 8, [0.5], 29, 38, 19),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 43, 72, 49),
+        (CliqueMinorFree(5), 9, [0.5], 87, 170, 17),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = counted_work(monkeypatch, n)
@@ -164,9 +168,10 @@ class TestWorkCounts:
         # The T1-r4-n8 row twice in one process, then dealt to two shards
         # (run in process here): a bound kept from one census, or shared
         # between shards, would change the work of the next, and one kept
-        # from an earlier test would change the first from its pins.
+        # from an earlier test would change the first from its pins (44
+        # labelings and 59 searches while degree sums were grown down).
         cls, n, weights = CliqueMinorFree(4), 8, [0.25, 0.75]
-        pinned = {"canonical_labeling_masks": 44, "is_minor_free": 59,
+        pinned = {"canonical_labeling_masks": 41, "is_minor_free": 53,
                   "collatz_wielandt_bound": 88, "built": 15}
         counts = counted_work(monkeypatch, n)
         for workers in (1, 1, 2):
@@ -239,12 +244,23 @@ def bordered_failures(graphs_by_order, bound):
     return checked, failures
 
 
+def without_degree_growth(top, a, k, order, j):
+    """A planted defect: harness._descendant_bound as if every step added a
+    vertex on at most k neighbours, not k + i at step i."""
+    for i in range(1, j + 1):
+        top = bordered_bound(top, a, min(k, order + i - 1))
+    return top
+
+
 def nested_bordered_failures(keep, order):
-    """(checked, failures) of the census's carried bound over the walk to
-    ``order``: from each kept node A of exact index rho, bordered_bound on
-    the child on k neighbours, carried on by harness._descendant_bound,
-    must bound every kept descendant 1, 2 or 3 levels below A through that
-    child, at every weight of BORDERED_WEIGHTS."""
+    """(checked, failures) of the census's carried bounds over the walk to
+    ``order``: from each kept node A of exact index rho, the child on k
+    neighbours starts from bordered_bound(rho, a, k), as its size class
+    does, and from the smaller of that and the degree_vector_bound of its
+    derived degree sums (enumeration.leaf_degree_sums), as the child itself
+    does. Each start, carried on by harness._descendant_bound, must bound
+    every kept descendant 1, 2 or 3 levels below A through that child, at
+    every weight of BORDERED_WEIGHTS."""
     checked = failures = 0
 
     def walk(g, gens, above):
@@ -253,17 +269,21 @@ def nested_bordered_failures(keep, order):
         rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
                for a in BORDERED_WEIGHTS]
         for parent, _, masks in enumeration.leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
-            for mask in masks:
+            for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks)):
                 if (node := enumeration.kept_node((parent, gens, mask), keep)) is None:
                     continue
-                m = g.n + 1
-                path = above + [(rho, mask.bit_count())]
+                m, k = g.n + 1, mask.bit_count()
+                starts = []
+                for r, a in zip(rho, BORDERED_WEIGHTS):
+                    top = harness.bordered_bound(r, a, k)
+                    starts.append((top, min(top, degree_vector_bound(sums, a))))
+                path = above + [(starts, k)]
                 want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
                 for j, (ancestor, k) in enumerate(reversed(path[-3:]), start=1):
-                    for a, r, w in zip(BORDERED_WEIGHTS, ancestor, want):
-                        top = harness.bordered_bound(r, a, k)
-                        checked += 1
-                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
+                    for a, tops, w in zip(BORDERED_WEIGHTS, ancestor, want):
+                        for top in tops:
+                            checked += 1
+                            failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
                 if m < order:
                     walk(*node, path)
 
@@ -274,14 +294,15 @@ def nested_bordered_failures(keep, order):
 class TestBorderedBound:
     """bordered_bound bounds a graph with one vertex added from a bound on
     the graph's own index, for every graph of order <= 6 and every mask; and
-    carried down the walk, as the census carries it, it bounds every kept
-    descendant 1 to 3 levels down."""
+    carried down the walk, as the census carries it, from a size class's
+    start and from a child's own, it bounds every kept descendant 1 to 3
+    levels down."""
 
     def test_bounds_every_one_vertex_extension(self, graphs_by_order):
         assert bordered_failures(graphs_by_order, bordered_bound) == (56450, 0)
 
     @pytest.mark.parametrize("name, order", [(None, 7)] + [
-        (name, 8) for name in ("K4-minor-free", "K23-minor-free", "S2+S2-free")])
+        (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
     def test_carried_bound_covers_every_kept_descendant(self, name, order):
         checked, failures = nested_bordered_failures(HEREDITARY.get(name, lambda g: True), order)
         assert checked and failures == 0
@@ -290,6 +311,11 @@ class TestBorderedBound:
         checked, failures = bordered_failures(graphs_by_order, without_shift)
         assert checked and failures
         monkeypatch.setattr(harness, "bordered_bound", without_shift)
+        checked, failures = nested_bordered_failures(lambda g: True, 6)
+        assert checked and failures
+
+    def test_catches_a_carry_without_degree_growth(self, monkeypatch):
+        monkeypatch.setattr(harness, "_descendant_bound", without_degree_growth)
         checked, failures = nested_bordered_failures(lambda g: True, 6)
         assert checked and failures
 
@@ -440,9 +466,10 @@ class TestExtremalSearch:
         assert serial == parallel
 
     @pytest.mark.parametrize("n, cls, workers, size", [
-        (8, CliqueMinorFree(3), 10**6, 5),  # the floor keeps 5 of the 20 forests of order 6
+        # The floor keeps 2 of the 20 forests of order 6 (5 while degree sums were grown down).
+        (8, CliqueMinorFree(3), 10**6, 2),
         (5, StarForestFree(StarForestSpec((2, 2))), 1000, 5),  # n <= 6: order-(n-1) nodes, 5 of 11
-        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 11),  # 11 of the 34 order-5 graphs
+        (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 10),  # 10 of the 34 order-5 graphs (11)
         (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
         (7, CliqueMinorFree(3), 10**6, 1),  # only the star of order 6: no pool
     ])
@@ -456,10 +483,14 @@ class TestExtremalSearch:
         # The prefix walk is shared, not repeated per shard: at any worker
         # count the walk tests no graph twice, and the prefix (the forests to
         # order 5 whose descendants can reach the floor) is tested as at one
-        # worker. There the walk makes 15 class_member calls, 14 of them
-        # below order 6, and one more checks the floor witness (16 and 15
-        # before each node carried a bordered bound to its children). The
-        # floor keeps two order-5 forests, so three workers are clamped to two.
+        # worker. There the walk makes 14 class_member calls, 13 of them
+        # below order 6, and one more checks the floor witness (15 and 14
+        # while degree sums were grown down, 16 and 15 before each node
+        # carried a bordered bound to its children). The floor keeps one
+        # order-5 forest (two while degree sums were grown down), so three
+        # workers are clamped to one and no pool is opened; the three-weight
+        # run of test_cli's test_membership_once_per_class_and_order deals
+        # its prefix to three shards.
         calls = []
 
         def counted(g, cls, new=None):
@@ -475,9 +506,25 @@ class TestExtremalSearch:
             assert len(walked) == len(set(walked))
             counts[w] = len(calls)
             prefix[w] = [g for g, _ in calls if g.n < 6]
-        assert counts[1] == 16 and len(prefix[1]) == 14
+        assert counts[1] == 15 and len(prefix[1]) == 13
         assert prefix[workers] == prefix[1]
-        assert in_process_pool == ([2] if workers > 1 else [])
+        assert in_process_pool == []
+
+    def test_shard_with_no_leaf_in_reach_returns_a_list_per_weight(self, monkeypatch):
+        # Each floor is 0.01 above every order-6 forest's degree-vector bound
+        # (the star's: 3 at weight 0.5, 4 at 0.75), so no leaf is listed or
+        # tested, though the walk decides forests down to order 5.
+        tested = []
+
+        def counted(g, cls, new=None):
+            tested.append(g.n)
+            return class_member(g, cls, new)
+
+        monkeypatch.setattr(harness, "class_member", counted)
+        alphas = (0.5, 0.75)
+        args = (6, alphas, [3.01, 4.01], CliqueMinorFree(3), [enumeration.ROOT], {None: [0.0, 0.0]})
+        assert harness._census_shard(args) == [[]] * len(alphas)
+        assert 5 in tested and 6 not in tested
 
     @pytest.mark.parametrize("cls", [
         CliqueMinorFree(3), CliqueMinorFree(4), BicliqueMinorFree(2, 3),
