@@ -2,9 +2,10 @@ import functools
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
-from alpha_extremal import enumeration
+from alpha_extremal import enumeration, harness
 from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit, stabilizer
 from alpha_extremal.enumeration import (
@@ -12,14 +13,22 @@ from alpha_extremal.enumeration import (
     decide,
     enumerate_graphs,
     kept_node,
+    leaf_degree_sums,
     leaves,
     nodes,
 )
 from alpha_extremal.graph6 import encode_graph6
 from alpha_extremal.graphs import Graph, permute_mask
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
+from alpha_extremal.spectral import degree_vector_bound
 from alpha_extremal.star_forests import is_star_forest_free
-from conftest import GRAPH_CENSUS, brute_force_automorphisms, generated_group, unpruned_labeling
+from conftest import (
+    GRAPH_CENSUS,
+    alpha_matrix,
+    brute_force_automorphisms,
+    generated_group,
+    unpruned_labeling,
+)
 
 # Predicates closed under vertex deletion, as the census and the sweep use them.
 # A single star cannot be a StarForestSpec (it needs two stars), so S3 is
@@ -370,6 +379,89 @@ class TestReachContract:
         assert sorted(asked) == sorted([enumeration.ROOT[0].adj]
                                        + [adj for adj in children if len(adj) < 5])
         assert [g.adj for g, _ in found] == [adj for adj in children if len(adj) == 5]
+
+
+BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+def dense_indices(adjacency, a):
+    """The alpha index of each 0/1 adjacency matrix in a stack, by eigvalsh."""
+    m = adjacency.shape[-1]
+    matrices = a * adjacency.sum(axis=-1)[..., None] * np.eye(m) + (1.0 - a) * adjacency
+    return np.linalg.eigvalsh(matrices)[..., -1]
+
+
+def carried_bound_failures(keep, order, start):
+    """(checked, failures) of a bound carried down the walk to ``order``:
+    from each kept node A of exact index rho, the child on k neighbours with
+    derived degree sums (leaf_degree_sums) starts from start(rho, sums, a, k).
+    That start, carried on by harness._descendant_bound as the census
+    carries it, must bound every kept descendant 1, 2 or 3 levels below A
+    through that child, at every weight of BORDERED_WEIGHTS."""
+    checked = failures = 0
+
+    def walk(g, gens, above):
+        nonlocal checked, failures
+        # The order-0 root's index is taken as 0, as the census takes it.
+        rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
+               for a in BORDERED_WEIGHTS]
+        for parent, _, masks in leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
+            for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
+                if (node := kept_node((parent, gens, mask), keep)) is None:
+                    continue
+                m, k = g.n + 1, mask.bit_count()
+                path = above + [([start(r, sums, a, k) for r, a in zip(rho, BORDERED_WEIGHTS)], k)]
+                want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
+                for j, (tops, k) in enumerate(reversed(path[-3:]), start=1):
+                    for a, top, w in zip(BORDERED_WEIGHTS, tops, want):
+                        checked += 1
+                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
+                if m < order:
+                    walk(*node, path)
+
+    walk(*enumeration.ROOT, [])
+    return checked, failures
+
+
+def degree_start(rho, sums, a, k):
+    """The start of a child from its own derived degree sums alone."""
+    return degree_vector_bound(sums, a)
+
+
+def without_degree_growth(top, a, k, order, j):
+    """A planted defect: harness._descendant_bound as if every step added a
+    vertex on at most k neighbours, not k + i at step i."""
+    for i in range(1, j + 1):
+        top = harness.bordered_bound(top, a, min(k, order + i - 1))
+    return top
+
+
+class TestDescendantBound:
+    """The degree_vector_bound of a child's derived degree sums, carried
+    down by harness._descendant_bound, bounds every node that the walk keeps
+    1, 2 or 3 levels below the child's parent through it. With the size
+    class's bordered start (test_harness's TestBorderedBound), this is what
+    lets a census skip a child whose smaller bound falls short of its floor
+    at every weight."""
+
+    @pytest.mark.parametrize("name, order", [(None, 7)] + [
+        (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
+    def test_bounds_every_kept_descendant(self, name, order):
+        checked, failures = carried_bound_failures(HEREDITARY.get(name, keep_all), order, degree_start)
+        assert checked and failures == 0
+
+    def test_catches_a_planted_defect(self, monkeypatch):
+        monkeypatch.setattr(harness, "_descendant_bound", without_degree_growth)
+        checked, failures = carried_bound_failures(keep_all, 7, degree_start)
+        assert checked and failures
+
+    def test_is_the_pairs_themselves_at_zero_steps(self):
+        # A child of the target order is keyed by its own bound, uncarried.
+        for parent, _, masks in leaves(6):
+            for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
+                for a in BORDERED_WEIGHTS:
+                    top = degree_vector_bound(sums, a)
+                    assert harness._descendant_bound(top, a, mask.bit_count(), 6, 0) is top
 
 
 class TestKeepContract:

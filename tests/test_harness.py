@@ -42,7 +42,13 @@ from alpha_extremal.spectral import (
     quotient_alpha_index,
 )
 from conftest import alpha_matrix, degree_sums, delete_vertex
-from test_enumeration import COSTLY_AT_ORDER_8, HEREDITARY
+from test_enumeration import (
+    BORDERED_WEIGHTS,
+    COSTLY_AT_ORDER_8,
+    HEREDITARY,
+    carried_bound_failures,
+    dense_indices,
+)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -205,9 +211,6 @@ class TestDerivedLeafSums:
         assert checked
 
 
-BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
-
-
 def without_shift(rho, a, k):
     """A planted defect: bordered_bound without the a that the new edges add
     to the old neighbours' diagonal."""
@@ -215,13 +218,6 @@ def without_shift(rho, a, k):
         return rho
     p, q = rho, a * k
     return (p + q) / 2 + math.sqrt(((p - q) / 2) ** 2 + (1.0 - a) ** 2 * k)
-
-
-def dense_indices(adjacency, a):
-    """The alpha index of each 0/1 adjacency matrix in a stack, by eigvalsh."""
-    m = adjacency.shape[-1]
-    matrices = a * adjacency.sum(axis=-1)[..., None] * np.eye(m) + (1.0 - a) * adjacency
-    return np.linalg.eigvalsh(matrices)[..., -1]
 
 
 def bordered_failures(graphs_by_order, bound):
@@ -244,59 +240,17 @@ def bordered_failures(graphs_by_order, bound):
     return checked, failures
 
 
-def without_degree_growth(top, a, k, order, j):
-    """A planted defect: harness._descendant_bound as if every step added a
-    vertex on at most k neighbours, not k + i at step i."""
-    for i in range(1, j + 1):
-        top = bordered_bound(top, a, min(k, order + i - 1))
-    return top
-
-
-def nested_bordered_failures(keep, order):
-    """(checked, failures) of the census's carried bounds over the walk to
-    ``order``: from each kept node A of exact index rho, the child on k
-    neighbours starts from bordered_bound(rho, a, k), as its size class
-    does, and from the smaller of that and the degree_vector_bound of its
-    derived degree sums (enumeration.leaf_degree_sums), as the child itself
-    does. Each start, carried on by harness._descendant_bound, must bound
-    every kept descendant 1, 2 or 3 levels below A through that child, at
-    every weight of BORDERED_WEIGHTS."""
-    checked = failures = 0
-
-    def walk(g, gens, above):
-        nonlocal checked, failures
-        # The order-0 root's index is taken as 0, as the census takes it.
-        rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
-               for a in BORDERED_WEIGHTS]
-        for parent, _, masks in enumeration.leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
-            for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks)):
-                if (node := enumeration.kept_node((parent, gens, mask), keep)) is None:
-                    continue
-                m, k = g.n + 1, mask.bit_count()
-                starts = []
-                for r, a in zip(rho, BORDERED_WEIGHTS):
-                    top = harness.bordered_bound(r, a, k)
-                    starts.append((top, min(top, degree_vector_bound(sums, a))))
-                path = above + [(starts, k)]
-                want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
-                for j, (ancestor, k) in enumerate(reversed(path[-3:]), start=1):
-                    for a, tops, w in zip(BORDERED_WEIGHTS, ancestor, want):
-                        for top in tops:
-                            checked += 1
-                            failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
-                if m < order:
-                    walk(*node, path)
-
-    walk(*enumeration.ROOT, [])
-    return checked, failures
+def class_start(rho, sums, a, k):
+    """The start of a size class of children on k neighbours, as the census
+    takes it: bordered_bound of the parent's index."""
+    return harness.bordered_bound(rho, a, k)
 
 
 class TestBorderedBound:
     """bordered_bound bounds a graph with one vertex added from a bound on
     the graph's own index, for every graph of order <= 6 and every mask; and
-    carried down the walk, as the census carries it, from a size class's
-    start and from a child's own, it bounds every kept descendant 1 to 3
-    levels down."""
+    carried down the walk from a size class's start, as the census carries
+    it, it bounds every kept descendant 1 to 3 levels down."""
 
     def test_bounds_every_one_vertex_extension(self, graphs_by_order):
         assert bordered_failures(graphs_by_order, bordered_bound) == (56450, 0)
@@ -304,19 +258,15 @@ class TestBorderedBound:
     @pytest.mark.parametrize("name, order", [(None, 7)] + [
         (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
     def test_carried_bound_covers_every_kept_descendant(self, name, order):
-        checked, failures = nested_bordered_failures(HEREDITARY.get(name, lambda g: True), order)
+        checked, failures = carried_bound_failures(HEREDITARY.get(name, lambda g: True), order,
+                                                   class_start)
         assert checked and failures == 0
 
     def test_catches_a_planted_defect(self, monkeypatch, graphs_by_order):
         checked, failures = bordered_failures(graphs_by_order, without_shift)
         assert checked and failures
         monkeypatch.setattr(harness, "bordered_bound", without_shift)
-        checked, failures = nested_bordered_failures(lambda g: True, 6)
-        assert checked and failures
-
-    def test_catches_a_carry_without_degree_growth(self, monkeypatch):
-        monkeypatch.setattr(harness, "_descendant_bound", without_degree_growth)
-        checked, failures = nested_bordered_failures(lambda g: True, 6)
+        checked, failures = carried_bound_failures(lambda g: True, 6, class_start)
         assert checked and failures
 
 
