@@ -39,26 +39,28 @@ graph's child), so it may ask only whether the last vertex breaks
 membership.
 
 At the target order the decision is the caller's. ``leaves`` yields each
-kept order-(n-1) node with its group and its children's neighbor masks, one
-lazy leaf (parent, generators, mask) per mask, unbuilt; ``build`` makes one
-leaf's graph (None if some vertex beats its new vertex), ``emits`` asks a
-built leaf the tie test, then ``keep``, ``decide`` does both, and
-``kept_node`` also gives a kept leaf its group, so that a walk continued
-below it needs no labeling. ``leaf_degree_sums`` is the other reader of a
-family's masks: each child's (degree, neighbor-degree sum) pairs, derived
-from the parent's, so that a caller can bound a child's alpha index before
-building it.
+kept order-(n-1) node with its group and its children's neighbor masks,
+each mapped to its note (below), one lazy leaf (parent, generators, mask)
+per mask, unbuilt; ``build`` makes one leaf's graph (None if some vertex
+beats its new vertex), ``emits`` asks a built leaf the tie test, then
+``keep``, ``decide`` does both, and ``kept_node`` also gives a kept leaf
+its group, so that a walk continued below it needs no labeling.
+``leaf_degree_sums`` is the other reader of a family's masks: each child's
+(degree, neighbor-degree sum) pairs, derived from the parent's, so that a
+caller can bound a child's alpha index before building it.
 A caller's ``reach`` may drop children before they are decided, at every
-order: ``reach(parent, masks)``, asked once per kept node below order n,
-keeps the masks of those it needs (the census, those whose order-n
-descendants can reach its floor). The walk neither decides nor descends
-into the rest, and a family of order-n leaves holds only the masks it kept.
-By default it reaches every child.
-``nodes`` gives the reached, kept nodes of one order, with their groups,
-from which ``leaves`` may continue the walk. ``enumerate_graphs`` is the
-walk with every leaf decided in turn; a caller that needs only some leaves
-(the census, visiting them in bound order) builds and decides only those,
-in any order, since a leaf's decision depends only on the leaf and
+order: ``reach(node, note, masks)``, asked once per kept node below order n
+with the node's own note, keeps the masks of those it needs (the census,
+those whose order-n descendants can reach its floor), each with a note for
+the child (the census, its bound). The walk neither decides nor descends
+into the rest; a kept child carries its note, and a family of order-n
+leaves maps only the masks kept to their notes. By default it reaches every
+child, noting None.
+``nodes`` gives the reached, kept nodes of one order, with their groups and
+notes, from which ``leaves`` may continue the walk. ``enumerate_graphs`` is
+the walk with every leaf decided in turn; a caller that needs only some
+leaves (the census, visiting them in bound order) builds and decides only
+those, in any order, since a leaf's decision depends only on the leaf and
 ``keep``.
 """
 
@@ -74,15 +76,18 @@ ENUMERATION_CAP = 10
 
 
 Gens = list[tuple[int, ...]]
-# A kept node of the walk: the graph and generators of its automorphism group.
-Node = tuple[Graph, Gens]
-# Lazy leaves: a kept node, its generators and the neighbor masks of its children.
-Family = tuple[Graph, Gens, list[int]]
+# A kept node of the walk: the graph, generators of its automorphism group
+# and the note that ``reach`` gave it.
+Node = tuple[Graph, Gens, object]
+# Lazy leaves: a kept node, its generators and its children's neighbor masks,
+# each mapped to its note; iterating the dict gives the masks.
+Family = tuple[Graph, Gens, dict[int, object]]
 Leaf = tuple[Graph, Gens, int]
-# Which children of a kept node the walk goes on with: (node, masks) -> masks.
-Reach = Callable[[Graph, list[int]], list[int]]
-# The walk's root: the order-0 graph, whose only child is K1.
-ROOT: Node = (Graph(0, ()), [])
+# Which children of a kept node the walk goes on with:
+# (node graph, node's note, masks) -> {mask: child's note}, in mask order.
+Reach = Callable[[Graph, object, list[int]], dict[int, object]]
+# The walk's root: the order-0 graph, whose only child is K1, with no note.
+ROOT: Node = (Graph(0, ()), [], None)
 
 
 class EnumerationCapError(ValueError):
@@ -162,7 +167,7 @@ def _child(g: Graph, mask: int):
     return Graph.unchecked(m + 1, adj), candidates  # symmetric and loop-free by construction
 
 
-def leaf_degree_sums(parent: Graph, masks: list[int]) -> Iterator[list[tuple[int, int]]]:
+def leaf_degree_sums(parent: Graph, masks: Iterable[int]) -> Iterator[list[tuple[int, int]]]:
     """The (degree, neighbor-degree sum) pairs of the vertices with an edge
     in each child of ``parent`` on ``masks`` (a family of lazy leaves, say),
     unbuilt, from the parent's degrees d_u and neighbor-degree sums S_u,
@@ -202,8 +207,8 @@ def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
     return g if g is not None and emits(g, keep) else None
 
 
-def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> Node | None:
-    """The node (graph, generators of its automorphism group) that a leaf
+def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> tuple[Graph, Gens] | None:
+    """The graph and generators of its automorphism group that a leaf
     becomes when the walk keeps it, built here, or None when it rejects it."""
     parent, gens, mask = leaf
     if (made := _child(parent, mask)) is None:
@@ -228,28 +233,30 @@ def _keep_all(g: Graph) -> bool:
     return True
 
 
-def _reach_all(parent: Graph, masks: list[int]) -> list[int]:
-    return masks
+def _reach_all(parent: Graph, note: object, masks: list[int]) -> dict[int, object]:
+    return dict.fromkeys(masks)
 
 
-def _children(g: Graph, gens: Gens, masks: list[int], keep: Callable[[Graph], bool]) -> Iterator[Node]:
-    """The kept children of node g on ``masks``, in walk order."""
-    for mask in masks:
-        if (node := kept_node((g, gens, mask), keep)) is not None:
-            yield node
+def _children(g: Graph, gens: Gens, notes: dict[int, object],
+              keep: Callable[[Graph], bool]) -> Iterator[Node]:
+    """The kept children of node g on the masks of ``notes``, in walk order,
+    each with its note."""
+    for mask, note in notes.items():
+        if (child := kept_node((g, gens, mask), keep)) is not None:
+            yield *child, note
 
 
-def _descend(g: Graph, gens: Gens, target: int, keep: Callable[[Graph], bool],
+def _descend(g: Graph, gens: Gens, note: object, target: int, keep: Callable[[Graph], bool],
              reach: Reach) -> Iterator[Family]:
     """The lazy leaves below the kept node g (of order below the target),
     by parent, among the children ``reach`` keeps at each node; ``gens``
-    generate Aut(g). Nodes below the target are decided here; the leaves
-    are not."""
-    masks = reach(g, list(_masks(g.n, g.adj, gens)))
+    generate Aut(g) and ``note`` is what reach gave g. Nodes below the
+    target are decided here; the leaves are not."""
+    notes = reach(g, note, list(_masks(g.n, g.adj, gens)))
     if g.n + 1 == target:
-        yield g, gens, masks
+        yield g, gens, notes
         return
-    for node in _children(g, gens, masks, keep):
+    for node in _children(g, gens, notes, keep):
         yield from _descend(*node, target, keep, reach)
 
 
@@ -266,10 +273,10 @@ def leaves(
     reach: Reach = _reach_all,
 ) -> Iterator[Family]:
     """The order-n leaves of the walk, in walk order, undecided and unbuilt:
-    (parent, generators of Aut(parent), masks) per kept order-(n-1) node,
-    one neighbor mask per Aut(parent) orbit. ``decide`` builds the lazy leaf
-    (parent, generators, mask) and tells whether the walk emits it;
-    ``kept_node`` also gives its group.
+    (parent, generators of Aut(parent), {mask: note}) per kept order-(n-1)
+    node, one neighbor mask per Aut(parent) orbit. ``decide`` builds the
+    lazy leaf (parent, generators, mask) and tells whether the walk emits
+    it; ``kept_node`` also gives its group.
 
     ``roots`` are kept nodes below order n, from ``nodes`` with the same
     ``keep`` and ``reach``, below which the walk runs; ROOT by default. A
@@ -277,27 +284,31 @@ def leaves(
     below it. The roots of one order, in walk order, give all the leaves in
     order. See ``enumerate_graphs`` for ``keep``.
 
-    ``reach(parent, masks)`` gives, in order, the masks of the children of a
-    kept node that the walk goes on with: below order n - 1 it decides them
-    and descends into the kept ones, and at order n - 1 they are the node's
-    family. It is asked once per kept node below order n; a caller drops the
-    children with no order-n descendant it needs. The default reaches every
-    child, so that every family is whole.
+    ``reach(node, note, masks)`` maps, in order, the masks of the children
+    of a kept node that the walk goes on with to their notes: below order
+    n - 1 the walk decides them and descends into the kept ones, each
+    carrying its note, and at order n - 1 they are the node's family. It is
+    asked once per kept node below order n, with that node's note (a root's
+    own); a caller drops the children with no order-n descendant it needs.
+    The default reaches every child, noting None, so that every family is
+    whole.
     """
     check_order(n)
-    for g, gens in roots:
+    for g, gens, note in roots:
         if g.n >= n:
             raise ValueError(f"a root of order {g.n} has no order-{n} leaves below it")
-        yield from _descend(g, gens, n, keep, reach)
+        yield from _descend(g, gens, note, n, keep, reach)
 
 
-def nodes(m: int, keep: Callable[[Graph], bool], reach: Reach = _reach_all) -> list[Node]:
-    """The kept order-m nodes of the walk that ``reach`` lets it decide (see
-    ``leaves``), with their groups, in walk order: [ROOT] at order 0."""
+def nodes(m: int, *, keep: Callable[[Graph], bool], reach: Reach = _reach_all,
+          roots: Iterable[Node] = (ROOT,)) -> list[Node]:
+    """The kept order-m nodes of the walk below ``roots`` that ``reach``
+    lets it decide (see ``leaves``), each with its group and the note reach
+    gave it, in walk order: the roots themselves at order 0."""
     if m == 0:
-        return [ROOT]
-    return [node for parent, gens, masks in leaves(m, keep=keep, reach=reach)
-            for node in _children(parent, gens, masks, keep)]
+        return list(roots)
+    return [node for parent, gens, notes in leaves(m, keep=keep, reach=reach, roots=roots)
+            for node in _children(parent, gens, notes, keep)]
 
 
 def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:

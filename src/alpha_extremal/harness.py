@@ -5,7 +5,8 @@ by the alpha index of a known order-n member (floor_witness): every
 maximizer and every tie lies within TIE_TOL of that floor or above it. The
 enumeration walk extends only class members, testing each child once,
 through its new vertex. Each child carries one upper bound on its alpha
-index at each weight, 0 at the order-0 root: the smaller of
+index at each weight as its walk note (the note enumeration's ``reach``
+gives it, handed back at the child), 0 at the order-0 root: the smaller of
 spectral.bordered_bound on its parent's and the degree-vector bound of
 degree sums derived from its parent's (enumeration.leaf_degree_sums), and
 for a node whose children are of order n - 1 or n its Collatz-Wielandt
@@ -20,8 +21,8 @@ its bound tightened by a few power steps, and only if that still can is it
 decided (tie test, then membership), once for all weights, and solved if
 it is a member. The member prefix of the tree, to order
 min(n - 1, PREFIX_ORDER), is walked once under the same floor, its nodes
-are dealt out round robin with their automorphism groups and bounds, and
-each worker walks the leaves below its own.
+are dealt out round robin, each carrying its automorphism group and bound,
+and each worker walks the leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -229,16 +230,6 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _bound_key(g: Graph):
-    """The key under which a census notes the bound of the walk node g before
-    g is built: its parent's adjacency and its new vertex's neighbour mask
-    (None for the order-0 root)."""
-    if not g.n:
-        return None
-    low = (1 << g.n - 1) - 1
-    return tuple(row & low for row in g.adj[:-1]), g.adj[-1]
-
-
 def _descendant_bound(top: float, a: float, k: int, order: int, j: int) -> float:
     """bordered_bound carried from ``top``, a bound on a child on k
     neighbours of order ``order``, to every order-(order + j) descendant:
@@ -249,17 +240,16 @@ def _descendant_bound(top: float, a: float, k: int, order: int, j: int) -> float
     return top
 
 
-def _bounded_children(bounds: dict, g: Graph, masks: list[int], n: int,
+def _bounded_children(rho: list[float], g: Graph, masks: list[int], n: int,
                       alphas: tuple[float, ...], margins: list[float]) -> list[tuple[int, list[float]]]:
     """(mask, bordered_bound at each weight) of the children of node g whose
-    order-n descendants can reach some weight's margin, from g's bound, taken
-    out of ``bounds``. Masks come in size order, and the descendant bound
+    order-n descendants can reach some weight's margin, from ``rho``, g's
+    bound at each weight. Masks come in size order, and the descendant bound
     grows with the size, so the kept size classes are the largest ones.
     When g's children are of order n - 1 or n, g's bound is first tightened
     by its collatz_wielandt_bound at each weight where the largest class
     reaches the margin; elsewhere no class can."""
     order, j = g.n + 1, n - g.n - 1
-    rho = bounds.pop(_bound_key(g))
     if j <= 1:
         k = masks[-1].bit_count()
         rho = [min(r, collatz_wielandt_bound(g, a, GATE_POWER_STEPS))
@@ -275,29 +265,28 @@ def _bounded_children(bounds: dict, g: Graph, masks: list[int], n: int,
     return classes
 
 
-def _reach(n: int, alphas: tuple[float, ...], floors: list[float],
-           bounds: dict) -> enumeration.Reach:
+def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeration.Reach:
     """The census's ``reach``: the children of a node whose order-n
     descendants can reach some weight's floor, within 2*TIE_TOL, first by
-    size class (_bounded_children), then each by its own bound, the smaller
-    of its bordered_bound and the degree_vector_bound of its degree sums
-    (enumeration.leaf_degree_sums), carried down to order n by
-    _descendant_bound. A reached child's own bound at each weight is noted
-    in the census's ``bounds``: to bound it if the walk keeps it, or, at
-    order n, to key it."""
+    size class (_bounded_children, from the node's own bound, its note),
+    then each by its own bound, the smaller of its bordered_bound and the
+    degree_vector_bound of its degree sums (enumeration.leaf_degree_sums),
+    carried down to order n by _descendant_bound. A reached child is noted
+    with that own bound at each weight: the walk hands it back to bound the
+    child's children if it keeps the child, and at order n it keys the
+    leaf."""
     margins = [floor - 2 * TIE_TOL for floor in floors]
 
-    def reach(parent: Graph, masks: list[int]) -> list[int]:
+    def reach(parent: Graph, rho: list[float], masks: list[int]) -> dict[int, list[float]]:
         order = parent.n + 1
-        classes = _bounded_children(bounds, parent, masks, n, alphas, margins)
-        reached = []
+        classes = _bounded_children(rho, parent, masks, n, alphas, margins)
+        reached = {}
         for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
                 parent, [mask for mask, _ in classes])):
             own = [min(top, degree_vector_bound(sums, a)) for top, a in zip(tops, alphas)]
             if any(_descendant_bound(r, a, mask.bit_count(), order, n - order) >= m
                    for r, a, m in zip(own, alphas, margins)):
-                reached.append(mask)
-                bounds[parent.adj, mask] = own
+                reached[mask] = own
         return reached
     return reach
 
@@ -309,7 +298,7 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
 
     Each weight's ``floor`` is the alpha index of an order-n member (see
     ``floor_witness``), so the maximum and its ties lie within TIE_TOL of it
-    or above. ``bounds`` holds the prefix walk's bound for each of ``roots``,
+    or above. Each of ``roots`` carries the prefix walk's bound as its note,
     so the shard's work does not depend on the deal. The walk decides only
     the nodes whose descendants' bounds can reach a floor, and lists only
     the order-n leaves whose own bounds can (``_reach``), undecided and
@@ -327,13 +316,13 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     1e-15): whatever its membership, it is neither a maximizer nor a tie.
     Every maximizer and tie is solved, as in a visit over all the members.
     """
-    n, alphas, floors, cls, roots, bounds = args
+    n, alphas, floors, cls, roots = args
     keep = _member_of(cls)
     leaves, keys = [], []  # lazy leaves, in walk order, and each one's key at each weight
-    for parent, gens, masks in enumeration.leaves(n, keep=keep, roots=roots,
-                                                  reach=_reach(n, alphas, floors, bounds)):
-        leaves += [(parent, gens, mask) for mask in masks]
-        keys += [bounds.pop((parent.adj, mask)) for mask in masks]
+    for parent, gens, notes in enumeration.leaves(n, keep=keep, roots=roots,
+                                                  reach=_reach(n, alphas, floors)):
+        leaves += [(parent, gens, mask) for mask in notes]
+        keys += notes.values()
     built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
     emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
@@ -411,24 +400,19 @@ def extremal_search(
     and at order n only for the leaves that the visit reaches and the
     Collatz-Wielandt gate lets through; only those members are solved (see
     ``_census_shard``). The member prefix is walked once; shard s descends
-    from prefix nodes s, s + workers, ..., each handed its group and its
-    bound from the census's one bound table, and at most one process per
-    node is started.
+    from prefix nodes s, s + workers, ..., each carrying its group and its
+    bound, and at most one process per node is started.
     Deterministic: the result is independent of the worker count.
     """
     enumeration.check_order(n)
     weights = tuple(require_open_weight(a) for a in alphas)
     witness = floor_witness(cls, n)
     floors = [alpha_index(witness, a).alpha_index for a in weights]
-    bounds = {_bound_key(enumeration.ROOT[0]): [0.0] * len(weights)}
-    prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), _member_of(cls),
-                               _reach(n, weights, floors, bounds))
+    root = (Graph(0, ()), [], [0.0] * len(weights))
+    prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), keep=_member_of(cls),
+                               reach=_reach(n, weights, floors), roots=[root])
     workers = max(1, min(workers, len(prefix)))
-    jobs = []
-    for s in range(workers):
-        roots = prefix[s::workers]
-        jobs.append((n, weights, floors, cls, roots,
-                     {_bound_key(g): bounds[_bound_key(g)] for g, _ in roots}))
+    jobs = [(n, weights, floors, cls, prefix[s::workers]) for s in range(workers)]
     if workers == 1:
         shards = [_census_shard(jobs[0])]
     else:

@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import pickle
 from collections import deque
 
 import numpy as np
@@ -174,8 +175,10 @@ def graphs_order_8():
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replace multiprocessing.Pool with a serial in-process map; the
-    returned list records the size of every pool opened."""
+    """Replace multiprocessing.Pool with a serial in-process map that, as a
+    real pool does, hands each job and each result over through pickle, so
+    that no shard shares an object with the caller or with another shard;
+    the returned list records the size of every pool opened."""
     sizes = []
 
     class InProcessPool:
@@ -189,7 +192,8 @@ def in_process_pool(monkeypatch):
             return False
 
         def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+            return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(job)))))
+                    for job in jobs]
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     return sizes

@@ -155,14 +155,14 @@ class TestCapAndErrors:
             calls.append(g)
             return g.n < 6
 
-        roots = nodes(3, keep)
+        roots = nodes(3, keep=keep)
         calls.clear()
         walk = leaves(3, keep=keep, roots=roots)
         with pytest.raises(ValueError, match="order 3"):
             next(walk)
         assert calls == []
         # Roots below the order still give the order-3 families.
-        families = list(leaves(3, keep=keep, roots=nodes(2, keep)))
+        families = list(leaves(3, keep=keep, roots=nodes(2, keep=keep)))
         assert [(g, masks) for g, _, masks in families] == [
             (g, masks) for g, _, masks in leaves(3, keep=keep)]
 
@@ -174,7 +174,7 @@ class TestSharding:
     @pytest.mark.parametrize("nshards", [2, 3, 5])
     def test_union_equals_full_enumeration(self, nshards, graphs_by_order):
         full = [encode_graph6(g) for g in graphs_by_order[7]]
-        prefix = nodes(6, keep_all)
+        prefix = nodes(6, keep=keep_all)
         merged = [g6 for shard in range(nshards) for g6 in walk_below(7, prefix[shard::nshards])]
         assert sorted(merged) == sorted(full)
         assert len(merged) == len(set(merged))
@@ -183,14 +183,14 @@ class TestSharding:
         # The walks below one order's nodes, in node order, are the walk.
         for n, m in ((7, 6), (7, 3), (6, 1), (4, 0)):
             full = [encode_graph6(g) for g in graphs_by_order[n]]
-            assert walk_below(n, nodes(m, keep_all)) == full
+            assert walk_below(n, nodes(m, keep=keep_all)) == full
 
     def test_nodes_are_the_walk(self, graphs_by_order):
         for m in range(1, 7):
-            assert [g for g, _ in nodes(m, keep_all)] == graphs_by_order[m]
+            assert [g for g, _, _ in nodes(m, keep=keep_all)] == graphs_by_order[m]
 
     def test_order_one(self):
-        prefix = nodes(0, keep_all)
+        prefix = nodes(0, keep=keep_all)
         assert prefix == [enumeration.ROOT]
         assert walk_below(1, prefix[0::2]) == [encode_graph6(Graph(1, (0,)))]
         assert walk_below(1, prefix[1::2]) == []
@@ -210,7 +210,7 @@ class TestPrunedWalk:
     def test_shard_union_equals_single_shard(self, name):
         keep = HEREDITARY[name]
         whole = [encode_graph6(g) for g in enumerate_graphs(7, keep=keep)]
-        prefix = nodes(6, keep)
+        prefix = nodes(6, keep=keep)
         assert walk_below(7, prefix, keep) == whole
         for nshards in (2, 3, 5):
             merged = [g6 for shard in range(nshards)
@@ -248,7 +248,7 @@ class TestDeferredLeaves:
     def test_roots_handed_their_groups_are_not_labeled(self, monkeypatch, name):
         keep = HEREDITARY.get(name, lambda g: True)
         want = list(enumerate_graphs(8, keep=keep))
-        prefix = nodes(6, keep)
+        prefix = nodes(6, keep=keep)
         labeled = []
         label = enumeration.canonical_labeling_masks
 
@@ -259,8 +259,8 @@ class TestDeferredLeaves:
         monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
         found = lazy_leaves(8, keep=keep, roots=prefix)
         assert [g for leaf in found if (g := decide(leaf, keep)) is not None] == want
-        assert not {g.adj for g, _ in prefix} & set(labeled)
-        for g, gens in prefix:
+        assert not {g.adj for g, _, _ in prefix} & set(labeled)
+        for g, gens, _ in prefix:
             assert generated_group(g.n, gens) == set(brute_force_automorphisms(g))
 
 
@@ -316,9 +316,9 @@ class TestDerivedGroups:
         handed = []
         descend = enumeration._descend
 
-        def noted(g, gens, target, keep, reach):
+        def noted(g, gens, note, target, keep, reach):
             handed.append((g, gens))
-            return descend(g, gens, target, keep, reach)
+            return descend(g, gens, note, target, keep, reach)
 
         monkeypatch.setattr(enumeration, "_descend", noted)
         for _ in enumerate_graphs(8, keep=HEREDITARY.get(name, lambda g: True)):
@@ -332,12 +332,14 @@ class TestDerivedGroups:
 
 def every_third_dropped(asked):
     """A ``reach`` that drops every third child of each node (keeping the
-    first) and notes, per node asked, the node and the masks it kept."""
-    def reach(parent, masks):
+    first), notes each child it keeps by (its parent's adjacency, its mask),
+    and records, per node asked, the node, the note it was handed and the
+    masks it kept."""
+    def reach(parent, note, masks):
         assert parent.adj not in asked
         kept = [mask for i, mask in enumerate(masks) if (i + 1) % 3]
-        asked[parent.adj] = parent, kept
-        return kept
+        asked[parent.adj] = parent, note, kept
+        return {mask: (parent.adj, mask) for mask in kept}
     return reach
 
 
@@ -349,9 +351,17 @@ def kept_children(parent, masks, keep):
             and enumeration.emits(g, keep)]
 
 
+def parent_note(g):
+    """The note every_third_dropped gives the walk node g: its parent's
+    adjacency (g without its last vertex) and its last vertex's mask."""
+    low = (1 << g.n - 1) - 1
+    return tuple(row & low for row in g.adj[:-1]), g.adj[-1]
+
+
 class TestReachContract:
     """A caller's ``reach`` filters the children of every kept node below
-    the target order, the parents of the order-n families included."""
+    the target order, the parents of the order-n families included, and
+    gives each kept child a note that the child carries."""
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
     def test_asked_once_per_kept_node_and_families_hold_its_masks(self, name):
@@ -360,25 +370,46 @@ class TestReachContract:
         families = list(leaves(7, keep=keep, reach=every_third_dropped(asked)))
         # Each family holds exactly the masks reach kept for its parent, and
         # the order-6 nodes asked are the families' parents.
-        assert [masks for _, _, masks in families] == [asked[g.adj][1] for g, _, _ in families]
-        assert [adj for adj, (g, _) in asked.items() if g.n == 6] == [g.adj for g, _, _ in families]
+        assert [list(masks) for _, _, masks in families] == [asked[g.adj][2] for g, _, _ in families]
+        assert [adj for adj, (g, _, _) in asked.items() if g.n == 6] == [g.adj for g, _, _ in families]
         assert any(len(masks) < len(list(enumeration._masks(g.n, g.adj, gens)))
                    for g, gens, masks in families)
         # The nodes asked are the root and the kept children of the nodes
         # asked below order 6, each once.
-        children = [adj for g, kept in asked.values() if g.n < 6 for adj in kept_children(g, kept, keep)]
+        children = [adj for g, _, kept in asked.values() if g.n < 6
+                    for adj in kept_children(g, kept, keep)]
         assert sorted(asked) == sorted([enumeration.ROOT[0].adj] + children)
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free"])
     def test_nodes_ask_once_per_node_below_their_order(self, name):
         keep = HEREDITARY.get(name, keep_all)
         asked = {}
-        found = nodes(5, keep, every_third_dropped(asked))
-        children = [adj for g, kept in asked.values() for adj in kept_children(g, kept, keep)]
-        assert max(g.n for g, _ in asked.values()) == 4
+        found = nodes(5, keep=keep, reach=every_third_dropped(asked))
+        children = [adj for g, _, kept in asked.values() for adj in kept_children(g, kept, keep)]
+        assert max(g.n for g, _, _ in asked.values()) == 4
         assert sorted(asked) == sorted([enumeration.ROOT[0].adj]
                                        + [adj for adj in children if len(adj) < 5])
-        assert [g.adj for g, _ in found] == [adj for adj in children if len(adj) == 5]
+        assert [g.adj for g, _, _ in found] == [adj for adj in children if len(adj) == 5]
+
+    @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
+    def test_each_node_carries_the_note_reach_gave_its_mask(self, name):
+        keep = HEREDITARY.get(name, keep_all)
+        root = (Graph(0, ()), [], "root")
+        found = nodes(5, keep=keep, reach=every_third_dropped({}), roots=[root])
+        assert found and all(note == parent_note(g) for g, _, note in found)
+        asked = {}
+        families = list(leaves(7, keep=keep, reach=every_third_dropped(asked), roots=[root]))
+        # reach is handed each node's own note, the root's as given.
+        assert {g.n for g, _, _ in asked.values()} == set(range(7))
+        assert all(note == (parent_note(g) if g.n else "root") for g, note, _ in asked.values())
+        # Each family maps the masks reach kept, and only those, in order,
+        # to the notes reach gave them.
+        assert families
+        for g, _, notes in families:
+            assert list(notes.items()) == [(mask, (g.adj, mask)) for mask in asked[g.adj][2]]
+        # The default reach notes None.
+        assert all(note is None for _, _, note in nodes(5, keep=keep))
+        assert all(note is None for _, _, notes in leaves(6, keep=keep) for note in notes.values())
 
 
 BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -405,7 +436,7 @@ def carried_bound_failures(keep, order, start):
         # The order-0 root's index is taken as 0, as the census takes it.
         rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
                for a in BORDERED_WEIGHTS]
-        for parent, _, masks in leaves(g.n + 1, keep=keep, roots=[(g, gens)]):
+        for parent, _, masks in leaves(g.n + 1, keep=keep, roots=[(g, gens, None)]):
             for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
                 if (node := kept_node((parent, gens, mask), keep)) is None:
                     continue
@@ -419,7 +450,7 @@ def carried_bound_failures(keep, order, start):
                 if m < order:
                     walk(*node, path)
 
-    walk(*enumeration.ROOT, [])
+    walk(*enumeration.ROOT[:2], [])
     return checked, failures
 
 

@@ -472,7 +472,8 @@ class TestExtremalSearch:
 
         monkeypatch.setattr(harness, "class_member", counted)
         alphas = (0.5, 0.75)
-        args = (6, alphas, [3.01, 4.01], CliqueMinorFree(3), [enumeration.ROOT], {None: [0.0, 0.0]})
+        root = (Graph(0, ()), [], [0.0, 0.0])
+        args = (6, alphas, [3.01, 4.01], CliqueMinorFree(3), [root])
         assert harness._census_shard(args) == [[]] * len(alphas)
         assert 5 in tested and 6 not in tested
 
