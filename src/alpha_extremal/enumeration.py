@@ -43,8 +43,8 @@ kept order-(n-1) node with its group and its children's neighbor masks,
 each mapped to its note (below), one lazy leaf (parent, generators, mask)
 per mask, unbuilt; ``build`` makes one leaf's graph (None if some vertex
 beats its new vertex), ``emits`` asks a built leaf the tie test, then
-``keep``, ``decide`` does both, and ``kept_node`` also gives a kept leaf
-its group, so that a walk continued below it needs no labeling.
+``keep``, and ``kept_node`` also gives a kept leaf its group, so that a
+walk continued below it needs no labeling.
 ``leaf_degree_sums`` is the other reader of a family's masks: each child's
 (degree, neighbor-degree sum) pairs, derived from the parent's, so that a
 caller can bound a child's alpha index before building it.
@@ -201,12 +201,6 @@ def emits(g: Graph, keep: Callable[[Graph], bool]) -> bool:
     return _tie_test(g, _deletion_candidates(g.n, g.adj))[0] and keep(g)
 
 
-def decide(leaf: Leaf, keep: Callable[[Graph], bool]) -> Graph | None:
-    """The lazy leaf's graph, built only now, if the walk emits it, else None."""
-    g = build(leaf)
-    return g if g is not None and emits(g, keep) else None
-
-
 def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> tuple[Graph, Gens] | None:
     """The graph and generators of its automorphism group that a leaf
     becomes when the walk keeps it, built here, or None when it rejects it."""
@@ -274,9 +268,9 @@ def leaves(
 ) -> Iterator[Family]:
     """The order-n leaves of the walk, in walk order, undecided and unbuilt:
     (parent, generators of Aut(parent), {mask: note}) per kept order-(n-1)
-    node, one neighbor mask per Aut(parent) orbit. ``decide`` builds the
-    lazy leaf (parent, generators, mask) and tells whether the walk emits
-    it; ``kept_node`` also gives its group.
+    node, one neighbor mask per Aut(parent) orbit. ``build`` makes the lazy
+    leaf (parent, generators, mask) and ``emits`` tells whether the walk
+    emits it; ``kept_node`` also gives its group.
 
     ``roots`` are kept nodes below order n, from ``nodes`` with the same
     ``keep`` and ``reach``, below which the walk runs; ROOT by default. A
@@ -313,7 +307,7 @@ def nodes(m: int, *, keep: Callable[[Graph], bool], reach: Reach = _reach_all,
 
 def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:
     """One representative per isomorphism class of the order-n graphs that
-    ``keep`` accepts: the leaves that ``decide`` accepts, in walk order.
+    ``keep`` accepts: the built leaves that ``emits`` accepts, in walk order.
 
     ``keep`` must be closed under vertex deletion: it is tested once on every
     node of the augmentation tree (whose last vertex has minimum degree), and
@@ -324,5 +318,5 @@ def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> It
     """
     for parent, gens, masks in leaves(n, keep=keep):
         for mask in masks:
-            if (g := decide((parent, gens, mask), keep)) is not None:
+            if (g := build((parent, gens, mask))) is not None and emits(g, keep):
                 yield g

@@ -7,19 +7,19 @@ enumeration walk extends only class members, testing each child once,
 through its new vertex. Each child carries one upper bound on its alpha
 index at each weight as its walk note (the note enumeration's ``reach``
 gives it, handed back at the child), 0 at the order-0 root: the smaller of
-spectral.bordered_bound on its parent's and the degree-vector bound of
-degree sums derived from its parent's (enumeration.leaf_degree_sums), and
-for a node whose children are of order n - 1 or n its Collatz-Wielandt
-bound too. A child is kept only when that bound, carried down to order n
-by bordered_bound (first once per child size, then per child), can reach
-a floor at some weight within 2*TIE_TOL; a kept child below order n is
-decided, and the kept order-n leaves (a parent and a neighbor mask each)
-are left undecided and unbuilt, each keyed by its bound. At each weight of
-the grid the leaves are visited in decreasing key order, from the floor,
-until no remaining key can reach the maximum; a leaf so reached is built,
-its bound tightened by a few power steps, and only if that still can is it
-decided (tie test, then membership), once for all weights, and solved if
-it is a member. The member prefix of the tree, to order
+spectral.bordered_bound on its parent's (first tightened, at any order, by
+the parent's Collatz-Wielandt bound at each weight its children can reach)
+and the degree-vector bound of degree sums derived from its parent's
+(enumeration.leaf_degree_sums). A child is kept only when that bound,
+carried down to order n by bordered_bound (first once per child size,
+then per child), can reach a floor at some weight within 2*TIE_TOL; a kept
+child below order n is decided, and the kept order-n leaves (a parent and a
+neighbor mask each) are left undecided and unbuilt, each keyed by its
+bound. At each weight of the grid the leaves are visited in decreasing key
+order, from the floor, until no remaining key can reach the maximum; a leaf
+so reached is built, its bound tightened by a few power steps, and only if
+that still can is it decided (tie test, then membership), once for all
+weights, and solved if it is a member. The member prefix of the tree, to order
 min(n - 1, PREFIX_ORDER), is walked once under the same floor, its nodes
 are dealt out round robin, each carrying its automorphism group and bound,
 and each worker walks the leaves below its own.
@@ -240,54 +240,44 @@ def _descendant_bound(top: float, a: float, k: int, order: int, j: int) -> float
     return top
 
 
-def _bounded_children(rho: list[float], g: Graph, masks: list[int], n: int,
-                      alphas: tuple[float, ...], margins: list[float]) -> list[tuple[int, list[float]]]:
-    """(mask, bordered_bound at each weight) of the children of node g whose
-    order-n descendants can reach some weight's margin, from ``rho``, g's
-    bound at each weight. Masks come in size order, and the descendant bound
-    grows with the size, so the kept size classes are the largest ones.
-    When g's children are of order n - 1 or n, g's bound is first tightened
-    by its collatz_wielandt_bound at each weight where the largest class
-    reaches the margin; elsewhere no class can."""
-    order, j = g.n + 1, n - g.n - 1
-    if j <= 1:
-        k = masks[-1].bit_count()
-        rho = [min(r, collatz_wielandt_bound(g, a, GATE_POWER_STEPS))
-               if _descendant_bound(bordered_bound(r, a, k), a, k, order, j) >= m else r
-               for r, a, m in zip(rho, alphas, margins)]
-    classes, reached = [], False
-    for k, group in itertools.groupby(masks, int.bit_count):
-        tops = [bordered_bound(r, a, k) for r, a in zip(rho, alphas)]
-        reached = reached or any(_descendant_bound(top, a, k, order, j) >= m
-                                 for top, a, m in zip(tops, alphas, margins))
-        if reached:
-            classes += [(mask, tops) for mask in group]
-    return classes
-
-
 def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeration.Reach:
     """The census's ``reach``: the children of a node whose order-n
-    descendants can reach some weight's floor, within 2*TIE_TOL, first by
-    size class (_bounded_children, from the node's own bound, its note),
-    then each by its own bound, the smaller of its bordered_bound and the
+    descendants can reach some weight's floor, within 2*TIE_TOL, by one rule
+    at every order. The node's bound, its note, is first tightened by its
+    collatz_wielandt_bound at each weight where the largest size class of
+    children can reach the margin. Masks come in size order, and the
+    descendant bound grows with the size, so the size classes kept, by
+    bordered_bound of that bound carried down to order n by
+    _descendant_bound, are the largest ones. Each child of a kept class then
+    takes its own bound, the smaller of its class's bordered_bound and the
     degree_vector_bound of its degree sums (enumeration.leaf_degree_sums),
-    carried down to order n by _descendant_bound. A reached child is noted
-    with that own bound at each weight: the walk hands it back to bound the
-    child's children if it keeps the child, and at order n it keys the
+    and is reached when that bound, carried down, can. A reached child is
+    noted with its own bound at each weight: the walk hands it back to bound
+    the child's children if it keeps the child, and at order n it keys the
     leaf."""
     margins = [floor - 2 * TIE_TOL for floor in floors]
 
     def reach(parent: Graph, rho: list[float], masks: list[int]) -> dict[int, list[float]]:
-        order = parent.n + 1
-        classes = _bounded_children(rho, parent, masks, n, alphas, margins)
-        reached = {}
+        order, j = parent.n + 1, n - parent.n - 1
+        k = masks[-1].bit_count()
+        rho = [min(r, collatz_wielandt_bound(parent, a, GATE_POWER_STEPS))
+               if _descendant_bound(bordered_bound(r, a, k), a, k, order, j) >= m else r
+               for r, a, m in zip(rho, alphas, margins)]
+        classes, reached = [], False
+        for k, group in itertools.groupby(masks, int.bit_count):
+            tops = [bordered_bound(r, a, k) for r, a in zip(rho, alphas)]
+            reached = reached or any(_descendant_bound(top, a, k, order, j) >= m
+                                     for top, a, m in zip(tops, alphas, margins))
+            if reached:
+                classes += [(mask, tops) for mask in group]
+        notes = {}
         for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
                 parent, [mask for mask, _ in classes])):
             own = [min(top, degree_vector_bound(sums, a)) for top, a in zip(tops, alphas)]
-            if any(_descendant_bound(r, a, mask.bit_count(), order, n - order) >= m
+            if any(_descendant_bound(r, a, mask.bit_count(), order, j) >= m
                    for r, a, m in zip(own, alphas, margins)):
-                reached[mask] = own
-        return reached
+                notes[mask] = own
+        return notes
     return reach
 
 
@@ -408,7 +398,7 @@ def extremal_search(
     weights = tuple(require_open_weight(a) for a in alphas)
     witness = floor_witness(cls, n)
     floors = [alpha_index(witness, a).alpha_index for a in weights]
-    root = (Graph(0, ()), [], [0.0] * len(weights))
+    root = (*enumeration.ROOT[:2], [0.0] * len(weights))
     prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), keep=_member_of(cls),
                                reach=_reach(n, weights, floors), roots=[root])
     workers = max(1, min(workers, len(prefix)))

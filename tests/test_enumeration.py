@@ -10,7 +10,8 @@ from alpha_extremal.bounds import StarForestSpec
 from alpha_extremal.canon import canonical_form, canonical_labeling_masks, orbit, stabilizer
 from alpha_extremal.enumeration import (
     EnumerationCapError,
-    decide,
+    build,
+    emits,
     enumerate_graphs,
     kept_node,
     leaf_degree_sums,
@@ -81,7 +82,7 @@ def walk_below(n, roots, keep=keep_all):
     """graph6 of the order-n graphs the walk emits below ``roots``, in order:
     their lazy leaves, each decided."""
     return [encode_graph6(g) for leaf in lazy_leaves(n, keep=keep, roots=roots)
-            if (g := decide(leaf, keep)) is not None]
+            if (g := build(leaf)) is not None and emits(g, keep)]
 
 
 def mask_orbit_labels(n, gens):
@@ -234,7 +235,8 @@ class TestDeferredLeaves:
         # One answer per graph across the three passes below.
         keep = functools.cache(HEREDITARY[name])
         found = lazy_leaves(n, keep=keep)
-        decided = [decide(leaf, keep) for leaf in reversed(found)][::-1]
+        decided = [g if (g := build(leaf)) is not None and emits(g, keep) else None
+                   for leaf in reversed(found)][::-1]
         assert [g for g in decided if g is not None] == list(enumerate_graphs(n, keep=keep))
         assert [(node := kept_node(leaf, keep)) and node[0] for leaf in found] == decided
         for parent, gens, mask in found:
@@ -258,7 +260,7 @@ class TestDeferredLeaves:
 
         monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
         found = lazy_leaves(8, keep=keep, roots=prefix)
-        assert [g for leaf in found if (g := decide(leaf, keep)) is not None] == want
+        assert [g for leaf in found if (g := build(leaf)) is not None and emits(g, keep)] == want
         assert not {g.adj for g, _, _ in prefix} & set(labeled)
         for g, gens, _ in prefix:
             assert generated_group(g.n, gens) == set(brute_force_automorphisms(g))

@@ -156,12 +156,12 @@ class TestWorkCounts:
     order-n graphs as now."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 211, 3),
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 207, 3),
         (CliqueMinorFree(4), 8, [0.25, 0.75], 41, 53, 15),
         (BicliqueMinorFree(2, 3), 7, [0.5], 20, 33, 21),
         (CliqueMinorFree(5), 8, [0.5], 29, 38, 19),
         (BicliqueMinorFree(3, 3), 8, [0.5], 43, 72, 49),
-        (CliqueMinorFree(5), 9, [0.5], 87, 170, 17),
+        (CliqueMinorFree(5), 9, [0.5], 85, 169, 17),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = counted_work(monkeypatch, n)
@@ -178,7 +178,7 @@ class TestWorkCounts:
         # labelings and 59 searches while degree sums were grown down).
         cls, n, weights = CliqueMinorFree(4), 8, [0.25, 0.75]
         pinned = {"canonical_labeling_masks": 41, "is_minor_free": 53,
-                  "collatz_wielandt_bound": 88, "built": 15}
+                  "collatz_wielandt_bound": 126, "built": 15}
         counts = counted_work(monkeypatch, n)
         for workers in (1, 1, 2):
             counts.clear()
@@ -267,6 +267,56 @@ class TestBorderedBound:
         assert checked and failures
         monkeypatch.setattr(harness, "bordered_bound", without_shift)
         checked, failures = carried_bound_failures(lambda g: True, 6, class_start)
+        assert checked and failures
+
+
+def note_failures(cls, n):
+    """(checked, failures) of the census's notes under floors of 0, where
+    ``_reach`` reaches every child and takes the Collatz-Wielandt bound of
+    every node: the note of every node the walk keeps, at orders 1..n-1, and
+    the key of every emitted order-n leaf must not fall below its alpha
+    index at any weight of BORDERED_WEIGHTS."""
+    reach = harness._reach(n, BORDERED_WEIGHTS, [0.0] * len(BORDERED_WEIGHTS))
+    keep = harness._member_of(cls)
+    checked = failures = 0
+
+    def check(g, note):
+        nonlocal checked, failures
+        for a, bound, want in zip(BORDERED_WEIGHTS, note, (
+                float(dense_indices(alpha_matrix(g, 0.0), a)) for a in BORDERED_WEIGHTS)):
+            checked += 1
+            failures += bound < want - 1e-12
+
+    def noted(parent, note, masks):
+        # Asked once per kept node below order n, with its note.
+        if parent.n:
+            check(parent, note)
+        return reach(parent, note, masks)
+
+    root = (*enumeration.ROOT[:2], [0.0] * len(BORDERED_WEIGHTS))
+    for parent, gens, notes in enumeration.leaves(n, keep=keep, reach=noted, roots=[root]):
+        for mask, note in notes.items():
+            g = enumeration.build((parent, gens, mask))
+            if g is not None and enumeration.emits(g, keep):
+                check(g, note)
+    return checked, failures
+
+
+class TestCensusNotes:
+    """Every note the census carries is an upper bound on its node's index."""
+
+    @pytest.mark.parametrize("cls, checked", [
+        (CliqueMinorFree(4), 2480),
+        (BicliqueMinorFree(2, 3), 2170),
+        (StarForestFree(StarForestSpec((2, 2))), 905),
+    ], ids=["T1-r4", "T2-s2t3", "T3-2,2"])
+    def test_every_note_bounds_its_node(self, cls, checked):
+        assert note_failures(cls, 7) == (checked, 0)
+
+    def test_catches_a_planted_defect(self, monkeypatch):
+        cw = harness.collatz_wielandt_bound
+        monkeypatch.setattr(harness, "collatz_wielandt_bound", lambda *args: cw(*args) / 2)
+        checked, failures = note_failures(CliqueMinorFree(4), 7)
         assert checked and failures
 
 
