@@ -241,19 +241,16 @@ def _cmd_check(args) -> int:
     alphas = parse_alphas(args)
     if args.workers < 0:
         raise CliParseError(f"--workers must be >= 0, got {args.workers}")
+    weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
+    # Every order is capped and predicted before --out is made, so an order
+    # with no prediction leaves neither a directory nor a partial grid.
     for n in orders:
-        check_order(n)
+        predictions(cls, n, weights)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         with _creating_out():
             out_dir.mkdir(parents=True, exist_ok=True)
-    weights = [float(Decimal(alpha_str)) for alpha_str in alphas]
-    # Every order is predicted before the first census, as the cap is checked
-    # above, so an order with no prediction leaves no partial grid in --out.
-    # The first order is predicted by its own check_theorem call.
-    for n in orders[1:]:
-        predictions(cls, n, weights)
     reports = []
     for n in orders:
         found = check_theorem(cls, n, weights, workers=workers)

@@ -85,10 +85,8 @@ from .graphs import (
     FeasibilityError,
     Graph,
     construct,
-    disjoint_union,
     join,
     regular_circulant,
-    union_of_copies,
 )
 from .minors import BicliqueMinor, CliqueMinor, MinorPattern, is_minor_free, settled_by_new_vertex
 from .spectral import (
@@ -341,32 +339,27 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
 
 def floor_witness(cls: ForbiddenClass, n: int) -> Graph:
     """An order-n member of the class, known before any census, whose alpha
-    index floors it: the claim's construction (``predicted_witness_spec``)
-    when it is feasible. Otherwise the nearest larger feasible one, with
-    part vertices deleted down to order n (the class is closed under vertex
-    deletion): K_c joined to floor(m/d) K_d plus K_(m mod d), for
-    (k, d) = cls.clique_join, c = min(k - 1, n) and m = n - c, or, for T3
-    at an odd m > d with d even, the (d-1)-regular part on m + 1 vertices
-    minus one. The clique-join quadratic's root bounds the class from above
-    and never serves here. Raises RuntimeError if the witness is not a
-    member, which would falsify the construction side of the claim."""
-    k, d = cls.clique_join
-    try:
-        spec = predicted_witness_spec(cls, n)
-    except FeasibilityError:  # d = 1 below order k - 1
-        spec = None
-    if spec is not None:
-        g = construct(spec)
-    else:
-        c = min(k - 1, n)
-        m = n - c
-        if isinstance(cls, BicliqueMinorFree) or m < d:
-            part = disjoint_union(union_of_copies(m // d, Graph.complete(d)),
-                                  Graph.complete(m % d))
-        else:
-            part = Graph.from_edges(m, [e for e in regular_circulant(m + 1, d - 1).edges()
-                                        if m not in e])
-        g = join(Graph.complete(c), part)
+    index floors it: the nearest feasible construction of the claim
+    (``predicted_witness_spec`` at the first order m >= n that has one),
+    induced on its vertices 0..n-1. The clique comes first, so only part
+    vertices are deleted, and clique vertices too below the clique's order;
+    the class is closed under vertex deletion. At m = n this is the claim's
+    construction itself. For (k, d) = cls.clique_join, some m <= max(n, k) + d
+    is feasible: m = max(n, k - 1) for T1 and for T3 with d <= 2; T2 needs a
+    part order that t divides, and T3 with d >= 3 a part of at least d
+    vertices with the right parity. The clique-join quadratic's root bounds
+    the class from above and never serves here. Raises RuntimeError if the
+    witness is not a member, which would falsify the construction side of
+    the claim."""
+    for m in itertools.count(n):
+        try:
+            spec = predicted_witness_spec(cls, m)
+        except FeasibilityError:  # d = 1 below order k - 1
+            continue
+        if spec is not None:
+            break
+    full = construct(spec)
+    g = Graph(n, tuple(row & ((1 << n) - 1) for row in full.adj[:n]))
     if not class_member(g, cls):
         raise RuntimeError(f"floor witness {canonical_graph6(g)} is not {cls.label}: "
                            "construction claim falsified")
@@ -384,11 +377,12 @@ def extremal_search(
     weight, with every maximizer (within the tie tolerance) as a sorted
     canonical graph6 list: one (best, witnesses) pair per weight, in order.
 
-    Each weight's floor is the alpha index of ``floor_witness``, validated
-    before the walk. Membership is decided once per tested graph: below
-    order n only for the nodes whose descendants' bounds can reach a floor,
-    and at order n only for the leaves that the visit reaches and the
-    Collatz-Wielandt gate lets through; only those members are solved (see
+    Each weight's floor is the alpha index of ``floor_witness``, the nearest
+    feasible construction cut down to order n, validated before the walk.
+    Membership is decided once per tested graph: below order n only for the
+    nodes whose descendants' bounds can reach a floor, and at order n only
+    for the leaves that the visit reaches and the Collatz-Wielandt gate
+    lets through; only those members are solved (see
     ``_census_shard``). The member prefix is walked once; shard s descends
     from prefix nodes s, s + workers, ..., each carrying its group and its
     bound, and at most one process per node is started.

@@ -438,7 +438,7 @@ class TestCheckCommand:
         )
         assert code == 3
         assert "n >=" in err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_order_without_prediction_refused_before_any_census(
@@ -460,7 +460,7 @@ class TestCheckCommand:
         assert code == 3
         assert out == ""
         assert "got n=5" in err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_construction_predicted_below_the_quadratic_order_minimum(self, capsys, tmp_path):
         # The quadratic refuses weight 0.1 at order 4, but the construction,

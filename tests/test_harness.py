@@ -320,9 +320,17 @@ class TestCensusNotes:
         assert checked and failures
 
 
-FLOOR_CLASSES = [CliqueMinorFree(r) for r in range(3, 7)] + [
-    BicliqueMinorFree(s, t) for s, t in ((2, 2), (2, 3), (3, 3))
-] + [StarForestFree(StarForestSpec((d, d))) for d in (1, 2, 3, 4)]
+FLOOR_CLASSES = [CliqueMinorFree(r) for r in range(3, 8)] + [
+    BicliqueMinorFree(s, t) for s, t in ((2, 2), (2, 3), (3, 3), (2, 5))
+] + [StarForestFree(StarForestSpec((d, d))) for d in (1, 2, 3, 4, 5)]
+
+
+def feasible_spec(cls, n):
+    """The claim's construction at order n, or None where it has none."""
+    try:
+        return predicted_witness_spec(cls, n)
+    except FeasibilityError:  # d = 1 below order k - 1
+        return None
 
 
 class TestFloorWitness:
@@ -335,10 +343,7 @@ class TestFloorWitness:
         for n in range(1, enumeration.ENUMERATION_CAP + 1):
             g = harness.floor_witness(cls, n)
             assert g.n == n and class_member(g, cls), n
-            try:
-                spec = predicted_witness_spec(cls, n)
-            except FeasibilityError:
-                spec = None
+            spec = feasible_spec(cls, n)
             if spec is not None:
                 assert g == construct(spec)
 
@@ -354,12 +359,19 @@ class TestFloorWitness:
         # at order 8 every graph is a member, and K8 is the maximum.
         (StarForestFree(StarForestSpec((4, 4))), 8, delete_vertex(regular_circulant(8, 3), 7),
          False),
-    ], ids=["T2-s2t3-n9", "T2-s3t3-n9", "T3-4,4-n8"])
+        # K5, two clique vertices deleted: the spec raises below the clique.
+        (CliqueMinorFree(6), 3, Graph.empty(0), True),
+        # K1 joined to K3, one part vertex deleted.
+        (BicliqueMinorFree(2, 3), 2, Graph.complete(1), True),
+        # K1 joined to K4 (3-regular on 4 vertices), one part vertex deleted:
+        # the part is smaller than d.
+        (StarForestFree(StarForestSpec((4, 4))), 4, Graph.complete(3), True),
+    ], ids=["T2-s2t3-n9", "T2-s3t3-n9", "T3-4,4-n8", "T1-r6-n3", "T2-s2t3-n2", "T3-4,4-n4"])
     def test_fallback_deletes_part_vertices(self, cls, n, part, census_max):
-        assert predicted_witness_spec(cls, n) is None
+        assert feasible_spec(cls, n) is None
         g = harness.floor_witness(cls, n)
-        clique = cls.clique_join[0] - 1
-        assert canonical_graph6(g) == canonical_graph6(join(Graph.complete(clique), part))
+        clique = min(cls.clique_join[0] - 1, n)
+        assert g == join(Graph.complete(clique), part)
         if census_max is not None:
             best, witnesses = extremal_search(n, [0.5], cls)[0]
             assert alpha_index(g, 0.5).alpha_index <= best
