@@ -52,10 +52,12 @@ A caller's ``reach`` may drop children before they are decided, at every
 order: ``reach(node, note, masks)``, asked once per kept node below order n
 with the node's own note, keeps the masks of those it needs (the census,
 those whose order-n descendants can reach its floor), each with a note for
-the child (the census, its bound). The walk neither decides nor descends
-into the rest; a kept child carries its note, and a family of order-n
-leaves maps only the masks kept to their notes. By default it reaches every
-child, noting None.
+the child (the census, its bound). The masks come lazily, in (size,
+lexicographic) order, so a reach that stops reading (the census, at its
+class's minimum-degree ceiling) has no larger mask orbit-tested. The walk
+neither decides nor descends into the rest; a kept child carries its note,
+and a family of order-n leaves maps only the masks kept to their notes. By
+default it reaches every child, noting None.
 ``nodes`` gives the reached, kept nodes of one order, with their groups and
 notes, from which ``leaves`` may continue the walk. ``enumerate_graphs`` is
 the walk with every leaf decided in turn; a caller that needs only some
@@ -85,7 +87,9 @@ Family = tuple[Graph, Gens, dict[int, object]]
 Leaf = tuple[Graph, Gens, int]
 # Which children of a kept node the walk goes on with:
 # (node graph, node's note, masks) -> {mask: child's note}, in mask order.
-Reach = Callable[[Graph, object, list[int]], dict[int, object]]
+# The masks come lazily, in (size, lexicographic) order; those never read
+# are never made.
+Reach = Callable[[Graph, object, Iterator[int]], dict[int, object]]
 # The walk's root: the order-0 graph, whose only child is K1, with no note.
 ROOT: Node = (Graph(0, ()), [], None)
 
@@ -136,10 +140,12 @@ def _masks(m: int, adj: tuple[int, ...], gens: Gens) -> Iterator[int]:
             break
         base = mask_of(forced)
         free = [u for u in range(m) if degs[u] >= size]
-        for combo in combinations(free, size - len(forced)):
+        for i, combo in enumerate(combinations(free, size - len(forced))):
             mask = base | mask_of(combo)
-            # One neighbor set per Aut orbit: the orbit's minimum.
-            if not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
+            # One neighbor set per Aut orbit: the orbit's minimum. The first,
+            # on the lowest free vertices, is one: automorphisms keep degrees,
+            # so map forced vertices to forced and free ones to free.
+            if not i or not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
                 yield mask
 
 
@@ -227,7 +233,7 @@ def _keep_all(g: Graph) -> bool:
     return True
 
 
-def _reach_all(parent: Graph, note: object, masks: list[int]) -> dict[int, object]:
+def _reach_all(parent: Graph, note: object, masks: Iterator[int]) -> dict[int, object]:
     return dict.fromkeys(masks)
 
 
@@ -246,7 +252,7 @@ def _descend(g: Graph, gens: Gens, note: object, target: int, keep: Callable[[Gr
     by parent, among the children ``reach`` keeps at each node; ``gens``
     generate Aut(g) and ``note`` is what reach gave g. Nodes below the
     target are decided here; the leaves are not."""
-    notes = reach(g, note, list(_masks(g.n, g.adj, gens)))
+    notes = reach(g, note, _masks(g.n, g.adj, gens))
     if g.n + 1 == target:
         yield g, gens, notes
         return
@@ -279,8 +285,9 @@ def leaves(
     order. See ``enumerate_graphs`` for ``keep``.
 
     ``reach(node, note, masks)`` maps, in order, the masks of the children
-    of a kept node that the walk goes on with to their notes: below order
-    n - 1 the walk decides them and descends into the kept ones, each
+    of a kept node that the walk goes on with to their notes (``masks`` is
+    a lazy iterator in size order; those never read are never made): below
+    order n - 1 the walk decides them and descends into the kept ones, each
     carrying its note, and at order n - 1 they are the node's family. It is
     asked once per kept node below order n, with that node's note (a root's
     own); a caller drops the children with no order-n descendant it needs.

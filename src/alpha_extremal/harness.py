@@ -10,19 +10,21 @@ gives it, handed back at the child), 0 at the order-0 root: the smaller of
 spectral.bordered_bound on its parent's (first tightened, at any order, by
 the parent's Collatz-Wielandt bound at each weight its children can reach)
 and the degree-vector bound of degree sums derived from its parent's
-(enumeration.leaf_degree_sums). A child is kept only when that bound,
-carried down to order n by bordered_bound (first once per child size,
-then per child), can reach a floor at some weight within 2*TIE_TOL; a kept
-child below order n is decided, and the kept order-n leaves (a parent and a
-neighbor mask each) are left undecided and unbuilt, each keyed by its
-bound. At each weight of the grid the leaves are visited in decreasing key
-order, from the floor, until no remaining key can reach the maximum; a leaf
-so reached is built, its bound tightened by a few power steps, and only if
-that still can is it decided (tie test, then membership), once for all
-weights, and solved if it is a member. The member prefix of the tree, to order
-min(n - 1, PREFIX_ORDER), is walked once under the same floor, its nodes
-are dealt out round robin, each carrying its automorphism group and bound,
-and each worker walks the leaves below its own.
+(enumeration.leaf_degree_sums). Only children on at most the class's
+min_degree_ceiling neighbours are read, and a child is kept only when that
+bound, carried down to order n by bordered_bound under the same ceiling
+(first once per child size, then per child), can reach a floor at some
+weight within 2*TIE_TOL; a kept child below order n is decided, and the
+kept order-n leaves (a parent and a neighbor mask each) are left undecided
+and unbuilt, each keyed by its bound. At each weight of the grid the leaves
+are visited in decreasing key order, from the floor, until no remaining key
+can reach the maximum; a leaf so reached is built, its bound tightened by
+a few power steps, and only if that still can is it decided (tie test,
+then membership), once for all weights, and solved if it is a member. The
+member prefix of the tree, to order min(n - 1, PREFIX_ORDER), is walked
+once under the same floor, its nodes are dealt out round robin, each
+carrying its automorphism group and bound, and each worker walks the
+leaves below its own.
 check_theorem compares each weight's maximum against one prediction rule,
 the alpha index of the claim's own construction (from its equitable
 quotient), and issues a verdict. Only where T2, or T3 with d_k >= 2, has no
@@ -36,10 +38,11 @@ by ``corrupt`` (a self-test: a large enough value fails every check).
 
 Each claim is a class that answers for itself: CliqueMinorFree (T1),
 BicliqueMinorFree (T2) and StarForestFree (T3) give their claim id, label,
-report-file tag, membership test, order threshold and notes, and their
-``clique_join = (k, d)``. All three extremal graphs are a clique K_{k-1}
-joined to a (d-1)-regular part: (r-1, 1) for T1, the complete split graph;
-(s, t) for T2, the part disjoint copies of K_t; (k, d_k) for T3. T1 and T2
+report-file tag, membership test, order threshold and notes, their
+``min_degree_ceiling`` (every member has a vertex of at most that degree)
+and their ``clique_join = (k, d)``. All three extremal graphs are a clique
+K_{k-1} joined to a (d-1)-regular part: (r-1, 1) for T1, the complete split
+graph; (s, t) for T2, the part disjoint copies of K_t; (k, d_k) for T3. T1 and T2
 are asserted only for sufficiently large order with no explicit threshold,
 so their reports never mark the threshold as satisfied; T3 carries an
 explicit threshold far beyond exhaustive scale, plus a smaller variant for
@@ -111,6 +114,9 @@ class ForbiddenClass:
     """The host class of one claim (see the module docstring). By default a
     claim has no explicit order threshold."""
 
+    # Every member has a vertex of degree at most this; none is proved by default.
+    min_degree_ceiling = math.inf
+
     def threshold(self, alpha: float) -> float:
         """The order from which the claim is asserted at this weight."""
         return math.inf
@@ -140,6 +146,12 @@ class CliqueMinorFree(ForbiddenClass):
     def clique_join(self) -> tuple[int, int]:
         return self.r - 1, 1
 
+    @property
+    def min_degree_ceiling(self) -> float:
+        # Forests; 2-degenerate (Dirac 1952; Duffin 1965); under 3n edges
+        # (Mader 1968; Wagner 1937).
+        return {3: 1, 4: 2, 5: 5}.get(self.r, math.inf)
+
     def member(self, g: Graph, new: int | None = None) -> bool:
         return _minor_free(g, CliqueMinor(self.r), new)
 
@@ -167,6 +179,14 @@ class BicliqueMinorFree(ForbiddenClass):
     @property
     def clique_join(self) -> tuple[int, int]:
         return self.s, self.t
+
+    @property
+    def min_degree_ceiling(self) -> float:
+        # Under (t + 1)n/2 edges for s = 2 (Chudnovsky, Reed and Seymour
+        # 2011), under 3n for K_{3,3}.
+        if self.s == 2:
+            return self.t
+        return 5 if self.t == 3 else math.inf
 
     def member(self, g: Graph, new: int | None = None) -> bool:
         return _minor_free(g, BicliqueMinor(self.s, self.t), new)
@@ -228,43 +248,47 @@ def canonical_graph6(g: Graph) -> str:
 # -- exhaustive extremal search ----------------------------------------
 
 
-def _descendant_bound(top: float, a: float, k: int, order: int, j: int) -> float:
+def _descendant_bound(top: float, a: float, k: int, order: int, j: int, c: float) -> float:
     """bordered_bound carried from ``top``, a bound on a child on k
-    neighbours of order ``order``, to every order-(order + j) descendant:
-    the walk adds a vertex of minimum degree, and the child's is k, so step
-    i adds at most min(k + i, order + i - 1) neighbours."""
+    neighbours of order ``order``, to every order-(order + j) descendant
+    that is a member of a class with min_degree_ceiling c: the walk adds a
+    vertex of minimum degree, and the child's is k, so step i adds at most
+    min(k + i, order + i - 1, c) neighbours."""
     for i in range(1, j + 1):
-        top = bordered_bound(top, a, min(k + i, order + i - 1))
+        top = bordered_bound(top, a, min(k + i, order + i - 1, c))
     return top
 
 
-def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeration.Reach:
-    """The census's ``reach``: the children of a node whose order-n
-    descendants can reach some weight's floor, within 2*TIE_TOL, by one rule
-    at every order. The node's bound, its note, is first tightened by its
-    collatz_wielandt_bound at each weight where the largest size class of
-    children can reach the margin. Masks come in size order, and the
-    descendant bound grows with the size, so the size classes kept, by
-    bordered_bound of that bound carried down to order n by
-    _descendant_bound, are the largest ones. Each child of a kept class then
-    takes its own bound, the smaller of its class's bordered_bound and the
-    degree_vector_bound of its degree sums (enumeration.leaf_degree_sums),
-    and is reached when that bound, carried down, can. A reached child is
-    noted with its own bound at each weight: the walk hands it back to bound
-    the child's children if it keeps the child, and at order n it keys the
-    leaf."""
+def _reach(n: int, alphas: tuple[float, ...], floors: list[float], c: float) -> enumeration.Reach:
+    """The census's ``reach`` for a class with min_degree_ceiling c: the
+    children of a node whose order-n descendants can reach some weight's
+    floor, within 2*TIE_TOL, by one rule at every order. Masks come in size
+    order, and only those of size at most c are read: a child's new vertex
+    has minimum degree, so one on more neighbours is not a member, and the
+    larger masks are never made. The node's bound, its note, is first
+    tightened by its collatz_wielandt_bound at each weight where the largest
+    size class read can reach the margin. The descendant bound grows with
+    the size, so the size classes kept, by bordered_bound of that bound
+    carried down to order n by _descendant_bound, are the largest ones. Each
+    child of a kept class then takes its own bound, the smaller of its
+    class's bordered_bound and the degree_vector_bound of its degree sums
+    (enumeration.leaf_degree_sums), and is reached when that bound, carried
+    down, can. A reached child is noted with its own bound at each weight:
+    the walk hands it back to bound the child's children if it keeps the
+    child, and at order n it keys the leaf."""
     margins = [floor - 2 * TIE_TOL for floor in floors]
 
-    def reach(parent: Graph, rho: list[float], masks: list[int]) -> dict[int, list[float]]:
+    def reach(parent: Graph, rho: list[float], masks: Iterable[int]) -> dict[int, list[float]]:
+        masks = list(itertools.takewhile(lambda mask: mask.bit_count() <= c, masks))
         order, j = parent.n + 1, n - parent.n - 1
         k = masks[-1].bit_count()
         rho = [min(r, collatz_wielandt_bound(parent, a, GATE_POWER_STEPS))
-               if _descendant_bound(bordered_bound(r, a, k), a, k, order, j) >= m else r
+               if _descendant_bound(bordered_bound(r, a, k), a, k, order, j, c) >= m else r
                for r, a, m in zip(rho, alphas, margins)]
         classes, reached = [], False
         for k, group in itertools.groupby(masks, int.bit_count):
             tops = [bordered_bound(r, a, k) for r, a in zip(rho, alphas)]
-            reached = reached or any(_descendant_bound(top, a, k, order, j) >= m
+            reached = reached or any(_descendant_bound(top, a, k, order, j, c) >= m
                                      for top, a, m in zip(tops, alphas, margins))
             if reached:
                 classes += [(mask, tops) for mask in group]
@@ -272,7 +296,7 @@ def _reach(n: int, alphas: tuple[float, ...], floors: list[float]) -> enumeratio
         for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
                 parent, [mask for mask, _ in classes])):
             own = [min(top, degree_vector_bound(sums, a)) for top, a in zip(tops, alphas)]
-            if any(_descendant_bound(r, a, mask.bit_count(), order, j) >= m
+            if any(_descendant_bound(r, a, mask.bit_count(), order, j, c) >= m
                    for r, a, m in zip(own, alphas, margins)):
                 notes[mask] = own
         return notes
@@ -307,8 +331,8 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     n, alphas, floors, cls, roots = args
     keep = _member_of(cls)
     leaves, keys = [], []  # lazy leaves, in walk order, and each one's key at each weight
-    for parent, gens, notes in enumeration.leaves(n, keep=keep, roots=roots,
-                                                  reach=_reach(n, alphas, floors)):
+    for parent, gens, notes in enumeration.leaves(
+            n, keep=keep, roots=roots, reach=_reach(n, alphas, floors, cls.min_degree_ceiling)):
         leaves += [(parent, gens, mask) for mask in notes]
         keys += notes.values()
     built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
@@ -394,7 +418,8 @@ def extremal_search(
     floors = [alpha_index(witness, a).alpha_index for a in weights]
     root = (*enumeration.ROOT[:2], [0.0] * len(weights))
     prefix = enumeration.nodes(min(n - 1, PREFIX_ORDER), keep=_member_of(cls),
-                               reach=_reach(n, weights, floors), roots=[root])
+                               reach=_reach(n, weights, floors, cls.min_degree_ceiling),
+                               roots=[root])
     workers = max(1, min(workers, len(prefix)))
     jobs = [(n, weights, floors, cls, prefix[s::workers]) for s in range(workers)]
     if workers == 1:

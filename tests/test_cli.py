@@ -389,14 +389,16 @@ class TestCheckCommand:
         # order-6 forests the bound order reaches and the gate lets through
         # are tested too, plus the floor witness. (Before each node carried a
         # bordered bound to its children: (21, 23) and (15, 17); while degree
-        # sums were grown down: (17, 19) and (14, 16).) The three-weight
-        # prefix ends in four order-5 forests, dealt to three shards; the
-        # one-weight prefix ends in one, so no pool is opened for it.
+        # sums were grown down: (17, 19) and (14, 16); before the walk read
+        # only the children within the class's ceiling: (17, 19) and
+        # (13, 15).) The three-weight prefix ends in three order-5 forests
+        # (four before the ceiling), dealt to three shards; the one-weight
+        # prefix ends in one, so no pool is opened for it.
         for grid in ("0.25,0.5,0.75", "0.5"):
             assert prefix[grid, "1"] == prefix[grid, "3"]
         assert in_process_pool == [3]
-        assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (17, 19)
-        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (13, 15)
+        assert (len(prefix["0.25,0.5,0.75", "1"]), counts["0.25,0.5,0.75", "1"]) == (11, 13)
+        assert (len(prefix["0.5", "1"]), counts["0.5", "1"]) == (5, 7)
 
     def test_solves_cut_off_by_the_bound(self, capsys, monkeypatch, tmp_path):
         from alpha_extremal import harness
@@ -563,6 +565,17 @@ REPORT_PINS = [
     pytest.param(
         ("--theorem", "T2", "--s", "3", "--t", "3", "--n", "9", "--alpha", "0.5"),
         "17364df62353f2b4b97bb9cc5d71c87693389d56024ba613f3f80af5eacc1f5d", id="T2-s3t3-n9"),
+    # Order 10 in classes whose min_degree_ceiling (1 or 2) cuts the walk most
+    # (digests taken from a census that read every child of a node).
+    pytest.param(
+        ("--theorem", "T1", "--r", "3", "--n", "10", "--alpha-grid", "0.25,0.5,0.75"),
+        "1034b956fd9ca28ec1bd81be74318b353a40778aba79629d6a1ffd848bae1a39", id="T1-r3-n10"),
+    pytest.param(
+        ("--theorem", "T1", "--r", "4", "--n", "10", "--alpha-grid", "0.25,0.5,0.75"),
+        "7307e274c80032bac2022bb4d6494b3e5b1d2b5084115ea55c5ff6b225fcd4e9", id="T1-r4-n10"),
+    pytest.param(
+        ("--theorem", "T2", "--s", "2", "--t", "2", "--n", "10", "--alpha-grid", "0.25,0.5,0.75"),
+        "b0686aafb6acf6a21d7501d5997c1981d3d091d5a0772b619561c2383edd780e", id="T2-s2t2-n10"),
 ]
 
 
@@ -585,7 +598,8 @@ class TestReportPins:
     @pytest.mark.parametrize("argv, digest, pools", [
         pytest.param(*pin.values, pools, id=pin.id) for pin in REPORT_PINS
         for pin_id, pools in (("T1-r4-n8", [3]), ("T2-s2t3-n7", [3]), ("T3-2,2-n9", [3]),
-                              ("T1-r3-n4:8", [2, 3, 3, 3]), ("T3-1,1-n6", [2]))
+                              ("T1-r3-n4:8", [2, 3, 3, 3]), ("T3-1,1-n6", [2]),
+                              ("T1-r3-n10", [3]), ("T1-r4-n10", [3]), ("T2-s2t2-n10", [3]))
         if pin.id == pin_id
     ])
     def test_report_bytes_at_three_workers(self, capsys, tmp_path, in_process_pool, argv, digest,

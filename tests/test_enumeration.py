@@ -1,6 +1,8 @@
+import collections
 import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +53,26 @@ HEREDITARY = {
 # Their order-8 walks take 18 to 57 s each, so the deferred leaves of these
 # are checked to order 7.
 COSTLY_AT_ORDER_8 = {"K5-minor-free", "K6-minor-free", "K33-minor-free"}
+
+# The claim classes among them, whose min_degree_ceiling the census carries.
+CLAIM_CLASSES = {
+    "K3-minor-free": harness.CliqueMinorFree(3),
+    "K4-minor-free": harness.CliqueMinorFree(4),
+    "K5-minor-free": harness.CliqueMinorFree(5),
+    "K6-minor-free": harness.CliqueMinorFree(6),
+    "K22-minor-free": harness.BicliqueMinorFree(2, 2),
+    "K23-minor-free": harness.BicliqueMinorFree(2, 3),
+    "K33-minor-free": harness.BicliqueMinorFree(3, 3),
+    "S1+S1-free": harness.StarForestFree(StarForestSpec((1, 1))),
+    "S2+S2-free": harness.StarForestFree(StarForestSpec((2, 2))),
+    "S3+S1-free": harness.StarForestFree(StarForestSpec((3, 1))),
+}
+
+
+def ceiling(name):
+    """The min_degree_ceiling of the claim class of HEREDITARY[name]; none
+    (math.inf) for every graph (name None) and for K_{1,3}-minor-free."""
+    return CLAIM_CLASSES[name].min_degree_ceiling if name in CLAIM_CLASSES else math.inf
 
 
 def stream_digest(graphs):
@@ -413,6 +435,37 @@ class TestReachContract:
         assert all(note is None for _, _, note in nodes(5, keep=keep))
         assert all(note is None for _, _, notes in leaves(6, keep=keep) for note in notes.values())
 
+    @pytest.mark.parametrize("name", [None, "K4-minor-free"])
+    def test_masks_never_read_are_never_orbit_tested(self, monkeypatch, name):
+        # A reach that stops reading at size c, as the census stops at its
+        # class's ceiling, has no larger neighbor set orbit-tested, and keeps
+        # the same children as one that reads every mask and drops the larger.
+        keep, c = HEREDITARY.get(name, keep_all), 2
+        above = collections.Counter()  # orbit tests of masks, by whether their size is above c
+        counted = enumeration.orbit
+
+        def noted(point, gens, *image):
+            if image == (permute_mask,):
+                above[point.bit_count() > c] += 1
+            return counted(point, gens, *image)
+
+        monkeypatch.setattr(enumeration, "orbit", noted)
+
+        def stopped(parent, note, masks):
+            return dict.fromkeys(itertools.takewhile(lambda mask: mask.bit_count() <= c, masks))
+
+        def filtered(parent, note, masks):
+            return {mask: None for mask in masks if mask.bit_count() <= c}
+
+        def walk(reach):
+            above.clear()
+            families = [(g.adj, list(masks)) for g, _, masks in leaves(8, keep=keep, reach=reach)]
+            return families, dict(above)
+
+        (families, tested), (every_family, every_tested) = walk(stopped), walk(filtered)
+        assert families == every_family and families
+        assert tested[False] == every_tested[False] and True not in tested and every_tested[True]
+
 
 BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -424,13 +477,14 @@ def dense_indices(adjacency, a):
     return np.linalg.eigvalsh(matrices)[..., -1]
 
 
-def carried_bound_failures(keep, order, start):
+def carried_bound_failures(keep, order, start, c):
     """(checked, failures) of a bound carried down the walk to ``order``:
     from each kept node A of exact index rho, the child on k neighbours with
     derived degree sums (leaf_degree_sums) starts from start(rho, sums, a, k).
-    That start, carried on by harness._descendant_bound as the census
-    carries it, must bound every kept descendant 1, 2 or 3 levels below A
-    through that child, at every weight of BORDERED_WEIGHTS."""
+    That start, carried on by harness._descendant_bound under the ceiling c
+    of ``keep``'s class as the census carries it, must bound every kept
+    descendant 1, 2 or 3 levels below A through that child, at every weight
+    of BORDERED_WEIGHTS."""
     checked = failures = 0
 
     def walk(g, gens, above):
@@ -448,7 +502,7 @@ def carried_bound_failures(keep, order, start):
                 for j, (tops, k) in enumerate(reversed(path[-3:]), start=1):
                     for a, top, w in zip(BORDERED_WEIGHTS, tops, want):
                         checked += 1
-                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1) < w - 1e-12
+                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1, c) < w - 1e-12
                 if m < order:
                     walk(*node, path)
 
@@ -461,31 +515,49 @@ def degree_start(rho, sums, a, k):
     return degree_vector_bound(sums, a)
 
 
-def without_degree_growth(top, a, k, order, j):
+def without_degree_growth(top, a, k, order, j, c):
     """A planted defect: harness._descendant_bound as if every step added a
     vertex on at most k neighbours, not k + i at step i."""
     for i in range(1, j + 1):
-        top = harness.bordered_bound(top, a, min(k, order + i - 1))
+        top = harness.bordered_bound(top, a, min(k, order + i - 1, c))
     return top
+
+
+def with_a_lowered_ceiling(monkeypatch):
+    """Plant a defect: harness._descendant_bound carrying c - 1, not c."""
+    carry = harness._descendant_bound
+    monkeypatch.setattr(harness, "_descendant_bound",
+                        lambda top, a, k, order, j, c: carry(top, a, k, order, j, c - 1))
+
+
+# The classes whose ceiling some member of order <= 7 attains.
+TIGHT_AT_ORDER_7 = ["K3-minor-free", "K4-minor-free", "K22-minor-free", "K23-minor-free"]
 
 
 class TestDescendantBound:
     """The degree_vector_bound of a child's derived degree sums, carried
-    down by harness._descendant_bound, bounds every node that the walk keeps
-    1, 2 or 3 levels below the child's parent through it. With the size
-    class's bordered start (test_harness's TestBorderedBound), this is what
-    lets a census skip a child whose smaller bound falls short of its floor
-    at every weight."""
+    down by harness._descendant_bound under its class's min_degree_ceiling,
+    bounds every node that the walk keeps 1, 2 or 3 levels below the child's
+    parent through it. With the size class's bordered start (test_harness's
+    TestBorderedBound), this is what lets a census skip a child whose
+    smaller bound falls short of its floor at every weight."""
 
     @pytest.mark.parametrize("name, order", [(None, 7)] + [
         (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
     def test_bounds_every_kept_descendant(self, name, order):
-        checked, failures = carried_bound_failures(HEREDITARY.get(name, keep_all), order, degree_start)
+        checked, failures = carried_bound_failures(HEREDITARY.get(name, keep_all), order, degree_start,
+                                                   ceiling(name))
         assert checked and failures == 0
 
     def test_catches_a_planted_defect(self, monkeypatch):
         monkeypatch.setattr(harness, "_descendant_bound", without_degree_growth)
-        checked, failures = carried_bound_failures(keep_all, 7, degree_start)
+        checked, failures = carried_bound_failures(keep_all, 7, degree_start, math.inf)
+        assert checked and failures
+
+    @pytest.mark.parametrize("name", TIGHT_AT_ORDER_7)
+    def test_catches_a_lowered_ceiling(self, monkeypatch, name):
+        with_a_lowered_ceiling(monkeypatch)
+        checked, failures = carried_bound_failures(HEREDITARY[name], 7, degree_start, ceiling(name))
         assert checked and failures
 
     def test_is_the_pairs_themselves_at_zero_steps(self):
@@ -494,7 +566,7 @@ class TestDescendantBound:
             for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
                 for a in BORDERED_WEIGHTS:
                     top = degree_vector_bound(sums, a)
-                    assert harness._descendant_bound(top, a, mask.bit_count(), 6, 0) is top
+                    assert harness._descendant_bound(top, a, mask.bit_count(), 6, 0, math.inf) is top
 
 
 class TestKeepContract:

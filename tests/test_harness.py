@@ -46,8 +46,11 @@ from test_enumeration import (
     BORDERED_WEIGHTS,
     COSTLY_AT_ORDER_8,
     HEREDITARY,
+    TIGHT_AT_ORDER_7,
     carried_bound_failures,
+    ceiling,
     dense_indices,
+    with_a_lowered_ceiling,
 )
 
 REPORT_SCHEMA = {
@@ -110,9 +113,57 @@ class TestAnchoredMembership:
         assert asked
 
 
+# The classes with a proved min_degree_ceiling, and those among them whose
+# ceiling some member of order <= 9 attains: K5- and K_{3,3}-minor-free
+# graphs first reach minimum degree 5 at the icosahedron, of order 12.
+CEILED = [CliqueMinorFree(r) for r in (3, 4, 5)] + [
+    BicliqueMinorFree(s, t) for s, t in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3))]
+ATTAINED = [cls for cls in CEILED if cls not in (CliqueMinorFree(5), BicliqueMinorFree(3, 3))]
+
+
+def members_above(cls, n, c):
+    """The order-n members of the class with minimum degree above c, one per
+    isomorphism class, in walk order. Deleting a vertex lowers the minimum
+    degree by at most one, so every order-m walk ancestor of such a member
+    has minimum degree above c - (n - m), and the walk keeps only those."""
+    member = harness._member_of(cls)
+    return list(enumeration.enumerate_graphs(
+        n, keep=lambda g: min(g.degrees()) > c - (n - g.n) and member(g)))
+
+
+class TestMinDegreeCeiling:
+    """Every member of a class has a vertex of degree at most its
+    min_degree_ceiling, which the census's walk reads and carries down:
+    checked on every member of order <= 9."""
+
+    def test_table(self):
+        assert [cls.min_degree_ceiling for cls in CEILED] == [1, 2, 5, 2, 3, 4, 5, 5]
+        assert all(cls.min_degree_ceiling == math.inf for cls in [
+            CliqueMinorFree(6), BicliqueMinorFree(3, 4), BicliqueMinorFree(4, 4),
+            StarForestFree(StarForestSpec((1, 1))), StarForestFree(StarForestSpec((2, 2)))])
+
+    @pytest.mark.parametrize("cls", CEILED, ids=lambda cls: cls.label)
+    def test_no_member_lies_above_it(self, cls):
+        assert not any(members_above(cls, n, cls.min_degree_ceiling) for n in range(1, 10))
+
+    @pytest.mark.parametrize("cls", ATTAINED, ids=lambda cls: cls.label)
+    def test_catches_a_planted_defect(self, cls):
+        assert any(members_above(cls, n, cls.min_degree_ceiling - 1) for n in range(1, 10))
+
+    @pytest.mark.parametrize("cls", [CliqueMinorFree(4), BicliqueMinorFree(2, 3)],
+                             ids=lambda cls: cls.label)
+    def test_pruned_walk_finds_what_the_member_walk_does(self, cls):
+        member = harness._member_of(cls)
+        for n in range(1, 8):
+            every = list(enumeration.enumerate_graphs(n, keep=member))
+            for c in range(4):
+                assert members_above(cls, n, c) == [g for g in every if min(g.degrees()) > c]
+
+
 def counted_work(monkeypatch, n):
     """A Counter, filled as the census runs, of its walk labelings, minor or
-    star-forest searches, Collatz-Wielandt bounds and order-n builds."""
+    star-forest searches, Collatz-Wielandt bounds, order-n builds and, under
+    ("decided", m), the order-m walk nodes it decides."""
     counts = collections.Counter()
     for module, name in ((enumeration, "canonical_labeling_masks"),
                          (harness, "is_minor_free"), (harness, "is_star_forest_free"),
@@ -122,6 +173,13 @@ def counted_work(monkeypatch, n):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    decide = enumeration.kept_node
+
+    def decided(leaf, keep):
+        counts["decided", leaf[0].n + 1] += 1
+        return decide(leaf, keep)
+
+    monkeypatch.setattr(enumeration, "kept_node", decided)
     unchecked = Graph.unchecked
 
     def noted_build(order, adj):
@@ -153,15 +211,18 @@ class TestWorkCounts:
     child's degree sums were grown to bound its descendants, in place of
     carrying its own bound down, the rows took 52, 44, 21, 34, 43 and 104
     labelings and 213, 59, 34, 44, 73 and 202 searches, and built as many
-    order-n graphs as now."""
+    order-n graphs as now. Before the walk read only the children within
+    its class's min_degree_ceiling and carried that ceiling down, the rows
+    took 51, 41, 20, 29, 43 and 85 labelings and 207, 53, 33, 38, 72 and 169
+    searches, and built as many order-n graphs as now."""
 
     @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
         (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 207, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 41, 53, 15),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 20, 33, 21),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 18, 22, 15),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 17, 30, 21),
         (CliqueMinorFree(5), 8, [0.5], 29, 38, 19),
         (BicliqueMinorFree(3, 3), 8, [0.5], 43, 72, 49),
-        (CliqueMinorFree(5), 9, [0.5], 85, 169, 17),
+        (CliqueMinorFree(5), 9, [0.5], 77, 163, 17),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
     def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
         counts = counted_work(monkeypatch, n)
@@ -174,11 +235,17 @@ class TestWorkCounts:
         # The T1-r4-n8 row twice in one process, then dealt to two shards
         # (run in process here): a bound kept from one census, or shared
         # between shards, would change the work of the next, and one kept
-        # from an earlier test would change the first from its pins (44
-        # labelings and 59 searches while degree sums were grown down).
+        # from an earlier test would change the first from its pins. The
+        # pins include the walk nodes decided at each order 1..7. While
+        # degree sums were grown down: 44 labelings, 59 searches, and 22, 72
+        # and 82 nodes decided at orders 5, 6 and 7. Before the walk read
+        # only the children within the class's ceiling: 41 labelings, 53
+        # searches, 126 Collatz-Wielandt bounds and 1, 2, 4, 10, 23, 61 and
+        # 69 nodes decided (170 in all).
         cls, n, weights = CliqueMinorFree(4), 8, [0.25, 0.75]
-        pinned = {"canonical_labeling_masks": 41, "is_minor_free": 53,
-                  "collatz_wielandt_bound": 126, "built": 15}
+        pinned = {"canonical_labeling_masks": 18, "is_minor_free": 22,
+                  "collatz_wielandt_bound": 101, "built": 15,
+                  **{("decided", m): count for m, count in enumerate([1, 2, 3, 6, 12, 22, 42], 1)}}
         counts = counted_work(monkeypatch, n)
         for workers in (1, 1, 2):
             counts.clear()
@@ -249,8 +316,9 @@ def class_start(rho, sums, a, k):
 class TestBorderedBound:
     """bordered_bound bounds a graph with one vertex added from a bound on
     the graph's own index, for every graph of order <= 6 and every mask; and
-    carried down the walk from a size class's start, as the census carries
-    it, it bounds every kept descendant 1 to 3 levels down."""
+    carried down the walk from a size class's start under its class's
+    min_degree_ceiling, as the census carries it, it bounds every kept
+    descendant 1 to 3 levels down."""
 
     def test_bounds_every_one_vertex_extension(self, graphs_by_order):
         assert bordered_failures(graphs_by_order, bordered_bound) == (56450, 0)
@@ -259,24 +327,32 @@ class TestBorderedBound:
         (name, 8) for name in sorted(HEREDITARY) if name not in COSTLY_AT_ORDER_8])
     def test_carried_bound_covers_every_kept_descendant(self, name, order):
         checked, failures = carried_bound_failures(HEREDITARY.get(name, lambda g: True), order,
-                                                   class_start)
+                                                   class_start, ceiling(name))
         assert checked and failures == 0
 
     def test_catches_a_planted_defect(self, monkeypatch, graphs_by_order):
         checked, failures = bordered_failures(graphs_by_order, without_shift)
         assert checked and failures
         monkeypatch.setattr(harness, "bordered_bound", without_shift)
-        checked, failures = carried_bound_failures(lambda g: True, 6, class_start)
+        checked, failures = carried_bound_failures(lambda g: True, 6, class_start, math.inf)
+        assert checked and failures
+
+    @pytest.mark.parametrize("name", TIGHT_AT_ORDER_7)
+    def test_catches_a_lowered_ceiling(self, monkeypatch, name):
+        with_a_lowered_ceiling(monkeypatch)
+        checked, failures = carried_bound_failures(HEREDITARY[name], 7, class_start, ceiling(name))
         assert checked and failures
 
 
 def note_failures(cls, n):
     """(checked, failures) of the census's notes under floors of 0, where
-    ``_reach`` reaches every child and takes the Collatz-Wielandt bound of
-    every node: the note of every node the walk keeps, at orders 1..n-1, and
-    the key of every emitted order-n leaf must not fall below its alpha
-    index at any weight of BORDERED_WEIGHTS."""
-    reach = harness._reach(n, BORDERED_WEIGHTS, [0.0] * len(BORDERED_WEIGHTS))
+    ``_reach`` reaches every child within the class's min_degree_ceiling and
+    takes the Collatz-Wielandt bound of every node: the note of every node
+    the walk keeps, at orders 1..n-1, and the key of every emitted order-n
+    leaf must not fall below its alpha index at any weight of
+    BORDERED_WEIGHTS."""
+    reach = harness._reach(n, BORDERED_WEIGHTS, [0.0] * len(BORDERED_WEIGHTS),
+                           cls.min_degree_ceiling)
     keep = harness._member_of(cls)
     checked = failures = 0
 
@@ -478,8 +554,10 @@ class TestExtremalSearch:
         assert serial == parallel
 
     @pytest.mark.parametrize("n, cls, workers, size", [
-        # The floor keeps 2 of the 20 forests of order 6 (5 while degree sums were grown down).
-        (8, CliqueMinorFree(3), 10**6, 2),
+        # The floor keeps 1 of the 20 forests of order 6, the star (2 before
+        # the walk read only the children within the class's ceiling, 5
+        # while degree sums were grown down).
+        (8, CliqueMinorFree(3), 10**6, 1),
         (5, StarForestFree(StarForestSpec((2, 2))), 1000, 5),  # n <= 6: order-(n-1) nodes, 5 of 11
         (6, StarForestFree(StarForestSpec((3, 3))), 10**9, 10),  # 10 of the 34 order-5 graphs (11)
         (7, StarForestFree(StarForestSpec((2, 2))), 3, 3),
@@ -495,10 +573,12 @@ class TestExtremalSearch:
         # The prefix walk is shared, not repeated per shard: at any worker
         # count the walk tests no graph twice, and the prefix (the forests to
         # order 5 whose descendants can reach the floor) is tested as at one
-        # worker. There the walk makes 14 class_member calls, 13 of them
-        # below order 6, and one more checks the floor witness (15 and 14
-        # while degree sums were grown down, 16 and 15 before each node
-        # carried a bordered bound to its children). The floor keeps one
+        # worker. There the walk makes 6 class_member calls, 5 of them below
+        # order 6, one per order down to the star, and one more checks the
+        # floor witness (14 and 13 before the walk read only the children
+        # within the class's ceiling, 15 and 14 while degree sums were grown
+        # down, 16 and 15 before each node carried a bordered bound to its
+        # children). The floor keeps one
         # order-5 forest (two while degree sums were grown down), so three
         # workers are clamped to one and no pool is opened; the three-weight
         # run of test_cli's test_membership_once_per_class_and_order deals
@@ -518,7 +598,7 @@ class TestExtremalSearch:
             assert len(walked) == len(set(walked))
             counts[w] = len(calls)
             prefix[w] = [g for g, _ in calls if g.n < 6]
-        assert counts[1] == 15 and len(prefix[1]) == 13
+        assert counts[1] == 7 and len(prefix[1]) == 5
         assert prefix[workers] == prefix[1]
         assert in_process_pool == []
 
