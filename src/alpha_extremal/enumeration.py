@@ -41,20 +41,21 @@ membership.
 At the target order the decision is the caller's. ``leaves`` yields each
 kept order-(n-1) node with its group and its children's neighbor masks,
 each mapped to its note (below), one lazy leaf (parent, generators, mask)
-per mask, unbuilt; ``build`` makes one leaf's graph (None if some vertex
-beats its new vertex), ``emits`` asks a built leaf the tie test, then
-``keep``, and ``kept_node`` also gives a kept leaf its group, so that a
-walk continued below it needs no labeling.
+per mask, unbuilt; ``build`` makes one leaf's graph and deletion candidates
+(None if some vertex beats its new vertex), ``emits`` asks a built leaf the
+tie test, then ``keep``, and ``kept_node`` also gives a kept leaf its
+group, so that a walk continued below it needs no labeling.
 ``leaf_degree_sums`` is the other reader of a family's masks: each child's
 (degree, neighbor-degree sum) pairs, derived from the parent's, so that a
 caller can bound a child's alpha index before building it.
 A caller's ``reach`` may drop children before they are decided, at every
-order: ``reach(node, note, masks)``, asked once per kept node below order n
-with the node's own note, keeps the masks of those it needs (the census,
+order: ``reach(node, note, groups)``, asked once per kept node below order
+n with the node's own note, keeps the masks of those it needs (the census,
 those whose order-n descendants can reach its floor), each with a note for
-the child (the census, its bound). The masks come lazily, in (size,
-lexicographic) order, so a reach that stops reading (the census, at its
-class's minimum-degree ceiling) has no larger mask orbit-tested. The walk
+the child (the census, its bound). The masks come in lazy groups, one per
+size, in size order, so a reach that stops reading groups (the census, at
+its class's minimum-degree ceiling) or passes one over (the census, a size
+whose bound cannot reach its floor) has none of those orbit-tested. The walk
 neither decides nor descends into the rest; a kept child carries its note,
 and a family of order-n leaves maps only the masks kept to their notes. By
 default it reaches every child, noting None.
@@ -85,11 +86,12 @@ Node = tuple[Graph, Gens, object]
 # each mapped to its note; iterating the dict gives the masks.
 Family = tuple[Graph, Gens, dict[int, object]]
 Leaf = tuple[Graph, Gens, int]
-# Which children of a kept node the walk goes on with:
-# (node graph, node's note, masks) -> {mask: child's note}, in mask order.
-# The masks come lazily, in (size, lexicographic) order; those never read
-# are never made.
-Reach = Callable[[Graph, object, Iterator[int]], dict[int, object]]
+# A node's children's neighbor masks of one size: (size, masks), the masks
+# lazily, in lexicographic order; those never read are never made.
+Group = tuple[int, Iterator[int]]
+# Which children of a kept node the walk goes on with: (node graph, node's
+# note, its groups, lazily in size order) -> {mask: child's note}, in order.
+Reach = Callable[[Graph, object, Iterator[Group]], dict[int, object]]
 # The walk's root: the order-0 graph, whose only child is K1, with no note.
 ROOT: Node = (Graph(0, ()), [], None)
 
@@ -98,15 +100,11 @@ class EnumerationCapError(ValueError):
     """Requested order exceeds the enumeration cap."""
 
 
-def _degrees(adj: tuple[int, ...]) -> list[int]:
-    return [row.bit_count() for row in adj]
-
-
-def _deletion_candidates(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Vertex n-1 (of minimum degree) and the vertices tied with it on
-    (degree, sorted neighbor degrees); empty when some vertex beats it."""
-    degs = _degrees(adj)
-    v = n - 1
+def _deletion_candidates(adj: tuple[int, ...]) -> list[int]:
+    """The last vertex v of ``adj`` (of minimum degree) and the vertices tied
+    with it on (degree, sorted neighbor degrees); empty when one beats it."""
+    degs = [row.bit_count() for row in adj]
+    v = len(adj) - 1
     min_set = [u for u in range(v) if degs[u] == degs[v]]
     if not min_set:
         return [v]
@@ -125,28 +123,32 @@ def _deletion_candidates(n: int, adj: tuple[int, ...]) -> list[int]:
     return candidates
 
 
-def _masks(m: int, adj: tuple[int, ...], gens: Gens) -> Iterator[int]:
-    """The neighbor sets, as masks, of the one-vertex extensions of an
-    order-m graph whose new vertex has minimum degree, one per Aut orbit (its
-    minimum), in (size, lexicographic) order.
+def _masks(g: Graph, gens: Gens) -> Iterator[Group]:
+    """The neighbor sets, as masks, of the one-vertex extensions of g whose
+    new vertex has minimum degree, one per Aut orbit (its minimum): one
+    (size, masks) group per size, in size order, each group's masks lazily,
+    in lexicographic order.
 
     A vertex of degree below the size must join the neighbor set, or it
     would end below the new vertex; that happens only at min_degree + 1.
     """
-    degs = _degrees(adj)
-    for size in range(min(m, min(degs, default=0) + 1) + 1):
-        forced = [u for u in range(m) if degs[u] < size]
+    degs = g.degrees()
+    for size in range(min(g.n, min(degs, default=0) + 1) + 1):
+        forced = [u for u in range(g.n) if degs[u] < size]
         if len(forced) > size:
             break
-        base = mask_of(forced)
-        free = [u for u in range(m) if degs[u] >= size]
-        for i, combo in enumerate(combinations(free, size - len(forced))):
-            mask = base | mask_of(combo)
-            # One neighbor set per Aut orbit: the orbit's minimum. The first,
-            # on the lowest free vertices, is one: automorphisms keep degrees,
-            # so map forced vertices to forced and free ones to free.
-            if not i or not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
-                yield mask
+        free = [u for u in range(g.n) if degs[u] >= size]
+        yield size, _orbit_minima(mask_of(forced), combinations(free, size - len(forced)), gens)
+
+
+def _orbit_minima(base: int, combos: Iterator[tuple[int, ...]], gens: Gens) -> Iterator[int]:
+    """Each mask base | combo that is the minimum of its Aut orbit, lazily."""
+    for i, combo in enumerate(combos):
+        mask = base | mask_of(combo)
+        # The first, on the lowest free vertices, is one: automorphisms keep
+        # degrees, so map forced vertices to forced and free ones to free.
+        if not i or not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
+            yield mask
 
 
 def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, Gens | None]:
@@ -161,16 +163,6 @@ def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, Gens | None]:
         return True, None
     perm, gens = canonical_labeling_masks(g.n, adj)
     return min(candidates, key=perm.__getitem__) in orbit(v, gens), gens
-
-
-def _child(g: Graph, mask: int):
-    """(child, deletion candidates) for g plus a vertex on ``mask``, or None
-    when some vertex beats the new one: that child is rejected unmade."""
-    m = g.n
-    adj = tuple(row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(g.adj)) + (mask,)
-    if not (candidates := _deletion_candidates(m + 1, adj)):
-        return None
-    return Graph.unchecked(m + 1, adj), candidates  # symmetric and loop-free by construction
 
 
 def leaf_degree_sums(parent: Graph, masks: Iterable[int]) -> Iterator[list[tuple[int, int]]]:
@@ -194,26 +186,31 @@ def leaf_degree_sums(parent: Graph, masks: Iterable[int]) -> Iterator[list[tuple
         yield sums + [(k, sum(cs) + k)] if k else sums
 
 
-def build(leaf: Leaf) -> Graph | None:
-    """The lazy leaf's graph, made now, or None when some vertex beats its
-    new vertex (the walk rejects it unmade). Undecided: see ``emits``."""
+def build(leaf: Leaf) -> tuple[Graph, list[int]] | None:
+    """The lazy leaf's graph, made now, with its deletion candidates, or None
+    when some vertex beats its new vertex (the walk rejects it unmade).
+    Undecided: see ``emits``."""
     parent, _, mask = leaf
-    return (made := _child(parent, mask)) and made[0]
+    m = parent.n
+    adj = tuple(row | (1 << m) if mask >> u & 1 else row for u, row in enumerate(parent.adj)) + (mask,)
+    if not (candidates := _deletion_candidates(adj)):
+        return None
+    return Graph.unchecked(m + 1, adj), candidates  # symmetric and loop-free by construction
 
 
-def emits(g: Graph, keep: Callable[[Graph], bool]) -> bool:
-    """Whether the walk emits the built leaf g (its new vertex last): the tie
+def emits(built: tuple[Graph, list[int]], keep: Callable[[Graph], bool]) -> bool:
+    """Whether the walk emits a built leaf (its new vertex last): the tie
     test, then ``keep``."""
-    return _tie_test(g, _deletion_candidates(g.n, g.adj))[0] and keep(g)
+    g, candidates = built
+    return _tie_test(g, candidates)[0] and keep(g)
 
 
 def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> tuple[Graph, Gens] | None:
     """The graph and generators of its automorphism group that a leaf
     becomes when the walk keeps it, built here, or None when it rejects it."""
-    parent, gens, mask = leaf
-    if (made := _child(parent, mask)) is None:
+    if (built := build(leaf)) is None:
         return None
-    g, candidates = made
+    g, candidates = built
     canonical, group = _tie_test(g, candidates)
     if not (canonical and keep(g)):
         return None
@@ -221,7 +218,7 @@ def kept_node(leaf: Leaf, keep: Callable[[Graph], bool]) -> tuple[Graph, Gens] |
         # Every automorphism maps v to v or a tied twin: Aut(parent)'s
         # stabilizer of adj[v], fixing v, and the swaps (u v) generate Aut(g).
         v = g.n - 1
-        group = [h + (v,) for h in stabilizer(g.adj[v], gens, permute_mask)]
+        group = [h + (v,) for h in stabilizer(g.adj[v], leaf[1], permute_mask)]
         for u in candidates[1:]:
             swap = list(range(v + 1))
             swap[u], swap[v] = v, u
@@ -233,8 +230,8 @@ def _keep_all(g: Graph) -> bool:
     return True
 
 
-def _reach_all(parent: Graph, note: object, masks: Iterator[int]) -> dict[int, object]:
-    return dict.fromkeys(masks)
+def _reach_all(parent: Graph, note: object, groups: Iterator[Group]) -> dict[int, object]:
+    return dict.fromkeys(mask for _, masks in groups for mask in masks)
 
 
 def _children(g: Graph, gens: Gens, notes: dict[int, object],
@@ -252,7 +249,7 @@ def _descend(g: Graph, gens: Gens, note: object, target: int, keep: Callable[[Gr
     by parent, among the children ``reach`` keeps at each node; ``gens``
     generate Aut(g) and ``note`` is what reach gave g. Nodes below the
     target are decided here; the leaves are not."""
-    notes = reach(g, note, _masks(g.n, g.adj, gens))
+    notes = reach(g, note, _masks(g, gens))
     if g.n + 1 == target:
         yield g, gens, notes
         return
@@ -284,9 +281,10 @@ def leaves(
     below it. The roots of one order, in walk order, give all the leaves in
     order. See ``enumerate_graphs`` for ``keep``.
 
-    ``reach(node, note, masks)`` maps, in order, the masks of the children
-    of a kept node that the walk goes on with to their notes (``masks`` is
-    a lazy iterator in size order; those never read are never made): below
+    ``reach(node, note, groups)`` maps, in order, the masks of the children
+    of a kept node that the walk goes on with to their notes (``groups``
+    gives one (size, masks) pair per size, in size order, each ``masks`` a
+    lazy iterator in lexicographic order; masks never read are never made): below
     order n - 1 the walk decides them and descends into the kept ones, each
     carrying its note, and at order n - 1 they are the node's family. It is
     asked once per kept node below order n, with that node's note (a root's
@@ -325,5 +323,5 @@ def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> It
     """
     for parent, gens, masks in leaves(n, keep=keep):
         for mask in masks:
-            if (g := build((parent, gens, mask))) is not None and emits(g, keep):
-                yield g
+            if (built := build((parent, gens, mask))) is not None and emits(built, keep):
+                yield built[0]

@@ -262,41 +262,42 @@ def _descendant_bound(top: float, a: float, k: int, order: int, j: int, c: float
 def _reach(n: int, alphas: tuple[float, ...], floors: list[float], c: float) -> enumeration.Reach:
     """The census's ``reach`` for a class with min_degree_ceiling c: the
     children of a node whose order-n descendants can reach some weight's
-    floor, within 2*TIE_TOL, by one rule at every order. Masks come in size
-    order, and only those of size at most c are read: a child's new vertex
-    has minimum degree, so one on more neighbours is not a member, and the
-    larger masks are never made. The node's bound, its note, is first
+    floor, within 2*TIE_TOL, by one rule at every order. Masks come in one
+    lazy group per size, in size order, and only the headers up to size c
+    are read: a child's new vertex has minimum degree, so one on more
+    neighbours is not a member. The node's bound, its note, is first
     tightened by its collatz_wielandt_bound at each weight where the largest
-    size class read can reach the margin. The descendant bound grows with
-    the size, so the size classes kept, by bordered_bound of that bound
-    carried down to order n by _descendant_bound, are the largest ones. Each
-    child of a kept class then takes its own bound, the smaller of its
-    class's bordered_bound and the degree_vector_bound of its degree sums
-    (enumeration.leaf_degree_sums), and is reached when that bound, carried
-    down, can. A reached child is noted with its own bound at each weight:
-    the walk hands it back to bound the child's children if it keeps the
-    child, and at order n it keys the leaf."""
+    size read can reach the margin. The descendant bound grows with the
+    size, so the size classes kept, by bordered_bound of that bound carried
+    down to order n by _descendant_bound, are the largest ones, and only
+    their masks are made (and orbit-tested). Each child of a kept class
+    then takes its own bound, the smaller of its class's bordered_bound and
+    the degree_vector_bound of its degree sums (enumeration's
+    leaf_degree_sums), and is reached when that bound, carried down, can. A
+    reached child is noted with its own bound at each weight: the walk hands
+    it back to bound the child's children if it keeps the child, and at
+    order n it keys the leaf."""
     margins = [floor - 2 * TIE_TOL for floor in floors]
 
-    def reach(parent: Graph, rho: list[float], masks: Iterable[int]) -> dict[int, list[float]]:
-        masks = list(itertools.takewhile(lambda mask: mask.bit_count() <= c, masks))
+    def reach(parent: Graph, rho: list[float], groups: Iterable) -> dict[int, list[float]]:
+        groups = list(itertools.takewhile(lambda group: group[0] <= c, groups))
         order, j = parent.n + 1, n - parent.n - 1
-        k = masks[-1].bit_count()
+        k = groups[-1][0]
         rho = [min(r, collatz_wielandt_bound(parent, a, GATE_POWER_STEPS))
                if _descendant_bound(bordered_bound(r, a, k), a, k, order, j, c) >= m else r
                for r, a, m in zip(rho, alphas, margins)]
         classes, reached = [], False
-        for k, group in itertools.groupby(masks, int.bit_count):
+        for k, masks in groups:
             tops = [bordered_bound(r, a, k) for r, a in zip(rho, alphas)]
             reached = reached or any(_descendant_bound(top, a, k, order, j, c) >= m
                                      for top, a, m in zip(tops, alphas, margins))
             if reached:
-                classes += [(mask, tops) for mask in group]
+                classes += [(mask, k, tops) for mask in masks]
         notes = {}
-        for (mask, tops), sums in zip(classes, enumeration.leaf_degree_sums(
-                parent, [mask for mask, _ in classes])):
+        for (mask, k, tops), sums in zip(classes, enumeration.leaf_degree_sums(
+                parent, [mask for mask, _, _ in classes])):
             own = [min(top, degree_vector_bound(sums, a)) for top, a in zip(tops, alphas)]
-            if any(_descendant_bound(r, a, mask.bit_count(), order, j, c) >= m
+            if any(_descendant_bound(r, a, k, order, j, c) >= m
                    for r, a, m in zip(own, alphas, margins)):
                 notes[mask] = own
         return notes
@@ -335,7 +336,7 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
             n, keep=keep, roots=roots, reach=_reach(n, alphas, floors, cls.min_degree_ceiling)):
         leaves += [(parent, gens, mask) for mask in notes]
         keys += notes.values()
-    built = {}  # leaf index -> its graph, or None if rejected unmade; built when first reached
+    built = {}  # leaf index -> what build made (None if rejected); built when first reached
     emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
     for w, (a, floor) in enumerate(zip(alphas, floors)):
@@ -347,11 +348,11 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
                 break
             if i not in built:
                 built[i] = enumeration.build(leaves[i])
-            g = built[i]
+            g = built[i] and built[i][0]
             if g is None or collatz_wielandt_bound(g, a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
                 continue
             if i not in emitted:
-                emitted[i] = enumeration.emits(g, keep)
+                emitted[i] = enumeration.emits(built[i], keep)
             if not emitted[i]:
                 continue
             value = alpha_index(g, a).alpha_index

@@ -21,7 +21,7 @@ from alpha_extremal.enumeration import (
     nodes,
 )
 from alpha_extremal.graph6 import encode_graph6
-from alpha_extremal.graphs import Graph, permute_mask
+from alpha_extremal.graphs import Graph, mask_of, permute_mask
 from alpha_extremal.minors import BicliqueMinor, CliqueMinor, is_minor_free
 from alpha_extremal.spectral import degree_vector_bound
 from alpha_extremal.star_forests import is_star_forest_free
@@ -87,12 +87,17 @@ def untwinned_ties(adj):
     """The vertices tied with the last vertex v on (degree, sorted neighbor
     degrees) that are not twins of v."""
     v = len(adj) - 1
-    return [u for u in enumeration._deletion_candidates(len(adj), adj)[1:]
+    return [u for u in enumeration._deletion_candidates(adj)[1:]
             if adj[u] & ~(1 << v) != adj[v] & ~(1 << u)]
 
 
 def keep_all(g):
     return True
+
+
+def emitted(leaf, keep):
+    """The lazy leaf's graph if the walk emits it, else None."""
+    return built[0] if (built := build(leaf)) is not None and emits(built, keep) else None
 
 
 def lazy_leaves(n, **kwargs):
@@ -104,7 +109,23 @@ def walk_below(n, roots, keep=keep_all):
     """graph6 of the order-n graphs the walk emits below ``roots``, in order:
     their lazy leaves, each decided."""
     return [encode_graph6(g) for leaf in lazy_leaves(n, keep=keep, roots=roots)
-            if (g := build(leaf)) is not None and emits(g, keep)]
+            if (g := emitted(leaf, keep)) is not None]
+
+
+def flat_masks(m, adj, gens):
+    """Oracle for ``enumeration._masks``: the same neighbor masks as one flat
+    stream, in (size, lexicographic) order."""
+    degs = [row.bit_count() for row in adj]
+    for size in range(min(m, min(degs, default=0) + 1) + 1):
+        forced = [u for u in range(m) if degs[u] < size]
+        if len(forced) > size:
+            break
+        base = mask_of(forced)
+        free = [u for u in range(m) if degs[u] >= size]
+        for i, combo in enumerate(itertools.combinations(free, size - len(forced))):
+            mask = base | mask_of(combo)
+            if not i or not gens or all(m2 >= mask for m2 in orbit(mask, gens, permute_mask)):
+                yield mask
 
 
 def mask_orbit_labels(n, gens):
@@ -257,8 +278,7 @@ class TestDeferredLeaves:
         # One answer per graph across the three passes below.
         keep = functools.cache(HEREDITARY[name])
         found = lazy_leaves(n, keep=keep)
-        decided = [g if (g := build(leaf)) is not None and emits(g, keep) else None
-                   for leaf in reversed(found)][::-1]
+        decided = [emitted(leaf, keep) for leaf in reversed(found)][::-1]
         assert [g for g in decided if g is not None] == list(enumerate_graphs(n, keep=keep))
         assert [(node := kept_node(leaf, keep)) and node[0] for leaf in found] == decided
         for parent, gens, mask in found:
@@ -282,7 +302,7 @@ class TestDeferredLeaves:
 
         monkeypatch.setattr(enumeration, "canonical_labeling_masks", counted)
         found = lazy_leaves(8, keep=keep, roots=prefix)
-        assert [g for leaf in found if (g := build(leaf)) is not None and emits(g, keep)] == want
+        assert [g for leaf in found if (g := emitted(leaf, keep)) is not None] == want
         assert not {g.adj for g, _, _ in prefix} & set(labeled)
         for g, gens, _ in prefix:
             assert generated_group(g.n, gens) == set(brute_force_automorphisms(g))
@@ -354,14 +374,32 @@ class TestDerivedGroups:
             assert mask_orbit_labels(g.n, gens) == mask_orbit_labels(g.n, labeled)
 
 
+class TestMaskGroups:
+    """Each node hands ``reach`` its children's neighbor masks as one lazy
+    group per size, in size order: flattened, they are the flat oracle's."""
+
+    def test_flattened_are_the_flat_masks(self, graphs_by_order):
+        checked = 0
+        for g in [Graph(0, ())] + [g for n in range(1, 8) for g in graphs_by_order[n]]:
+            gens = canonical_labeling_masks(g.n, g.adj)[1]
+            groups = [(size, list(masks)) for size, masks in enumeration._masks(g, gens)]
+            assert [mask for _, masks in groups for mask in masks] == list(flat_masks(g.n, g.adj, gens))
+            sizes = [size for size, _ in groups]
+            assert sizes == sorted(set(sizes))
+            assert all(mask.bit_count() == size for size, masks in groups for mask in masks)
+            checked += len(groups)
+        assert checked
+
+
 def every_third_dropped(asked):
     """A ``reach`` that drops every third child of each node (keeping the
     first), notes each child it keeps by (its parent's adjacency, its mask),
     and records, per node asked, the node, the note it was handed and the
     masks it kept."""
-    def reach(parent, note, masks):
+    def reach(parent, note, groups):
         assert parent.adj not in asked
-        kept = [mask for i, mask in enumerate(masks) if (i + 1) % 3]
+        kept = [mask for i, mask in enumerate(mask for _, masks in groups for mask in masks)
+                if (i + 1) % 3]
         asked[parent.adj] = parent, note, kept
         return {mask: (parent.adj, mask) for mask in kept}
     return reach
@@ -370,9 +408,7 @@ def every_third_dropped(asked):
 def kept_children(parent, masks, keep):
     """The adjacencies of the children of ``parent`` on ``masks`` that the
     walk keeps."""
-    return [g.adj for mask in masks
-            if (g := enumeration.build((parent, [], mask))) is not None
-            and enumeration.emits(g, keep)]
+    return [g.adj for mask in masks if (g := emitted((parent, [], mask), keep)) is not None]
 
 
 def parent_note(g):
@@ -396,7 +432,7 @@ class TestReachContract:
         # the order-6 nodes asked are the families' parents.
         assert [list(masks) for _, _, masks in families] == [asked[g.adj][2] for g, _, _ in families]
         assert [adj for adj, (g, _, _) in asked.items() if g.n == 6] == [g.adj for g, _, _ in families]
-        assert any(len(masks) < len(list(enumeration._masks(g.n, g.adj, gens)))
+        assert any(len(masks) < len(list(flat_masks(g.n, g.adj, gens)))
                    for g, gens, masks in families)
         # The nodes asked are the root and the kept children of the nodes
         # asked below order 6, each once.
@@ -438,33 +474,56 @@ class TestReachContract:
     @pytest.mark.parametrize("name", [None, "K4-minor-free"])
     def test_masks_never_read_are_never_orbit_tested(self, monkeypatch, name):
         # A reach that stops reading at size c, as the census stops at its
-        # class's ceiling, has no larger neighbor set orbit-tested, and keeps
-        # the same children as one that reads every mask and drops the larger.
-        keep, c = HEREDITARY.get(name, keep_all), 2
-        above = collections.Counter()  # orbit tests of masks, by whether their size is above c
+        # class's ceiling, has no larger neighbor set orbit-tested; one that
+        # also skips the whole groups below size b at the families' parents,
+        # as the census skips the sizes whose bound cannot reach its floor,
+        # has none of those either. Each keeps what a reach that reads every
+        # mask and filters keeps.
+        keep, b, c = HEREDITARY.get(name, keep_all), 2, 2
+        tested = collections.Counter()  # orbit tests of masks, by (node order, size)
         counted = enumeration.orbit
 
         def noted(point, gens, *image):
             if image == (permute_mask,):
-                above[point.bit_count() > c] += 1
+                tested[len(gens[0]), point.bit_count()] += 1
             return counted(point, gens, *image)
 
         monkeypatch.setattr(enumeration, "orbit", noted)
 
-        def stopped(parent, note, masks):
-            return dict.fromkeys(itertools.takewhile(lambda mask: mask.bit_count() <= c, masks))
-
-        def filtered(parent, note, masks):
-            return {mask: None for mask in masks if mask.bit_count() <= c}
-
         def walk(reach):
-            above.clear()
+            tested.clear()
             families = [(g.adj, list(masks)) for g, _, masks in leaves(8, keep=keep, reach=reach)]
-            return families, dict(above)
+            return families, dict(tested)
 
-        (families, tested), (every_family, every_tested) = walk(stopped), walk(filtered)
-        assert families == every_family and families
-        assert tested[False] == every_tested[False] and True not in tested and every_tested[True]
+        def grouped(low):
+            def reach(parent, note, groups):
+                return dict.fromkeys(mask for size, masks in itertools.takewhile(
+                    lambda group: group[0] <= c, groups) if low(parent.n) <= size for mask in masks)
+            return reach
+
+        def flattened(low):
+            def reach(parent, note, groups):
+                return {mask: None for _, masks in groups for mask in masks
+                        if low(parent.n) <= mask.bit_count() <= c}
+            return reach
+
+        def tests_only_what_it_keeps(reach, low):
+            (families, its_tests), (want, every) = walk(reach), walk(flattened(low))
+            assert families == want and families
+            assert any(not low(order) <= size <= c for order, size in every)
+            return its_tests == {(order, size): count for (order, size), count in every.items()
+                              if low(order) <= size <= c}
+
+        def every_size(order):
+            return 0
+
+        def skipped_below_b(order):
+            return b if order == 7 else 0
+
+        assert tests_only_what_it_keeps(grouped(every_size), every_size)
+        assert tests_only_what_it_keeps(grouped(skipped_below_b), skipped_below_b)
+        # A planted reach that flattens every group first tests them all.
+        assert not tests_only_what_it_keeps(flattened(skipped_below_b), skipped_below_b)
 
 
 BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -650,7 +709,7 @@ class TestKeepContract:
         twin_settled = []
 
         def keep(g):
-            if enumeration._deletion_candidates(g.n, g.adj)[1:] and not untwinned_ties(g.adj):
+            if enumeration._deletion_candidates(g.adj)[1:] and not untwinned_ties(g.adj):
                 twin_settled.append(g.adj)
             return True
 

@@ -15,6 +15,7 @@ from alpha_extremal.graphs import (
     FeasibilityError,
     Graph,
     construct,
+    permute_mask,
     disjoint_union,
     join,
     regular_circulant,
@@ -50,6 +51,7 @@ from test_enumeration import (
     carried_bound_failures,
     ceiling,
     dense_indices,
+    emitted,
     with_a_lowered_ceiling,
 )
 
@@ -162,8 +164,9 @@ class TestMinDegreeCeiling:
 
 def counted_work(monkeypatch, n):
     """A Counter, filled as the census runs, of its walk labelings, minor or
-    star-forest searches, Collatz-Wielandt bounds, order-n builds and, under
-    ("decided", m), the order-m walk nodes it decides."""
+    star-forest searches, Collatz-Wielandt bounds, order-n builds, orbit
+    tests of neighbor masks and, under ("decided", m), the order-m walk
+    nodes it decides."""
     counts = collections.Counter()
     for module, name in ((enumeration, "canonical_labeling_masks"),
                          (harness, "is_minor_free"), (harness, "is_star_forest_free"),
@@ -180,6 +183,13 @@ def counted_work(monkeypatch, n):
         return decide(leaf, keep)
 
     monkeypatch.setattr(enumeration, "kept_node", decided)
+    orbit = enumeration.orbit
+
+    def noted_orbit(point, gens, *image):
+        counts["mask orbit tests"] += image == (permute_mask,)
+        return orbit(point, gens, *image)
+
+    monkeypatch.setattr(enumeration, "orbit", noted_orbit)
     unchecked = Graph.unchecked
 
     def noted_build(order, adj):
@@ -214,22 +224,27 @@ class TestWorkCounts:
     order-n graphs as now. Before the walk read only the children within
     its class's min_degree_ceiling and carried that ceiling down, the rows
     took 51, 41, 20, 29, 43 and 85 labelings and 207, 53, 33, 38, 72 and 169
-    searches, and built as many order-n graphs as now."""
+    searches, and built as many order-n graphs as now. A node's neighbor
+    masks come in one lazy group per size, and a size whose bound cannot
+    reach the floor is passed over unread, so none of its masks is
+    orbit-tested: while every mask up to the ceiling was read, the rows took
+    491, 721, 311, 1,538, 2,357 and 5,785 mask orbit tests."""
 
-    @pytest.mark.parametrize("cls, n, weights, labelings, tests, built", [
-        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 207, 3),
-        (CliqueMinorFree(4), 8, [0.25, 0.75], 18, 22, 15),
-        (BicliqueMinorFree(2, 3), 7, [0.5], 17, 30, 21),
-        (CliqueMinorFree(5), 8, [0.5], 29, 38, 19),
-        (BicliqueMinorFree(3, 3), 8, [0.5], 43, 72, 49),
-        (CliqueMinorFree(5), 9, [0.5], 77, 163, 17),
+    @pytest.mark.parametrize("cls, n, weights, labelings, tests, built, orbits", [
+        (StarForestFree(StarForestSpec((2, 2))), 9, [0.5], 51, 207, 3, 401),
+        (CliqueMinorFree(4), 8, [0.25, 0.75], 18, 22, 15, 229),
+        (BicliqueMinorFree(2, 3), 7, [0.5], 17, 30, 21, 200),
+        (CliqueMinorFree(5), 8, [0.5], 29, 38, 19, 401),
+        (BicliqueMinorFree(3, 3), 8, [0.5], 43, 72, 49, 702),
+        (CliqueMinorFree(5), 9, [0.5], 77, 163, 17, 1091),
     ], ids=["T3-2,2-n9", "T1-r4-n8", "T2-s2t3-n7", "T1-r5-n8", "T2-s3t3-n8", "T1-r5-n9"])
-    def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built):
+    def test_pinned(self, monkeypatch, cls, n, weights, labelings, tests, built, orbits):
         counts = counted_work(monkeypatch, n)
         check_theorem(cls, n, weights, workers=1)
         assert counts["canonical_labeling_masks"] == labelings
         assert counts["is_minor_free"] + counts["is_star_forest_free"] == tests
         assert counts["built"] == built
+        assert counts["mask orbit tests"] == orbits
 
     def test_no_state_outlives_a_census(self, monkeypatch, in_process_pool):
         # The T1-r4-n8 row twice in one process, then dealt to two shards
@@ -244,7 +259,7 @@ class TestWorkCounts:
         # 69 nodes decided (170 in all).
         cls, n, weights = CliqueMinorFree(4), 8, [0.25, 0.75]
         pinned = {"canonical_labeling_masks": 18, "is_minor_free": 22,
-                  "collatz_wielandt_bound": 101, "built": 15,
+                  "collatz_wielandt_bound": 101, "built": 15, "mask orbit tests": 229,
                   **{("decided", m): count for m, count in enumerate([1, 2, 3, 6, 12, 22, 42], 1)}}
         counts = counted_work(monkeypatch, n)
         for workers in (1, 1, 2):
@@ -372,8 +387,7 @@ def note_failures(cls, n):
     root = (*enumeration.ROOT[:2], [0.0] * len(BORDERED_WEIGHTS))
     for parent, gens, notes in enumeration.leaves(n, keep=keep, reach=noted, roots=[root]):
         for mask, note in notes.items():
-            g = enumeration.build((parent, gens, mask))
-            if g is not None and enumeration.emits(g, keep):
+            if (g := emitted((parent, gens, mask), keep)) is not None:
                 check(g, note)
     return checked, failures
 
@@ -653,9 +667,9 @@ class TestExtremalSearch:
             solved[a].append(g)
             return alpha_index(g, a)
 
-        def noted_emits(g, keep):
-            decided.append(g.adj)
-            return emits(g, keep)
+        def noted_emits(built, keep):
+            decided.append(built[0].adj)
+            return emits(built, keep)
 
         monkeypatch.setattr(harness, "alpha_index", noted_solve)
         monkeypatch.setattr(enumeration, "emits", noted_emits)
