@@ -38,14 +38,13 @@ that is not closed under vertex deletion (connectedness, say) loses members.
 graph's child), so it may ask only whether the last vertex breaks
 membership.
 
-At the target order the decision is the caller's. ``leaves`` yields each
-kept order-(n-1) node with its group and its children's neighbor masks,
-each mapped to its note (below), one lazy leaf (parent, generators, mask)
-per mask, unbuilt; ``build`` makes one leaf's graph and deletion candidates
+At the target order the decision is the caller's. ``leaves`` yields one
+lazy leaf (parent, generators, mask) per order-n child, unbuilt, with its
+note (below); ``build`` makes one leaf's graph and deletion candidates
 (None if some vertex beats its new vertex), ``emits`` asks a built leaf the
 tie test, then ``keep``, and ``kept_node`` also gives a kept leaf its
 group, so that a walk continued below it needs no labeling.
-``leaf_degree_sums`` is the other reader of a family's masks: each child's
+``leaf_degree_sums`` gives the children of one parent on given masks their
 (degree, neighbor-degree sum) pairs, derived from the parent's, so that a
 caller can bound a child's alpha index before building it.
 A caller's ``reach`` may drop children before they are decided, at every
@@ -57,7 +56,7 @@ size, in size order, so a reach that stops reading groups (the census, at
 its class's minimum-degree ceiling) or passes one over (the census, a size
 whose bound cannot reach its floor) has none of those orbit-tested. The walk
 neither decides nor descends into the rest; a kept child carries its note,
-and a family of order-n leaves maps only the masks kept to their notes. By
+and only the order-n leaves kept are yielded, each with its note. By
 default it reaches every child, noting None.
 ``nodes`` gives the reached, kept nodes of one order, with their groups and
 notes, from which ``leaves`` may continue the walk. ``enumerate_graphs`` is
@@ -82,9 +81,8 @@ Gens = list[tuple[int, ...]]
 # A kept node of the walk: the graph, generators of its automorphism group
 # and the note that ``reach`` gave it.
 Node = tuple[Graph, Gens, object]
-# Lazy leaves: a kept node, its generators and its children's neighbor masks,
-# each mapped to its note; iterating the dict gives the masks.
-Family = tuple[Graph, Gens, dict[int, object]]
+# A lazy leaf: a kept order-(n-1) node, its generators and one child's
+# neighbor mask, the child unbuilt and undecided.
 Leaf = tuple[Graph, Gens, int]
 # A node's children's neighbor masks of one size: (size, masks), the masks
 # lazily, in lexicographic order; those never read are never made.
@@ -167,9 +165,9 @@ def _tie_test(g: Graph, candidates: list[int]) -> tuple[bool, Gens | None]:
 
 def leaf_degree_sums(parent: Graph, masks: Iterable[int]) -> Iterator[list[tuple[int, int]]]:
     """The (degree, neighbor-degree sum) pairs of the vertices with an edge
-    in each child of ``parent`` on ``masks`` (a family of lazy leaves, say),
-    unbuilt, from the parent's degrees d_u and neighbor-degree sums S_u,
-    found once for the family. For the new
+    in each child of ``parent`` on ``masks`` (the masks of its lazy leaves,
+    say), unbuilt, from the parent's degrees d_u and neighbor-degree sums
+    S_u, found once for all the masks. For the new
     vertex's neighbor set M, k = |M| and c_u = |N(u) & M|: u in M has
     (d_u + 1, S_u + c_u + k), u outside M with d_u > 0 has (d_u, S_u + c_u),
     and the new vertex, if k > 0, (k, sum of d_u over M = sum of all c_u,
@@ -234,29 +232,6 @@ def _reach_all(parent: Graph, note: object, groups: Iterator[Group]) -> dict[int
     return dict.fromkeys(mask for _, masks in groups for mask in masks)
 
 
-def _children(g: Graph, gens: Gens, notes: dict[int, object],
-              keep: Callable[[Graph], bool]) -> Iterator[Node]:
-    """The kept children of node g on the masks of ``notes``, in walk order,
-    each with its note."""
-    for mask, note in notes.items():
-        if (child := kept_node((g, gens, mask), keep)) is not None:
-            yield *child, note
-
-
-def _descend(g: Graph, gens: Gens, note: object, target: int, keep: Callable[[Graph], bool],
-             reach: Reach) -> Iterator[Family]:
-    """The lazy leaves below the kept node g (of order below the target),
-    by parent, among the children ``reach`` keeps at each node; ``gens``
-    generate Aut(g) and ``note`` is what reach gave g. Nodes below the
-    target are decided here; the leaves are not."""
-    notes = reach(g, note, _masks(g, gens))
-    if g.n + 1 == target:
-        yield g, gens, notes
-        return
-    for node in _children(g, gens, notes, keep):
-        yield from _descend(*node, target, keep, reach)
-
-
 def check_order(n: int) -> None:
     """Refuse an order below 1 or above the enumeration cap."""
     if n < 1:
@@ -268,12 +243,13 @@ def check_order(n: int) -> None:
 def leaves(
     n: int, *, keep: Callable[[Graph], bool] = _keep_all, roots: Iterable[Node] = (ROOT,),
     reach: Reach = _reach_all,
-) -> Iterator[Family]:
+) -> Iterator[tuple[Leaf, object]]:
     """The order-n leaves of the walk, in walk order, undecided and unbuilt:
-    (parent, generators of Aut(parent), {mask: note}) per kept order-(n-1)
-    node, one neighbor mask per Aut(parent) orbit. ``build`` makes the lazy
-    leaf (parent, generators, mask) and ``emits`` tells whether the walk
-    emits it; ``kept_node`` also gives its group.
+    one (leaf, note) pair per order-n child that ``reach`` keeps, the lazy
+    leaf (parent, generators of Aut(parent), mask) with one neighbor mask per
+    Aut(parent) orbit, and the note reach gave it. ``build`` makes the leaf
+    and ``emits`` tells whether the walk emits it; ``kept_node`` also gives
+    its group.
 
     ``roots`` are kept nodes below order n, from ``nodes`` with the same
     ``keep`` and ``reach``, below which the walk runs; ROOT by default. A
@@ -286,17 +262,32 @@ def leaves(
     gives one (size, masks) pair per size, in size order, each ``masks`` a
     lazy iterator in lexicographic order; masks never read are never made): below
     order n - 1 the walk decides them and descends into the kept ones, each
-    carrying its note, and at order n - 1 they are the node's family. It is
+    carrying its note, and at order n - 1 they are the node's leaves. It is
     asked once per kept node below order n, with that node's note (a root's
-    own); a caller drops the children with no order-n descendant it needs.
-    The default reaches every child, noting None, so that every family is
-    whole.
+    own), before any of that node's children is decided; a caller drops the
+    children with no order-n descendant it needs, and a node whose children
+    are all dropped yields nothing. The default reaches every child, noting
+    None.
+
+    The walk runs depth first on an explicit stack of (node graph, its
+    group, its reached children still to go): a recursive walk would pass
+    each leaf up through n - 1 generator frames.
     """
     check_order(n)
     for g, gens, note in roots:
         if g.n >= n:
             raise ValueError(f"a root of order {g.n} has no order-{n} leaves below it")
-        yield from _descend(g, gens, note, n, keep, reach)
+        stack = [(g, gens, iter(reach(g, note, _masks(g, gens)).items()))]
+        while stack:
+            g, gens, notes = stack[-1]
+            for mask, note in notes:
+                if g.n + 1 == n:
+                    yield (g, gens, mask), note
+                elif (child := kept_node((g, gens, mask), keep)) is not None:
+                    stack.append((*child, iter(reach(child[0], note, _masks(*child)).items())))
+                    break
+            else:
+                stack.pop()
 
 
 def nodes(m: int, *, keep: Callable[[Graph], bool], reach: Reach = _reach_all,
@@ -306,8 +297,8 @@ def nodes(m: int, *, keep: Callable[[Graph], bool], reach: Reach = _reach_all,
     gave it, in walk order: the roots themselves at order 0."""
     if m == 0:
         return list(roots)
-    return [node for parent, gens, notes in leaves(m, keep=keep, reach=reach, roots=roots)
-            for node in _children(parent, gens, notes, keep)]
+    return [(*node, note) for leaf, note in leaves(m, keep=keep, reach=reach, roots=roots)
+            if (node := kept_node(leaf, keep)) is not None]
 
 
 def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> Iterator[Graph]:
@@ -321,7 +312,6 @@ def enumerate_graphs(n: int, *, keep: Callable[[Graph], bool] = _keep_all) -> It
     nodes, so it may assume that its graph minus the last vertex is kept.
     The default keeps every graph.
     """
-    for parent, gens, masks in leaves(n, keep=keep):
-        for mask in masks:
-            if (built := build((parent, gens, mask))) is not None and emits(built, keep):
-                yield built[0]
+    for leaf, _ in leaves(n, keep=keep):
+        if (built := build(leaf)) is not None and emits(built, keep):
+            yield built[0]

@@ -58,7 +58,7 @@ def reach(adj: tuple[int, ...], start: int, within: int) -> int:
 class Graph:
     """Finite simple undirected graph: order ``n`` plus symmetric adjacency bitmasks."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n < 0:
@@ -77,7 +77,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = tuple(adj)
-        self._hash = hash((n, self.adj))
 
     @classmethod
     def unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -88,7 +87,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adj = adj
-        g._hash = hash((n, adj))
         return g
 
     # -- constructors -------------------------------------------------
@@ -138,7 +136,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"

@@ -331,11 +331,9 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
     """
     n, alphas, floors, cls, roots = args
     keep = _member_of(cls)
-    leaves, keys = [], []  # lazy leaves, in walk order, and each one's key at each weight
-    for parent, gens, notes in enumeration.leaves(
-            n, keep=keep, roots=roots, reach=_reach(n, alphas, floors, cls.min_degree_ceiling)):
-        leaves += [(parent, gens, mask) for mask in notes]
-        keys += notes.values()
+    # The lazy leaves, in walk order, each with its key at each weight.
+    leaves = list(enumeration.leaves(n, keep=keep, roots=roots,
+                                     reach=_reach(n, alphas, floors, cls.min_degree_ceiling)))
     built = {}  # leaf index -> what build made (None if rejected); built when first reached
     emitted = {}  # leaf index -> whether the walk emits it; decided when first gated through
     solved = []
@@ -343,11 +341,12 @@ def _census_shard(args) -> list[list[tuple[Graph, float]]]:
         pairs = []
         best = floor - TIE_TOL
         # A stable sort, reversed, keeps ties in walk order.
-        for i in sorted(range(len(leaves)), key=lambda i: keys[i][w], reverse=True):
-            if keys[i][w] < best - 2 * TIE_TOL:
+        for i in sorted(range(len(leaves)), key=lambda i: leaves[i][1][w], reverse=True):
+            leaf, key = leaves[i]
+            if key[w] < best - 2 * TIE_TOL:
                 break
             if i not in built:
-                built[i] = enumeration.build(leaves[i])
+                built[i] = enumeration.build(leaf)
             g = built[i] and built[i][0]
             if g is None or collatz_wielandt_bound(g, a, GATE_POWER_STEPS) < best - 2 * TIE_TOL:
                 continue

@@ -102,7 +102,14 @@ def emitted(leaf, keep):
 
 def lazy_leaves(n, **kwargs):
     """Every lazy leaf (parent, generators, mask) of the walk, in walk order."""
-    return [(parent, gens, mask) for parent, gens, masks in leaves(n, **kwargs) for mask in masks]
+    return [leaf for leaf, _ in leaves(n, **kwargs)]
+
+
+def by_parent(pairs):
+    """The (leaf, note) pairs of ``leaves`` grouped by parent, in walk order:
+    (parent, gens, {mask: note}) per parent with a leaf."""
+    return [(parent, gens, {mask: note for (_, _, mask), note in group})
+            for (parent, gens), group in itertools.groupby(pairs, key=lambda pair: pair[0][:2])]
 
 
 def walk_below(n, roots, keep=keep_all):
@@ -205,10 +212,10 @@ class TestCapAndErrors:
         with pytest.raises(ValueError, match="order 3"):
             next(walk)
         assert calls == []
-        # Roots below the order still give the order-3 families.
-        families = list(leaves(3, keep=keep, roots=nodes(2, keep=keep)))
-        assert [(g, masks) for g, _, masks in families] == [
-            (g, masks) for g, _, masks in leaves(3, keep=keep)]
+        # Roots below the order still give the order-3 leaves.
+        pairs = list(leaves(3, keep=keep, roots=nodes(2, keep=keep)))
+        assert pairs and [(g, mask, note) for (g, _, mask), note in pairs] == [
+            (g, mask, note) for (g, _, mask), note in leaves(3, keep=keep)]
 
 
 class TestSharding:
@@ -358,13 +365,13 @@ class TestDerivedGroups:
     @pytest.mark.parametrize("name", [None, "K4-minor-free", "K23-minor-free", "S2+S2-free"])
     def test_children_tried_under_the_labeled_orbits(self, monkeypatch, name):
         handed = []
-        descend = enumeration._descend
+        masks = enumeration._masks
 
-        def noted(g, gens, note, target, keep, reach):
+        def noted(g, gens):
             handed.append((g, gens))
-            return descend(g, gens, note, target, keep, reach)
+            return masks(g, gens)
 
-        monkeypatch.setattr(enumeration, "_descend", noted)
+        monkeypatch.setattr(enumeration, "_masks", noted)
         for _ in enumerate_graphs(8, keep=HEREDITARY.get(name, lambda g: True)):
             pass
         assert {g.n for g, _ in handed} == set(range(0, 8))
@@ -420,16 +427,16 @@ def parent_note(g):
 
 class TestReachContract:
     """A caller's ``reach`` filters the children of every kept node below
-    the target order, the parents of the order-n families included, and
+    the target order, the parents of the order-n leaves included, and
     gives each kept child a note that the child carries."""
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free", "S2+S2-free"])
     def test_asked_once_per_kept_node_and_families_hold_its_masks(self, name):
         keep = HEREDITARY.get(name, keep_all)
         asked = {}
-        families = list(leaves(7, keep=keep, reach=every_third_dropped(asked)))
-        # Each family holds exactly the masks reach kept for its parent, and
-        # the order-6 nodes asked are the families' parents.
+        families = by_parent(leaves(7, keep=keep, reach=every_third_dropped(asked)))
+        # The leaves of each parent are exactly the masks reach kept for it,
+        # and the order-6 nodes asked are the leaves' parents.
         assert [list(masks) for _, _, masks in families] == [asked[g.adj][2] for g, _, _ in families]
         assert [adj for adj, (g, _, _) in asked.items() if g.n == 6] == [g.adj for g, _, _ in families]
         assert any(len(masks) < len(list(flat_masks(g.n, g.adj, gens)))
@@ -458,24 +465,24 @@ class TestReachContract:
         found = nodes(5, keep=keep, reach=every_third_dropped({}), roots=[root])
         assert found and all(note == parent_note(g) for g, _, note in found)
         asked = {}
-        families = list(leaves(7, keep=keep, reach=every_third_dropped(asked), roots=[root]))
+        families = by_parent(leaves(7, keep=keep, reach=every_third_dropped(asked), roots=[root]))
         # reach is handed each node's own note, the root's as given.
         assert {g.n for g, _, _ in asked.values()} == set(range(7))
         assert all(note == (parent_note(g) if g.n else "root") for g, note, _ in asked.values())
-        # Each family maps the masks reach kept, and only those, in order,
-        # to the notes reach gave them.
+        # The leaves of each parent are the masks reach kept, and only those,
+        # in order, each with the note reach gave it.
         assert families
         for g, _, notes in families:
             assert list(notes.items()) == [(mask, (g.adj, mask)) for mask in asked[g.adj][2]]
         # The default reach notes None.
         assert all(note is None for _, _, note in nodes(5, keep=keep))
-        assert all(note is None for _, _, notes in leaves(6, keep=keep) for note in notes.values())
+        assert all(note is None for _, note in leaves(6, keep=keep))
 
     @pytest.mark.parametrize("name", [None, "K4-minor-free"])
     def test_masks_never_read_are_never_orbit_tested(self, monkeypatch, name):
         # A reach that stops reading at size c, as the census stops at its
         # class's ceiling, has no larger neighbor set orbit-tested; one that
-        # also skips the whole groups below size b at the families' parents,
+        # also skips the whole groups below size b at the leaves' parents,
         # as the census skips the sizes whose bound cannot reach its floor,
         # has none of those either. Each keeps what a reach that reads every
         # mask and filters keeps.
@@ -492,8 +499,8 @@ class TestReachContract:
 
         def walk(reach):
             tested.clear()
-            families = [(g.adj, list(masks)) for g, _, masks in leaves(8, keep=keep, reach=reach)]
-            return families, dict(tested)
+            found = [(g.adj, mask) for (g, _, mask), _ in leaves(8, keep=keep, reach=reach)]
+            return found, dict(tested)
 
         def grouped(low):
             def reach(parent, note, groups):
@@ -508,8 +515,8 @@ class TestReachContract:
             return reach
 
         def tests_only_what_it_keeps(reach, low):
-            (families, its_tests), (want, every) = walk(reach), walk(flattened(low))
-            assert families == want and families
+            (found, its_tests), (want, every) = walk(reach), walk(flattened(low))
+            assert found == want and found
             assert any(not low(order) <= size <= c for order, size in every)
             return its_tests == {(order, size): count for (order, size), count in every.items()
                               if low(order) <= size <= c}
@@ -524,6 +531,103 @@ class TestReachContract:
         assert tests_only_what_it_keeps(grouped(skipped_below_b), skipped_below_b)
         # A planted reach that flattens every group first tests them all.
         assert not tests_only_what_it_keeps(flattened(skipped_below_b), skipped_below_b)
+
+
+def family_walk(n, *, keep, roots, reach):
+    """Oracle for ``leaves``: the recursive walk that handed the leaves over
+    one parent at a time, as (parent, gens, {mask: note}), flattened to the
+    (leaf, note) pairs."""
+    def children(g, gens, notes):
+        for mask, note in notes.items():
+            if (child := kept_node((g, gens, mask), keep)) is not None:
+                yield *child, note
+
+    def descend(g, gens, note):
+        notes = reach(g, note, enumeration._masks(g, gens))
+        if g.n + 1 == n:
+            yield g, gens, notes
+            return
+        for node in children(g, gens, notes):
+            yield from descend(*node)
+
+    for root in roots:
+        for g, gens, notes in descend(*root):
+            yield from (((g, gens, mask), note) for mask, note in notes.items())
+
+
+def breadth_first(n, *, keep, roots, reach):
+    """A planted defect: the same leaves, but reach asked about every node
+    of one order before any node of the next."""
+    level = [(g, gens, reach(g, note, enumeration._masks(g, gens))) for g, gens, note in roots]
+    while level and level[0][0].n + 1 < n:
+        level = [(h, hgens, reach(h, note, enumeration._masks(h, hgens)))
+                 for g, gens, notes in level for mask, note in notes.items()
+                 if (child := kept_node((g, gens, mask), keep)) is not None
+                 for h, hgens in [child]]
+    yield from (((g, gens, mask), note) for g, gens, notes in level for mask, note in notes.items())
+
+
+def recorded(walk, n, keep, roots, reach, pairs=None):
+    """(the first ``pairs`` (leaf, note) pairs of walk(n, ...), all by
+    default; the adjacency of each node reach was asked about, in order)."""
+    asked = []
+
+    def noted(parent, note, groups):
+        asked.append(parent.adj)
+        return reach(parent, note, groups)
+
+    found = list(itertools.islice(walk(n, keep=keep, roots=roots, reach=noted), pairs))
+    return found, asked
+
+
+def on_one_path(asked, root, parent):
+    """Whether the nodes ``asked`` run down one path from ``root`` to
+    ``parent``, each the one before with a vertex added."""
+    return asked[0] == root.adj and asked[-1] == parent.adj and all(
+        len(child) == len(node) + 1 and tuple(row & ~(1 << len(node)) for row in child[:-1]) == node
+        for node, child in zip(asked, asked[1:]))
+
+
+# Fresh reaches: every_third_dropped refuses to be asked twice about a node.
+REACHES = {"all": lambda: enumeration._reach_all, "every third dropped": lambda: every_third_dropped({})}
+
+
+class TestFlatWalk:
+    """``leaves`` yields what the recursive walk by parent did, flattened, in
+    the same order, asking reach about the same nodes in the same order, and
+    asks about no node off the first root-to-leaf path before the first
+    leaf."""
+
+    @staticmethod
+    def walks_agree(walk, n, keep, roots, make_reach):
+        return recorded(walk, n, keep, roots, make_reach()) == recorded(
+            family_walk, n, keep, roots, make_reach())
+
+    @staticmethod
+    def lazy(walk, n, keep, roots, make_reach):
+        [((parent, _, _), _)], asked = recorded(walk, n, keep, roots, make_reach(), pairs=1)
+        return on_one_path(asked, roots[0][0], parent)
+
+    @pytest.mark.parametrize("reach", sorted(REACHES))
+    @pytest.mark.parametrize("name", sorted(HEREDITARY))
+    def test_equals_the_recursive_walk(self, name, reach):
+        keep, make_reach = functools.cache(HEREDITARY[name]), REACHES[reach]
+        for m in (0, 2, 4):
+            roots = nodes(m, keep=keep, reach=make_reach())
+            for n in range(m + 1, 8):
+                assert self.walks_agree(leaves, n, keep, roots, make_reach), (m, n)
+                assert self.lazy(leaves, n, keep, roots, make_reach), (m, n)
+
+    def test_catches_a_breadth_first_walk(self):
+        roots = [enumeration.ROOT]
+        for make_reach in REACHES.values():
+            assert self.walks_agree(leaves, 6, keep_all, roots, make_reach)
+            assert self.lazy(leaves, 6, keep_all, roots, make_reach)
+            # The same pairs in the same order, but reach asked level by level.
+            assert recorded(breadth_first, 6, keep_all, roots, make_reach())[0] == recorded(
+                leaves, 6, keep_all, roots, make_reach())[0]
+            assert not self.walks_agree(breadth_first, 6, keep_all, roots, make_reach)
+            assert not self.lazy(breadth_first, 6, keep_all, roots, make_reach)
 
 
 BORDERED_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -551,19 +655,19 @@ def carried_bound_failures(keep, order, start, c):
         # The order-0 root's index is taken as 0, as the census takes it.
         rho = [float(dense_indices(alpha_matrix(g, 0.0), a)) if g.n else 0.0
                for a in BORDERED_WEIGHTS]
-        for parent, _, masks in leaves(g.n + 1, keep=keep, roots=[(g, gens, None)]):
-            for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
-                if (node := kept_node((parent, gens, mask), keep)) is None:
-                    continue
-                m, k = g.n + 1, mask.bit_count()
-                path = above + [([start(r, sums, a, k) for r, a in zip(rho, BORDERED_WEIGHTS)], k)]
-                want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
-                for j, (tops, k) in enumerate(reversed(path[-3:]), start=1):
-                    for a, top, w in zip(BORDERED_WEIGHTS, tops, want):
-                        checked += 1
-                        failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1, c) < w - 1e-12
-                if m < order:
-                    walk(*node, path)
+        masks = [mask for (_, _, mask), _ in leaves(g.n + 1, keep=keep, roots=[(g, gens, None)])]
+        for mask, sums in zip(masks, leaf_degree_sums(g, masks)):
+            if (node := kept_node((g, gens, mask), keep)) is None:
+                continue
+            m, k = g.n + 1, mask.bit_count()
+            path = above + [([start(r, sums, a, k) for r, a in zip(rho, BORDERED_WEIGHTS)], k)]
+            want = [float(dense_indices(alpha_matrix(node[0], 0.0), a)) for a in BORDERED_WEIGHTS]
+            for j, (tops, k) in enumerate(reversed(path[-3:]), start=1):
+                for a, top, w in zip(BORDERED_WEIGHTS, tops, want):
+                    checked += 1
+                    failures += harness._descendant_bound(top, a, k, m - j + 1, j - 1, c) < w - 1e-12
+            if m < order:
+                walk(*node, path)
 
     walk(*enumeration.ROOT[:2], [])
     return checked, failures
@@ -621,7 +725,7 @@ class TestDescendantBound:
 
     def test_is_the_pairs_themselves_at_zero_steps(self):
         # A child of the target order is keyed by its own bound, uncarried.
-        for parent, _, masks in leaves(6):
+        for parent, _, masks in by_parent(leaves(6)):
             for mask, sums in zip(masks, leaf_degree_sums(parent, masks)):
                 for a in BORDERED_WEIGHTS:
                     top = degree_vector_bound(sums, a)

@@ -48,6 +48,7 @@ from test_enumeration import (
     COSTLY_AT_ORDER_8,
     HEREDITARY,
     TIGHT_AT_ORDER_7,
+    by_parent,
     carried_bound_failures,
     ceiling,
     dense_indices,
@@ -280,7 +281,7 @@ class TestDerivedLeafSums:
     def test_equal_the_built_leaf(self, name, n):
         keep = HEREDITARY.get(name, lambda g: True)
         checked = 0
-        for parent, _, masks in enumeration.leaves(n, keep=keep):
+        for parent, _, masks in by_parent(enumeration.leaves(n, keep=keep)):
             for mask, sums in zip(masks, enumeration.leaf_degree_sums(parent, masks), strict=True):
                 rows = [row | (mask >> u & 1) << n - 1 for u, row in enumerate(parent.adj)]
                 child = Graph(n, (*rows, mask))
@@ -385,10 +386,9 @@ def note_failures(cls, n):
         return reach(parent, note, masks)
 
     root = (*enumeration.ROOT[:2], [0.0] * len(BORDERED_WEIGHTS))
-    for parent, gens, notes in enumeration.leaves(n, keep=keep, reach=noted, roots=[root]):
-        for mask, note in notes.items():
-            if (g := emitted((parent, gens, mask), keep)) is not None:
-                check(g, note)
+    for leaf, note in enumeration.leaves(n, keep=keep, reach=noted, roots=[root]):
+        if (g := emitted(leaf, keep)) is not None:
+            check(g, note)
     return checked, failures
 
 

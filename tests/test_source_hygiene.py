@@ -1,8 +1,9 @@
 """Static checks on the package source: no import goes unused, no
-module-level private name is left without a reader, no public function or
-class is left without a reader or an export, no module-level import leaves
-a pinned allowlist, and no ``module.name`` in the README or a docstring
-names what its module does not define.
+module-level private name is left without a reader, no public module-level
+name (function, class, constant or type alias) is left without a reader or
+an export, no module-level import leaves a pinned allowlist, and no
+``module.name`` in the README or a docstring names what its module does not
+define.
 
 Deleting a duplicate helper tends to leave its import, a private sibling,
 the public slow path it replaced or a sentence about it behind; these tests
@@ -88,15 +89,13 @@ def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def unread_publics(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
-    """``module:name`` for each public module-level function or class that
-    nothing reads outside its own definition, in any of ``trees``, and that
-    ``exported`` does not hold."""
-    def candidates(stmt):
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return []
-        return [] if stmt.name.startswith("_") or stmt.name in exported else [stmt.name]
-
-    return _unread(trees, candidates)
+    """``module:name`` for each public module-level name (a function, a
+    class, or an assigned constant or type alias) that nothing reads outside
+    its own definition, in any of ``trees``, and that ``exported`` does not
+    hold."""
+    return _unread(trees, lambda stmt: [
+        name for name in _defined_names(stmt) if not name.startswith("_") and name not in exported
+    ])
 
 
 def docstrings(tree: ast.Module) -> list[str]:
@@ -199,12 +198,14 @@ def test_checks_catch_planted_leftovers():
     assert unread_privates({"a.py": a, "b.py": b}) == ["a.py:_gone", "a.py:_LIMIT", "b.py:_idle"]
     c = ast.parse(
         "from . import d\n\ndef lonely():\n    return lonely()\n\n"
-        "def entry():\n    return d.helper()\n\nclass Unused:\n    pass\n\nLIMIT = 3\n"
+        "def entry() -> 'Leaf':\n    return d.helper()\n\nclass Unused:\n    pass\n\nLIMIT = 3\n"
+        "Leaf = tuple[int, int]\nFamily = tuple[int, list[int]]\nCAP: int = 10\n"
     )
     d = ast.parse("def helper():\n    pass\n\ndef _private():\n    pass\n")
-    assert unread_publics({"c.py": c, "d.py": d}, {"entry"}) == ["c.py:lonely", "c.py:Unused"]
+    assert unread_publics({"c.py": c, "d.py": d}, {"entry"}) == [
+        "c.py:lonely", "c.py:Unused", "c.py:LIMIT", "c.py:Family", "c.py:CAP"]
     assert unread_publics({"c.py": c, "d.py": d}, set()) == [
-        "c.py:lonely", "c.py:entry", "c.py:Unused"]
+        "c.py:lonely", "c.py:entry", "c.py:Unused", "c.py:LIMIT", "c.py:Family", "c.py:CAP"]
     e = ast.parse(
         '"""Reads d.helper, not d.gone; see d.py."""\n\n'
         'def f():\n    """Calls c.entry after c.absent."""\n    d.unchecked = 1\n'
